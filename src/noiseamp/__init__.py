@@ -21,7 +21,7 @@ from .variance import (VarianceReport, extreme_modal_values, hb_gd_ratio,
                        variance_via_eigenvalues, variance_via_lyapunov)
 from .lmi import (LmiCertificate, LmiProblem, assemble_lmi,
                   contraction_bound_gd, evaluate_certificate, gd_certificate,
-                  jacobi_eigenvalues, na_certificate, q_bounds, refine_bound)
+                  na_certificate, q_bounds, refine_bound)
 from .tuning import (TunedParams, TuningResult, acceleration_floor,
                      conventional_params, hb_tradeoff_margin,
                      na_jhat_m_lower_bound, optimal_quadratic_params,

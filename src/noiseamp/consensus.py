@@ -23,8 +23,9 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Algo, AlgoConfig, SigmaMode, modal_spectral_radius
-from .errors import SizeOverflow
+from .dynamics import (INSTABILITY_THRESHOLD, Algo, AlgoConfig, SigmaMode,
+                       modal_spectral_radius)
+from .errors import SizeOverflow, Unstable
 from .spectrum import Spectrum
 from .tuning import optimal_quadratic_params
 from .variance import _modal_variance_raw
@@ -96,7 +97,8 @@ def consensus_variance(algo: Algo, t: TorusSpec,
 
     By default the method runs at its quadratic-optimal tuning for the
     nonzero extreme eigenvalues; pass ``cfg`` to override.  The zero mode is
-    excluded (deviation-from-average variance).
+    excluded (deviation-from-average variance).  Raises :class:`Unstable`
+    if the method diverges on some nonzero mode.
     """
     lams = nonzero_torus_eigenvalues(t)
     m, L = float(lams.min()), float(lams.max())
@@ -105,9 +107,12 @@ def consensus_variance(algo: Algo, t: TorusSpec,
         cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                          sigma=sigma)
     rhos = np.asarray(modal_spectral_radius(cfg, lams))
+    rho = float(rhos.max())
+    if rho >= INSTABILITY_THRESHOLD:
+        raise Unstable(float(lams[int(np.argmax(rhos))]), rho)
     jbar = math.fsum(_modal_variance_raw(cfg, lams))
     return ConsensusRecord(algo=algo, d=t.d, n0=t.n0, n=t.n, kappa=L / m,
-                           rho=float(rhos.max()), jbar=jbar)
+                           rho=rho, jbar=jbar)
 
 
 def reciprocal_sum(t: TorusSpec) -> dict[str, float]:

@@ -215,10 +215,12 @@ def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
 
     Starts from P^0 = 0 and iterates P <- A P A^T + sigma^2 B B^T mode by
     mode (vectorized across modes).  With ``weighted=True`` each mode is
-    weighted by its eigenvalue (objective-suboptimality output).
+    weighted by its eigenvalue (objective-suboptimality output).  Raises
+    :class:`Unstable` if some mode diverges.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    check_stable(cfg, s)
     lams = s.values
     sig2 = cfg.effective_sigma ** 2
     w = lams if weighted else np.ones_like(lams)

@@ -32,46 +32,38 @@ from .errors import NotContractive, ShapeMismatch
 PSD_TOL_SCALE = 1e-8
 
 
-def jacobi_eigenvalues(mat: np.ndarray, tol: float = 1e-13,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a small symmetric matrix by cyclic Jacobi rotations.
+def _sym_matrix(upper: tuple[float, ...]) -> np.ndarray:
+    """Symmetric 2x2 or 3x3 matrix from its upper triangle, row by row."""
+    if len(upper) == 3:
+        a, b, c = upper
+        return np.array(((a, b), (b, c)))
+    if len(upper) == 6:
+        a, b, c, d, e, f = upper
+        return np.array(((a, b, c), (b, d, e), (c, e, f)))
+    raise ShapeMismatch(
+        f"expected the 3 or 6 upper-triangle entries of a symmetric 2x2 or "
+        f"3x3 matrix, got {len(upper)}")
 
-    Returns eigenvalues sorted ascending.  Intended for the small matrices
-    appearing in the reduced LMIs; accuracy is at machine-precision level
-    relative to the matrix norm.
+
+def _sym_eigenvalues(upper: tuple[float, ...]) -> tuple[float, ...]:
+    """Ascending eigenvalues of a symmetric 2x2 or 3x3 matrix.
+
+    ``upper`` is the upper triangle row by row, as for :func:`_sym_matrix`.
+    The 2x2 case is solved in closed form.  The 3x3 case goes to LAPACK:
+    the trigonometric cubic formula loses accuracy near repeated roots.
+    A NaN or infinite entry gives NaN eigenvalues.
     """
-    a = np.asarray(mat, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-10 * max(1.0, np.abs(a).max())):
-        raise ShapeMismatch("matrix is not symmetric")
-    a = 0.5 * (a + a.T)
-    n = a.shape[0]
-    if n == 1:
-        return a[0].copy()
-    scale = max(1.0, float(np.abs(a).max()))
-    for _ in range(max_sweeps):
-        off = math.sqrt(float(np.sum(np.tril(a, -1) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-300:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot = np.eye(n)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                a = 0.5 * (a + a.T)
-    return np.sort(np.diag(a))
+    finite = all(map(math.isfinite, upper))
+    if len(upper) == 3 and finite:
+        a, b, c = upper
+        mid, rad = 0.5 * (a + c), math.hypot(0.5 * (a - c), b)
+        return mid - rad, mid + rad
+    mat = _sym_matrix(upper)
+    if not finite:
+        # Otherwise the 2x2 formula can give inf, and LAPACK can raise or
+        # return finite values.
+        return (math.nan,) * len(mat)
+    return tuple(np.linalg.eigvalsh(mat).tolist())
 
 
 @dataclass(frozen=True)
@@ -91,45 +83,14 @@ class LmiProblem:
             raise ValueError("LMI certificates cover GD and NA")
         if not (0.0 < self.m <= self.L):
             raise ValueError("need 0 < m <= L")
-        if self.alpha <= 0.0 or not (0.0 <= self.beta < 1.0):
-            raise ValueError("need alpha > 0 and beta in [0, 1)")
+        if not (0.0 < self.alpha < math.inf and 0.0 <= self.beta < 1.0):
+            raise ValueError("need finite alpha > 0 and beta in [0, 1)")
         if self.n < 1:
             raise ValueError("need n >= 1")
 
     @property
     def kappa(self) -> float:
         return self.L / self.m
-
-
-def _scalar_system(p: LmiProblem):
-    """Scalar-block (A, Bw, Bu, Cz, Cy) of the method written around x*."""
-    am = p.alpha * p.m
-    if p.algo == Algo.GD:
-        A = np.array([[1.0 - am]])
-        Bw = np.array([[1.0]])
-        Bu = np.array([[-p.alpha]])
-        Cz = np.array([[1.0]])
-        Cy = np.array([[1.0]])
-    else:
-        A = np.array([[0.0, 1.0],
-                      [-p.beta * (1.0 - am), (1.0 + p.beta) * (1.0 - am)]])
-        Bw = np.array([[0.0], [1.0]])
-        Bu = np.array([[0.0], [-p.alpha]])
-        Cz = np.array([[1.0, 0.0]])
-        Cy = np.array([[-p.beta, 1.0 + p.beta]])
-    return A, Bw, Bu, Cz, Cy
-
-
-def _multiplier_matrix(p: LmiProblem) -> np.ndarray:
-    """Scalar-block form of the second (off-by-one) multiplier term for NA."""
-    m, L, a, b = p.m, p.L, p.alpha, p.beta
-    n1 = np.array([[a * m * b, -a * m * (1.0 + b), -a],
-                   [-m * b, m * (1.0 + b), 1.0]])
-    n2 = np.array([[-b, b, 0.0],
-                   [-m * b, m * (1.0 + b), 1.0]])
-    k1 = np.array([[L, 1.0], [1.0, 0.0]])
-    k2 = np.array([[-m, 1.0], [1.0, 0.0]])
-    return n1.T @ k1 @ n1 + n2.T @ k2 @ n2
 
 
 @dataclass
@@ -165,30 +126,58 @@ class LmiCertificate:
         }
 
 
+def _lmi_entries(p: LmiProblem, cert: LmiCertificate) -> tuple[float, ...]:
+    """Upper triangle, row by row, of the reduced LMI left-hand side.
+
+    Around x* the method is xi+ = A xi + Bu u with u = Delta(Cy xi),
+    Delta(y) = grad f(y) - m y, and output Cz xi.  The LMI is
+
+        [[A^T X A - X + Cz^T Cz, A^T X Bu], [Bu^T X A, Bu^T X Bu]]
+            + lambda1 S^T [[0, L - m], [L - m, -2]] S + lambda2 N,
+
+    where S selects (Cy xi, u) and N is the off-by-one multiplier of NA.
+    GD: A = q = 1 - alpha m, Bu = -alpha, Cz = Cy = 1, X = x1 (2x2 LMI).
+    NA: A = [[0, 1], [c, d]] with c = -beta q, d = (1 + beta) q,
+    Bu = (0, -alpha), Cz = (1, 0), Cy = (-beta, 1 + beta) and
+    X = [[x1, x0], [x0, x2]] (3x3 LMI).  Each entry is affine in
+    (x1, x0, x2, lambda1, lambda2).
+    """
+    m, L, alpha, beta = p.m, p.L, p.alpha, p.beta
+    x1, x0, x2 = cert.x1, cert.x0, cert.x2
+    lam1, lam2 = cert.lambda1, cert.lambda2
+    span = L - m
+    q = 1.0 - alpha * m
+    if p.algo == Algo.GD:
+        return (q * q * x1 - x1 + 1.0,
+                lam1 * span - alpha * q * x1,
+                alpha * alpha * x1 - 2.0 * lam1)
+    c, d = -beta * q, (1.0 + beta) * q
+    # N = n1^T [[L, 1], [1, 0]] n1 + n2^T [[-m, 1], [1, 0]] n2, where n1 has
+    # rows r, t and n2 has rows u, t.
+    r = (alpha * m * beta, -alpha * m * (1.0 + beta), -alpha)
+    t = (-m * beta, m * (1.0 + beta), 1.0)
+    u = (-beta, beta, 0.0)
+
+    def mult(i: int, j: int) -> float:
+        return (L * r[i] * r[j] - m * u[i] * u[j]
+                + (r[i] + u[i]) * t[j] + t[i] * (r[j] + u[j]))
+
+    return (c * c * x2 - x1 + 1.0 + lam2 * mult(0, 0),
+            (c - 1.0) * x0 + c * d * x2 + lam2 * mult(0, 1),
+            -alpha * c * x2 - lam1 * span * beta + lam2 * mult(0, 2),
+            x1 + 2.0 * d * x0 + (d * d - 1.0) * x2 + lam2 * mult(1, 1),
+            -alpha * (x0 + d * x2) + lam1 * span * (1.0 + beta)
+            + lam2 * mult(1, 2),
+            alpha * alpha * x2 - 2.0 * lam1 + lam2 * mult(2, 2))
+
+
 def assemble_lmi(p: LmiProblem, cert: LmiCertificate) -> np.ndarray:
     """Assemble the LMI left-hand side for a candidate certificate.
 
     Reduced mode returns the 2x2 (GD) or 3x3 (NA) scalar-block matrix; full
     mode returns its Kronecker expansion with identity blocks of size n.
     """
-    A, _, Bu, Cz, Cy = _scalar_system(p)
-    k = A.shape[0]
-    if k == 1:
-        X = np.array([[cert.x1]])
-    else:
-        X = np.array([[cert.x1, cert.x0], [cert.x0, cert.x2]])
-    top = A.T @ X @ A - X + Cz.T @ Cz
-    cross = A.T @ X @ Bu
-    core = np.block([[top, cross], [cross.T, Bu.T @ X @ Bu]])
-    span = p.L - p.m
-    pi = np.array([[0.0, span], [span, -2.0]])
-    sel = np.zeros((2, k + 1))
-    sel[0, :k] = Cy[0]
-    sel[1, k] = 1.0
-    lhs = core + cert.lambda1 * (sel.T @ pi @ sel)
-    if p.algo == Algo.NA:
-        lhs = lhs + cert.lambda2 * _multiplier_matrix(p)
-    lhs = 0.5 * (lhs + lhs.T)
+    lhs = _sym_matrix(_lmi_entries(p, cert))
     if p.reduced:
         return lhs
     return np.kron(lhs, np.eye(p.n))
@@ -196,24 +185,25 @@ def assemble_lmi(p: LmiProblem, cert: LmiCertificate) -> np.ndarray:
 
 def certified_bound(p: LmiProblem, cert: LmiCertificate) -> float:
     """J bound implied by the candidate for sigma = 1: n (L lam2 + x2-trace)."""
-    A, Bw, _, _, _ = _scalar_system(p)
-    if A.shape[0] == 1:
-        trace_term = cert.x1
-    else:
-        trace_term = cert.x2  # Bw^T X Bw picks the (2,2) block of X
+    # Bw^T X Bw is x1 for GD and picks the (2,2) entry x2 of X for NA.
+    trace_term = cert.x1 if p.algo == Algo.GD else cert.x2
     return p.n * (p.L * cert.lambda2 + trace_term)
 
 
 def evaluate_certificate(p: LmiProblem, cert: LmiCertificate) -> LmiCertificate:
-    """Fill in bound, residuals and validity of a candidate certificate."""
-    lhs = assemble_lmi(p, cert)
-    tol = PSD_TOL_SCALE * max(1.0, float(np.abs(lhs).max()))
-    res = float(jacobi_eigenvalues(lhs)[-1])
+    """Fill in bound, residuals and validity of a candidate certificate.
+
+    The reduced and full LMIs have the same eigenvalues (the full one
+    repeats each n times) and the same largest entry, so both are judged
+    on the reduced entries.
+    """
+    upper = _lmi_entries(p, cert)
+    tol = PSD_TOL_SCALE * max(1.0, max(map(abs, upper)))
+    res = _sym_eigenvalues(upper)[-1]
     if p.algo == Algo.GD:
         xmin = cert.x1
     else:
-        X = np.array([[cert.x1, cert.x0], [cert.x0, cert.x2]])
-        xmin = float(jacobi_eigenvalues(X)[0])
+        xmin = _sym_eigenvalues((cert.x1, cert.x0, cert.x2))[0]
     cert.bound = certified_bound(p, cert)
     cert.residual_max_eig = res
     cert.x_min_eig = xmin

@@ -126,6 +126,14 @@ def test_consensus_command(capsys):
     assert json.loads(err)["error"] == "SizeOverflow"
 
 
+def test_consensus_unstable_explicit_params(capsys):
+    code, out, err = _run(capsys, "consensus", "--algo", "gd", "--torus",
+                          "2,8", "--params", "explicit", "--alpha", "1.5")
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "Unstable"
+
+
 def test_simulate_command(capsys):
     code, out, _ = _run(capsys, "simulate", "--algo", "gd", "--spectrum",
                         "1,9", "--steps", "20000", "--seed", "1")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from noiseamp import (Algo, AlgoConfig, Regime, SizeOverflow, TorusSpec,
-                      consensus_variance, hb_gd_ratio,
+                      Unstable, consensus_variance, hb_gd_ratio,
                       nonzero_torus_eigenvalues, reciprocal_sum,
                       scaling_sweep, torus_eigenvalues)
 
@@ -75,6 +75,15 @@ def test_explicit_config_override():
     lams = nonzero_torus_eigenvalues(t)
     expected = math.fsum(1.0 / (0.2 * l * (2.0 - 0.2 * l)) for l in lams)
     assert rec.jbar == pytest.approx(expected, rel=1e-12)
+
+
+def test_explicit_unstable_config_raises():
+    # GD on a 2-d torus with even n0 has L = 8: alpha = 1.5 gives rho = 11.
+    cfg = AlgoConfig(algo=Algo.GD, alpha=1.5)
+    with pytest.raises(Unstable) as exc:
+        consensus_variance(Algo.GD, TorusSpec(d=2, n0=8), cfg=cfg)
+    assert exc.value.lam == pytest.approx(8.0)
+    assert exc.value.rho == pytest.approx(11.0)
 
 
 def test_sigma_scaling():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -144,6 +145,15 @@ def test_propagate_covariance_converges_to_steady_state():
         out = propagate_covariance(cfg, s, 3000)
         assert out[-1] == pytest.approx(steady, rel=1e-8)
         assert np.all(np.diff(out) >= -1e-12)  # monotone ramp-up
+
+
+def test_propagate_covariance_refuses_unstable_config():
+    cfg = AlgoConfig(algo=Algo.NA, alpha=1.0, beta=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Unstable) as exc:
+            propagate_covariance(cfg, make_spectrum([0.5, 2.5]), 5000)
+    assert exc.value.lam == 2.5
 
 
 def test_propagate_covariance_weighted():
