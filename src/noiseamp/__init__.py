@@ -11,9 +11,9 @@ from .dynamics import (Algo, AlgoConfig, ModalSystem, SigmaMode,
                        nesterov_stable, propagate_covariance,
                        solve_modal_lyapunov)
 from .errors import (DimensionTooSmall, EmptySpectrum, InfeasibleCap,
-                     KappaTooSmall, NoGuarantee, NoiseAmpError, NonFinite,
-                     NonPositiveEigenvalue, NotContractive, ShapeMismatch,
-                     SizeOverflow, Unstable, UnstableMode)
+                     KappaTooLarge, KappaTooSmall, NoGuarantee, NoiseAmpError,
+                     NonFinite, NonPositiveEigenvalue, NotContractive,
+                     ShapeMismatch, SizeOverflow, Unstable, UnstableMode)
 from .spectrum import Spectrum, is_symmetric, make_spectrum
 from .variance import (VarianceReport, extreme_modal_values, hb_gd_ratio,
                        modal_variance, na_gd_ratio_bounds,

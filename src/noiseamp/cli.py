@@ -14,9 +14,7 @@ Exit codes: 0 on success, 2 on usage errors, 3 on domain errors (unstable
 iteration, infeasible cap, oversized lattice, diverged trajectory, ...).
 Domain errors emit a single JSON object {"error": ..., "message": ...} on
 stderr.  Reports are JSON by default; --format csv flattens the same numeric
-content into header-bearing comma-separated rows.  The environment variable
-NOISEAMP_THREADS (0 = auto) caps worker parallelism; the current evaluators
-are single-threaded, so it is validated and echoed only.
+content into header-bearing comma-separated rows.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from typing import Any
 
@@ -45,17 +42,6 @@ from .variance import (hb_gd_ratio, na_gd_ratio_bounds,
 
 class UsageError(Exception):
     """Bad flag combination or malformed value (exit code 2)."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("NOISEAMP_THREADS", "0")
-    try:
-        value = int(raw)
-    except ValueError:
-        raise UsageError(f"NOISEAMP_THREADS must be an integer, got {raw!r}")
-    if value < 0:
-        raise UsageError("NOISEAMP_THREADS must be >= 0 (0 = auto)")
-    return value
 
 
 def _parse_spectrum(text: str) -> Spectrum:
@@ -172,7 +158,7 @@ def _emit(report: dict[str, Any], args, table: tuple[list[str], list[list]] | No
 
 
 def _config_echo(args, cfg: AlgoConfig | None = None) -> dict[str, Any]:
-    echo: dict[str, Any] = {"command": args.command, "threads": _threads()}
+    echo: dict[str, Any] = {"command": args.command}
     for name in ("spectrum", "kappa", "n", "torus", "params", "steps",
                  "replicates", "seed", "cap_constant", "objective", "delta",
                  "d", "n0", "refine"):
@@ -409,7 +395,6 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        _threads()
         return args.fn(args)
     except UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")

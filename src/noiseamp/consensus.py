@@ -23,10 +23,9 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import (INSTABILITY_THRESHOLD, Algo, AlgoConfig, SigmaMode,
-                       modal_spectral_radius)
-from .errors import SizeOverflow, Unstable
-from .spectrum import Spectrum
+from .dynamics import Algo, AlgoConfig, check_stable
+from .errors import SizeOverflow
+from .spectrum import make_spectrum
 from .tuning import optimal_quadratic_params
 from .variance import _modal_variance_raw
 
@@ -106,10 +105,7 @@ def consensus_variance(algo: Algo, t: TorusSpec,
         params = optimal_quadratic_params(algo, m, L)
         cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                          sigma=sigma)
-    rhos = np.asarray(modal_spectral_radius(cfg, lams))
-    rho = float(rhos.max())
-    if rho >= INSTABILITY_THRESHOLD:
-        raise Unstable(float(lams[int(np.argmax(rhos))]), rho)
+    rho = check_stable(cfg, make_spectrum([m, L]))
     jbar = math.fsum(_modal_variance_raw(cfg, lams))
     return ConsensusRecord(algo=algo, d=t.d, n0=t.n0, n=t.n, kappa=L / m,
                            rho=rho, jbar=jbar)

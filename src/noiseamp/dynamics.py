@@ -1,18 +1,22 @@
 """Modal state-space models of noisy first-order methods on quadratics.
 
-For a quadratic objective with Hessian eigenvalue lambda, each of gradient
-descent (GD), the heavy-ball method (HB) and Nesterov's accelerated method
-(NA) decouples into a scalar (GD) or 2x2 companion-form (HB, NA) linear
-recursion driven by additive white noise:
+Gradient descent (GD), the heavy-ball method (HB) and Nesterov's
+accelerated method (NA) are members of one two-step family,
 
-    GD:  x+   = (1 - alpha*lambda) x + sigma w
-    HB:  psi+ = [[0, 1], [-beta, 1+beta-alpha*lambda]] psi + sigma [0;1] w
-    NA:  psi+ = [[0, 1], [-beta(1-alpha*lambda),
-                          (1+beta)(1-alpha*lambda)]] psi + sigma [0;1] w
+    x+ = x + beta (x - x-) - alpha grad f(x + gamma (x - x-)) + sigma w,
 
-with output matrix [1, 0] selecting the current iterate.  This module builds
-those modal systems, gives closed-form spectral radii, checks Nesterov
-stability, and solves the 2x2 discrete Lyapunov equation in closed form.
+with GD at beta = gamma = 0, HB at gamma = 0 and NA at gamma = beta.  For a
+quadratic objective with Hessian eigenvalue lambda each member decouples
+into the companion-form recursion
+
+    psi+ = [[0, 1], [a, b]] psi + sigma [0; 1] w,
+    a = gamma mu - beta,  b = 1 + beta - (1 + gamma) mu,  mu = alpha lambda,
+
+on psi = (x^k, x^{k+1}), with characteristic polynomial z^2 - b z - a and
+output matrix [1, 0] selecting the current iterate.  GD has a = 0 and keeps
+its scalar recursion x+ = b x + sigma w.  This module builds those modal
+systems, gives closed-form spectral radii, checks Nesterov stability, and
+solves the modal discrete Lyapunov equations numerically.
 """
 
 from __future__ import annotations
@@ -70,6 +74,16 @@ class AlgoConfig:
             raise ValueError(f"sigma must be non-negative, got {self.sigma!r}")
 
     @property
+    def gamma(self) -> float:
+        """Gradient look-ahead of the two-step family: beta for NA, else 0."""
+        return self.beta if self.algo == Algo.NA else 0.0
+
+    @property
+    def order(self) -> int:
+        """Order of the modal recursion: 1 for GD, 2 for HB and NA."""
+        return 1 if self.algo == Algo.GD else 2
+
+    @property
     def effective_sigma(self) -> float:
         if self.sigma_mode == SigmaMode.EQUALS_ALPHA:
             return self.alpha
@@ -91,80 +105,71 @@ class ModalSystem:
         return self.a_hat.shape[0]
 
 
-def companion_coefficients(cfg: AlgoConfig, lam: float) -> tuple[float, float]:
-    """(a, b) of the companion matrix [[0, 1], [a, b]] for HB/NA modes.
+def companion_coefficients(cfg: AlgoConfig, lam):
+    """(a, b) of the mode polynomial z^2 - b z - a, elementwise in lam.
 
-    The characteristic polynomial is z^2 - b z - a.
+    a = gamma mu - beta and b = 1 + beta - (1 + gamma) mu, mu = alpha lam.
     """
     mu = cfg.alpha * lam
-    if cfg.algo == Algo.HB:
-        return -cfg.beta, 1.0 + cfg.beta - mu
-    if cfg.algo == Algo.NA:
-        return -cfg.beta * (1.0 - mu), (1.0 + cfg.beta) * (1.0 - mu)
-    raise ValueError("companion form is defined for HB and NA only")
+    gamma = cfg.gamma
+    return gamma * mu - cfg.beta, 1.0 + cfg.beta - (1.0 + gamma) * mu
 
 
 def modal_system(cfg: AlgoConfig, lam: float) -> ModalSystem:
-    """Build the modal (A, B, C) for one Hessian eigenvalue."""
+    """Build the modal (A, B, C) for one Hessian eigenvalue.
+
+    The companion state is (x^k, x^{k+1}).  GD (a = 0) keeps only its
+    second component, so its system is the scalar x+ = b x + w.
+    """
     if lam <= 0.0:
         raise ValueError(f"modal eigenvalue must be positive, got {lam!r}")
-    if cfg.algo == Algo.GD:
-        a = np.array([[1.0 - cfg.alpha * lam]])
-        b = np.array([[1.0]])
-        c = np.array([[1.0]])
-    else:
-        a0, b0 = companion_coefficients(cfg, lam)
-        a = np.array([[0.0, 1.0], [a0, b0]])
-        b = np.array([[0.0], [1.0]])
-        c = np.array([[1.0, 0.0]])
-    return ModalSystem(algo=cfg.algo, lam=float(lam), a_hat=a, b_hat=b, c_hat=c)
+    a, b = companion_coefficients(cfg, lam)
+    k = 2 - cfg.order
+    return ModalSystem(algo=cfg.algo, lam=float(lam),
+                       a_hat=np.array([[0.0, 1.0], [a, b]])[k:, k:],
+                       b_hat=np.eye(cfg.order)[:, -1:],
+                       c_hat=np.eye(1, cfg.order))
 
 
 def modal_spectral_radius(cfg: AlgoConfig, lam) -> float | np.ndarray:
     """Closed-form spectral radius of the modal iteration matrix.
 
+    The roots of z^2 - b z - a have largest modulus
+    max(sqrt|a|, |b|/2 + sqrt(max(b^2/4 + a, 0))): for complex roots
+    |z|^2 = |a| >= b^2 / 4, and for real roots |a| = |z1 z2| <= max|z|^2.
     Accepts a scalar eigenvalue or an array (evaluated elementwise).
     """
-    lam_arr = np.asarray(lam, dtype=float)
-    mu = cfg.alpha * lam_arr
-    if cfg.algo == Algo.GD:
-        out = np.abs(1.0 - mu)
-    elif cfg.algo == Algo.HB:
-        s = math.sqrt(cfg.beta)
-        b = 1.0 + cfg.beta - mu
-        disc = np.maximum(b * b - 4.0 * cfg.beta, 0.0)
-        real_case = 0.5 * np.abs(b) + 0.5 * np.sqrt(disc)
-        complex_mask = ((1.0 - s) ** 2 <= mu) & (mu <= (1.0 + s) ** 2)
-        out = np.where(complex_mask, s, real_case)
-    elif cfg.algo == Algo.NA:
-        one_minus = 1.0 - mu
-        b = (1.0 + cfg.beta) * one_minus
-        disc = np.maximum(b * b - 4.0 * cfg.beta * one_minus, 0.0)
-        real_case = 0.5 * np.abs(b) + 0.5 * np.sqrt(disc)
-        lo = ((1.0 - cfg.beta) / (1.0 + cfg.beta)) ** 2
-        complex_mask = (mu > lo) & (mu < 1.0)
-        out = np.where(complex_mask,
-                       np.sqrt(np.maximum(cfg.beta * one_minus, 0.0)),
-                       real_case)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown algorithm {cfg.algo!r}")
-    if np.isscalar(lam) or np.ndim(lam) == 0:
-        return float(out)
-    return out
+    a, b = companion_coefficients(cfg, np.asarray(lam, dtype=float))
+    half = 0.5 * np.abs(b)
+    out = np.maximum(np.sqrt(np.abs(a)),
+                     half + np.sqrt(np.maximum(half * half + a, 0.0)))
+    return float(out) if out.ndim == 0 else out
 
 
 def convergence_rate(cfg: AlgoConfig, s: Spectrum) -> float:
-    """Worst-case modal spectral radius over the whole spectrum."""
-    return float(np.max(modal_spectral_radius(cfg, s.values)))
+    """Worst-case modal spectral radius over the whole spectrum.
+
+    It is read off the extreme eigenvalues m and L.  For a fixed r, both
+    roots of z^2 - b z - a lie in |z| <= r exactly when |a| <= r^2 and
+    r |b| <= r^2 - a (Schur-Cohn).  Both conditions are affine in
+    mu = alpha lambda, so every sublevel set {lambda : rho(lambda) <= r} is
+    an interval: rho is quasiconvex in lambda and attains its maximum over
+    [m, L] at an endpoint.
+    """
+    return float(modal_spectral_radius(cfg, s.values[[0, -1]]).max())
 
 
 def check_stable(cfg: AlgoConfig, s: Spectrum) -> float:
-    """Return the convergence rate, raising :class:`Unstable` if >= 1."""
-    rhos = np.asarray(modal_spectral_radius(cfg, s.values))
-    worst = int(np.argmax(rhos))
-    rho = float(rhos[worst])
-    if rho >= INSTABILITY_THRESHOLD:
-        raise Unstable(float(s.values[worst]), rho)
+    """Return the convergence rate, raising :class:`Unstable` if >= 1.
+
+    Like :func:`convergence_rate` it reads the extreme modes only.  A NaN
+    rate (from an overflowing step) counts as unstable.
+    """
+    lams = s.values[[0, -1]]
+    rhos = modal_spectral_radius(cfg, lams)
+    rho = float(rhos.max())
+    if not rho < INSTABILITY_THRESHOLD:
+        raise Unstable(float(lams[rhos.argmax()]), rho)
     return rho
 
 
@@ -184,29 +189,36 @@ def nesterov_stable(alpha: float, beta: float, m: float, L: float) -> bool:
     return m < (2.0 * beta + 2.0) / (alpha * kappa * (2.0 * beta + 1.0))
 
 
+def _modal_lyapunov(cfg: AlgoConfig, lams) -> np.ndarray:
+    """Rows (p00, p01, p11) of each mode's P = A P A^T + sigma^2 B B^T.
+
+    With A = [[0, 1], [a, b]] and B = [0; 1] the three unknowns of the
+    symmetric P solve a linear system, solved numerically for all modes in
+    one batched call.  Stability is not checked.
+    """
+    a, b = companion_coefficients(cfg, np.asarray(lams, dtype=float))
+    one, zero = np.ones_like(a), np.zeros_like(a)
+    system = np.stack([one, zero, -one,
+                       zero, 1.0 - a, -b,
+                       -a * a, -2.0 * a * b, 1.0 - b * b], axis=-1)
+    rhs = np.stack([zero, zero, one * cfg.effective_sigma ** 2], axis=-1)
+    return np.linalg.solve(system.reshape(a.shape + (3, 3)),
+                           rhs[..., None])[..., 0]
+
+
 def solve_modal_lyapunov(ms: ModalSystem, cfg: AlgoConfig) -> np.ndarray:
-    """Closed-form solution P of P = A P A^T + sigma^2 B B^T for one mode.
+    """Solution P of P = A P A^T + sigma^2 B B^T for one mode.
 
-    For the companion form A = [[0, 1], [a, b]] the solution is
-
-        P = sigma^2 * p * [[1, b/(1-a)], [b/(1-a), 1]],
-        p = (a - 1) / ((a + 1)(b + a - 1)(b - a + 1)),
-
-    valid whenever the mode is stable.  Raises :class:`UnstableMode`
-    otherwise.
+    Solved numerically by :func:`_modal_lyapunov`; GD's scalar state is the
+    companion state's second component.  Raises :class:`UnstableMode` if
+    the mode is not stable.
     """
     rho = modal_spectral_radius(cfg, ms.lam)
-    if rho >= INSTABILITY_THRESHOLD:
+    if not rho < INSTABILITY_THRESHOLD:
         raise UnstableMode(ms.lam, rho)
-    sig2 = cfg.effective_sigma ** 2
-    if ms.order == 1:
-        a = float(ms.a_hat[0, 0])
-        return np.array([[sig2 / (1.0 - a * a)]])
-    a = float(ms.a_hat[1, 0])
-    b = float(ms.a_hat[1, 1])
-    p = (a - 1.0) / ((a + 1.0) * (b + a - 1.0) * (b - a + 1.0))
-    off = b * p / (1.0 - a)
-    return sig2 * np.array([[p, off], [off, p]])
+    p00, p01, p11 = _modal_lyapunov(cfg, ms.lam)
+    k = 2 - ms.order
+    return np.array([[p00, p01], [p01, p11]])[k:, k:]
 
 
 def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
@@ -214,8 +226,9 @@ def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
     """Transient output variance trace(C P^t C^T) for t = 0 .. steps-1.
 
     Starts from P^0 = 0 and iterates P <- A P A^T + sigma^2 B B^T mode by
-    mode (vectorized across modes).  With ``weighted=True`` each mode is
-    weighted by its eigenvalue (objective-suboptimality output).  Raises
+    mode (vectorized across modes) on the companion state; GD's iterate x^t
+    is its second component.  With ``weighted=True`` each mode is weighted
+    by its eigenvalue (objective-suboptimality output).  Raises
     :class:`Unstable` if some mode diverges.
     """
     if steps < 1:
@@ -224,28 +237,12 @@ def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
     lams = s.values
     sig2 = cfg.effective_sigma ** 2
     w = lams if weighted else np.ones_like(lams)
+    a, b = companion_coefficients(cfg, lams)
+    current = 2 - cfg.order
+    p00 = p01 = p11 = np.zeros_like(lams)
     out = np.empty(steps)
-    if cfg.algo == Algo.GD:
-        a = 1.0 - cfg.alpha * lams
-        p = np.zeros_like(lams)
-        for t in range(steps):
-            out[t] = float(np.dot(w, p))
-            p = a * a * p + sig2
-        return out
-    if cfg.algo == Algo.HB:
-        a = np.full_like(lams, -cfg.beta)
-        b = 1.0 + cfg.beta - cfg.alpha * lams
-    else:
-        one_minus = 1.0 - cfg.alpha * lams
-        a = -cfg.beta * one_minus
-        b = (1.0 + cfg.beta) * one_minus
-    p00 = np.zeros_like(lams)
-    p01 = np.zeros_like(lams)
-    p11 = np.zeros_like(lams)
     for t in range(steps):
-        out[t] = float(np.dot(w, p00))
-        new00 = p11
-        new01 = a * p01 + b * p11
-        new11 = a * a * p00 + 2.0 * a * b * p01 + b * b * p11 + sig2
-        p00, p01, p11 = new00, new01, new11
+        out[t] = float(np.dot(w, (p00, p11)[current]))
+        p00, p01, p11 = (p11, a * p01 + b * p11,
+                         a * a * p00 + 2.0 * a * b * p01 + b * b * p11 + sig2)
     return out

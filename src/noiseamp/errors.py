@@ -6,6 +6,9 @@ these to exit code 3; plain ``ValueError`` / ``TypeError`` remain usage
 errors (exit code 2).
 """
 
+import functools
+import math
+
 
 class NoiseAmpError(Exception):
     """Base class for domain errors raised by this package."""
@@ -65,6 +68,31 @@ class InfeasibleCap(NoiseAmpError):
 
 class KappaTooSmall(NoiseAmpError):
     """A bound only holds above a minimum condition number."""
+
+
+class KappaTooLarge(NoiseAmpError):
+    """A closed form in kappa leaves double precision at this kappa."""
+
+
+def kappa_closed_form(fn):
+    """Raise :class:`KappaTooLarge` where the closed form ``fn`` overflows.
+
+    Overflow shows as an OverflowError (from ``**`` on floats) or as an
+    infinite or NaN value in the result: a float, or a tuple or dict of them.
+    """
+    @functools.wraps(fn)
+    def wrapper(*args, **kwargs):
+        try:
+            out = fn(*args, **kwargs)
+        except OverflowError:
+            out = math.inf
+        values = (out.values() if isinstance(out, dict)
+                  else out if isinstance(out, tuple) else (out,))
+        if not all(map(math.isfinite, values)):
+            raise KappaTooLarge(f"{fn.__name__} overflows at this kappa")
+        return out
+
+    return wrapper
 
 
 class SizeOverflow(NoiseAmpError):

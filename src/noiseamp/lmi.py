@@ -27,7 +27,8 @@ from typing import Any
 import numpy as np
 
 from .dynamics import Algo
-from .errors import NotContractive, ShapeMismatch
+from .errors import (KappaTooLarge, NotContractive, ShapeMismatch,
+                     kappa_closed_form)
 
 PSD_TOL_SCALE = 1e-8
 
@@ -243,6 +244,8 @@ def gd_certificate(m: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiCerti
     alpha = 1.0 / L
     kappa = L / m
     x1 = kappa * kappa / (2.0 * kappa - 1.0)
+    if not math.isfinite(x1):
+        raise KappaTooLarge(f"the GD certificate overflows at kappa={kappa!r}")
     if L > m:
         lam1 = (1.0 - alpha * m) / (m * (2.0 - alpha * m) * (L - m))
     else:
@@ -282,6 +285,8 @@ def na_certificate(kappa: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiC
     r = math.sqrt(kappa)
     alpha = 1.0 / L
     beta = (r - 1.0) / (r + 1.0)
+    if beta == 1.0:
+        raise KappaTooLarge(f"the NA momentum rounds to 1 at kappa={kappa!r}")
     m = L / kappa
     poly = _na_poly(kappa)
     lam1 = (kappa / L) ** 2 / (2.0 * kappa - 1.0)
@@ -292,6 +297,7 @@ def na_certificate(kappa: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiC
     return p, evaluate_certificate(p, cert)
 
 
+@kappa_closed_form
 def q_bounds(algo: Algo, kappa: float, n: int) -> float:
     """Reference bound q(kappa) the closed-form certificates are compared to.
 

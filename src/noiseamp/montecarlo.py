@@ -9,8 +9,10 @@ Noise is generated by a counter-based splitmix64 generator feeding
 Box-Muller, keyed by (seed, replicate) with the counter enumerating
 (step, coordinate) draws.  Identical keys reproduce identical trajectories
 bit-for-bit on any platform, and distinct replicates are independent
-streams.  Quadratic objectives use the decoupled linear recursion per mode
-(a direct linear filter); general objectives step the recursion explicitly.
+streams.  Every method steps x+ = x + beta d - alpha grad f(x + gamma d)
++ sigma w with d = x - x- (see :mod:`noiseamp.dynamics`).  Quadratic
+objectives filter each mode through 1 / (1 - b z^-1 - a z^-2); general
+objectives step the recursion explicitly.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Any
 import numpy as np
 from scipy.signal import lfilter
 
-from .dynamics import Algo, AlgoConfig
+from .dynamics import AlgoConfig, companion_coefficients
 from .errors import NonFinite
 from .spectrum import Spectrum
 
@@ -151,53 +153,40 @@ def _iterates_quadratic(cfg: AlgoConfig, obj: Quadratic, steps: int,
     Returns x^0 .. x^T for GD and x^0 .. x^{T+1} for HB/NA (the last T
     entries are the noise-driven iterates in both cases).
     """
-    sigma = cfg.effective_sigma
-    n = obj.dim
-    pad = 1 if cfg.algo == Algo.GD else 2
-    w = np.zeros((steps + pad, n))
-    w[pad:] = noise.reshape(steps, n)
+    order = cfg.order
+    w = np.zeros((steps + order, obj.dim))
+    w[order:] = noise.reshape(steps, obj.dim)
+    a, b = companion_coefficients(cfg, obj.lams)
     x = np.empty_like(w)
-    for j, lam in enumerate(obj.lams):
-        if cfg.algo == Algo.GD:
-            den = [1.0, -(1.0 - cfg.alpha * lam)]
-        elif cfg.algo == Algo.HB:
-            den = [1.0, -(1.0 + cfg.beta - cfg.alpha * lam), cfg.beta]
-        else:
-            one_minus = 1.0 - cfg.alpha * lam
-            den = [1.0, -(1.0 + cfg.beta) * one_minus, cfg.beta * one_minus]
-        x[:, j] = lfilter([sigma], den, w[:, j])
+    for j in range(obj.dim):
+        den = [1.0, -b[j], -a[j]][:order + 1]
+        x[:, j] = lfilter([cfg.effective_sigma], den, w[:, j])
     return x
 
 
 def _iterates_generic(cfg: AlgoConfig, obj, steps: int,
                       noise: np.ndarray) -> np.ndarray:
-    """Step the (possibly nonlinear) recursion explicitly."""
-    sigma = cfg.effective_sigma
-    n = obj.dim
-    w = noise.reshape(steps, n)
-    if cfg.algo == Algo.GD:
-        x = np.zeros((steps + 1, n))
-        for t in range(steps):
-            cur = x[t]
-            x[t + 1] = cur - cfg.alpha * obj.gradient(cur) + sigma * w[t]
-            _check_finite(x[t + 1], t + 1)
-        return x
-    x = np.zeros((steps + 2, n))
+    """Step the (possibly nonlinear) recursion explicitly from x^0 = x^1 = 0.
+
+    Iterates are numbered as by :func:`_iterates_quadratic`.
+    """
+    alpha, beta, gamma = cfg.alpha, cfg.beta, cfg.gamma
+    gradient = obj.gradient
+    kicks = cfg.effective_sigma * noise.reshape(steps, obj.dim)
+    skip = 2 - cfg.order
+    x = np.zeros((steps + 2, obj.dim))
     for t in range(steps):
-        prev, cur = x[t], x[t + 1]
-        if cfg.algo == Algo.HB:
-            x[t + 2] = (cur + cfg.beta * (cur - prev)
-                        - cfg.alpha * obj.gradient(cur) + sigma * w[t])
-        else:
-            y = cur + cfg.beta * (cur - prev)
-            x[t + 2] = y - cfg.alpha * obj.gradient(y) + sigma * w[t]
-        _check_finite(x[t + 2], t + 2)
-    return x
+        cur = x[t + 1]
+        d = cur - x[t]
+        nxt = cur + beta * d - alpha * gradient(cur + gamma * d) + kicks[t]
+        x[t + 2] = nxt
+        _check_finite(nxt, t + 2 - skip)
+    return x[skip:]
 
 
 def _check_finite(x: np.ndarray, step: int):
-    nrm2 = float(np.dot(x, x))
-    if not math.isfinite(nrm2) or nrm2 > DIVERGENCE_NORM ** 2:
+    # A NaN or infinite norm fails the comparison too.
+    if not x.dot(x) <= DIVERGENCE_NORM ** 2:
         raise NonFinite(step)
 
 

@@ -32,7 +32,7 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import Algo, AlgoConfig, SigmaMode, modal_spectral_radius
+from .dynamics import Algo, AlgoConfig, SigmaMode, convergence_rate
 from .errors import InfeasibleCap, KappaTooSmall, NoGuarantee
 from .spectrum import Spectrum, make_spectrum
 from .variance import variance_amplification
@@ -182,7 +182,7 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
         fn = lambda a: _j_on_spectrum(algo, a, 0.0, s, sigma, sigma_mode)
         alpha, j = _golden_min(fn, lo, hi)
         cfg = AlgoConfig(algo=algo, alpha=alpha)
-        rho = float(np.max(modal_spectral_radius(cfg, s.values)))
+        rho = convergence_rate(cfg, s)
         return TuningResult(algo, alpha, 0.0, j, rho, cap)
     if algo == Algo.HB:
         cap = 1.0 - cap_constant / math.sqrt(kappa)
@@ -205,7 +205,7 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
                 f"kappa={kappa!r}")
         j, beta, alpha = best
         cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta)
-        rho = float(np.max(modal_spectral_radius(cfg, s.values)))
+        rho = convergence_rate(cfg, s)
         return TuningResult(algo, alpha, beta, j, rho, cap)
     raise ValueError("constrained tuning is implemented for GD and HB")
 
@@ -217,7 +217,7 @@ def _tune_hb_alpha(beta: float, s: Spectrum, cap: float, sigma: float,
 
     def rho_max(alpha: float) -> float:
         cfg = AlgoConfig(algo=Algo.HB, alpha=alpha, beta=beta)
-        return float(np.max(modal_spectral_radius(cfg, s.values)))
+        return convergence_rate(cfg, s)
 
     center = rate_optimal_stepsize_hb(beta, m, L)
     if rho_max(center) > cap:
@@ -311,7 +311,7 @@ def acceleration_floor(algo: Algo, kappa: float, cap_constant: float = 1.0,
             cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta)
         except ValueError:
             continue
-        rho = float(np.max(modal_spectral_radius(cfg, s.values)))
+        rho = convergence_rate(cfg, s)
         if rho > cap:
             continue
         feasible += 1

@@ -2,25 +2,23 @@
 
 The headline quantity is J = lim_t (1/t) sum_k E||x^k - x*||^2, the
 steady-state variance of the iterates under additive white noise.  On a
-quadratic it splits into a sum of per-mode contributions J_hat(lambda) with
-closed forms:
+quadratic it splits into a sum of per-mode contributions J_hat(lambda).
+For every member of the two-step family of :mod:`noiseamp.dynamics`
+(gradient look-ahead gamma: 0 for GD and HB, beta for NA) it has the
+closed form, with mu = alpha lambda,
 
-    GD: J_hat = sigma^2 / (alpha lambda (2 - alpha lambda))
-    HB: J_hat = sigma^2 (1 + beta)
-              / (alpha lambda (1 - beta) (2(1 + beta) - alpha lambda))
-    NA: J_hat = sigma^2 (1 + beta(1 - alpha lambda))
-              / (alpha lambda (1 - beta(1 - alpha lambda))
-                 (2(1 + beta) - (2 beta + 1) alpha lambda))
+    J_hat = sigma^2 (1 + beta - gamma mu)
+            / (mu (1 - beta + gamma mu) (2(1 + beta) - (1 + 2 gamma) mu)).
 
-The module offers three independent evaluation routes (closed form, modal
-Lyapunov solve, closed-loop eigenvalue form), the HB/GD ratio identity, the
-extreme-mode values used by the NA/GD sandwich, and the spectrum-free
-variance bounds at the quadratic-optimal parameter choices.
+The module offers three independent evaluation routes (this closed form, a
+numerical solve of each modal Lyapunov equation, and the closed-loop
+eigenvalue form), the HB/GD ratio identity, the extreme-mode values used by
+the NA/GD sandwich, and the spectrum-free variance bounds at the
+quadratic-optimal parameter choices.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -28,34 +26,33 @@ from typing import Any
 import numpy as np
 
 from .dynamics import (Algo, AlgoConfig, INSTABILITY_THRESHOLD,
-                       check_stable, companion_coefficients, convergence_rate,
-                       modal_spectral_radius, modal_system,
-                       solve_modal_lyapunov)
-from .errors import DimensionTooSmall, Unstable, UnstableMode
+                       _modal_lyapunov, check_stable, companion_coefficients,
+                       modal_spectral_radius)
+from .errors import DimensionTooSmall, UnstableMode, kappa_closed_form
 from .spectrum import Spectrum
 
 
 def modal_variance(cfg: AlgoConfig, lam: float) -> float:
     """Closed-form per-mode steady-state variance J_hat(lambda)."""
     rho = modal_spectral_radius(cfg, lam)
-    if rho >= INSTABILITY_THRESHOLD:
+    if not rho < INSTABILITY_THRESHOLD:
         raise UnstableMode(lam, rho)
     return float(_modal_variance_raw(cfg, np.asarray(lam, dtype=float)))
 
 
 def _modal_variance_raw(cfg: AlgoConfig, lams: np.ndarray) -> np.ndarray:
-    """Vectorized J_hat(lambda); assumes stability was already checked."""
+    """Vectorized J_hat(lambda); assumes stability was already checked.
+
+    Written in mu = alpha lambda, not in the companion coefficients (a, b):
+    there b + a - 1 = -mu would be computed with cancellation for small mu.
+    """
     sig2 = cfg.effective_sigma ** 2
+    beta, gamma = cfg.beta, cfg.gamma
     mu = cfg.alpha * lams
-    if cfg.algo == Algo.GD:
-        return sig2 / (mu * (2.0 - mu))
-    beta = cfg.beta
-    if cfg.algo == Algo.HB:
-        return (sig2 * (1.0 + beta)
-                / (mu * (1.0 - beta) * (2.0 * (1.0 + beta) - mu)))
-    bm = beta * (1.0 - mu)
-    return (sig2 * (1.0 + bm)
-            / (mu * (1.0 - bm) * (2.0 * (1.0 + beta) - (2.0 * beta + 1.0) * mu)))
+    gmu = gamma * mu
+    return (sig2 * (1.0 + beta - gmu)
+            / (mu * (1.0 - beta + gmu)
+               * (2.0 * (1.0 + beta) - (1.0 + 2.0 * gamma) * mu)))
 
 
 @dataclass(frozen=True)
@@ -113,42 +110,30 @@ def variance_amplification(cfg: AlgoConfig, s: Spectrum) -> VarianceReport:
 
 
 def variance_via_lyapunov(cfg: AlgoConfig, s: Spectrum) -> float:
-    """J evaluated by solving each modal Lyapunov equation explicitly."""
+    """J evaluated by solving each modal Lyapunov equation numerically."""
     check_stable(cfg, s)
-    vals = []
-    for lam in s.values:
-        ms = modal_system(cfg, float(lam))
-        p = solve_modal_lyapunov(ms, cfg)
-        vals.append(float((ms.c_hat @ p @ ms.c_hat.T)[0, 0]))
-    return math.fsum(vals)
+    return math.fsum(_modal_lyapunov(cfg, s.values)[:, 0])
 
 
 def variance_via_eigenvalues(cfg: AlgoConfig, s: Spectrum) -> float:
     """J expressed through the closed-loop eigenvalues of each mode.
 
-    For GD each mode contributes sigma^2 / (1 - l^2) with l = 1 - alpha
-    lambda; for HB/NA with companion eigenvalues l, l' the contribution is
+    With l, l' the roots of z^2 - b z - a (for GD, l = 1 - alpha lambda and
+    l' = 0) each mode contributes
 
         sigma^2 (1 + l l') / ((1 - l l')(1 - l)(1 - l')(1 + l)(1 + l')).
     """
     check_stable(cfg, s)
-    sig2 = cfg.effective_sigma ** 2
-    vals = []
-    for lam in s.values:
-        if cfg.algo == Algo.GD:
-            l = 1.0 - cfg.alpha * float(lam)
-            vals.append(sig2 / (1.0 - l * l))
-            continue
-        a, b = companion_coefficients(cfg, float(lam))
-        disc = cmath.sqrt(b * b + 4.0 * a)
-        l1 = 0.5 * (b + disc)
-        l2 = 0.5 * (b - disc)
-        num = 1.0 + l1 * l2
-        den = (1.0 - l1 * l2) * (1.0 - l1) * (1.0 - l2) * (1.0 + l1) * (1.0 + l2)
-        vals.append((sig2 * num / den).real)
-    return math.fsum(vals)
+    a, b = companion_coefficients(cfg, s.values)
+    disc = np.sqrt((b * b + 4.0 * a).astype(complex))
+    l1 = 0.5 * (b + disc)
+    l2 = 0.5 * (b - disc)
+    num = 1.0 + l1 * l2
+    den = (1.0 - l1 * l2) * (1.0 - l1) * (1.0 - l2) * (1.0 + l1) * (1.0 + l2)
+    return math.fsum((cfg.effective_sigma ** 2 * num / den).real)
 
 
+@kappa_closed_form
 def hb_gd_ratio(kappa: float) -> float:
     """J_hb / J_gd at the quadratic-optimal tunings of both methods.
 
@@ -161,6 +146,7 @@ def hb_gd_ratio(kappa: float) -> float:
     return (rk + 1.0) ** 4 / (8.0 * rk * (kappa + 1.0))
 
 
+@kappa_closed_form
 def extreme_modal_values(algo: Algo, kappa: float) -> dict[str, float]:
     """Per-mode variance at lambda in {m, L, 1/alpha} for sigma = 1.
 
@@ -201,6 +187,7 @@ def na_gd_ratio_bounds(kappa: float, n: int) -> tuple[float, float]:
     return lower, upper
 
 
+@kappa_closed_form
 def variance_bounds(algo: Algo, kappa: float, n: int) -> tuple[float, float]:
     """Spectrum-free bounds on J at the quadratic-optimal tuning, sigma = 1.
 

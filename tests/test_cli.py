@@ -179,13 +179,14 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(path.read_text())["n"] == 2
 
 
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("NOISEAMP_THREADS", "notanint")
-    code, _, err = _run(capsys, "bounds", "--algo", "gd", "--kappa", "4",
-                        "--n", "2")
-    assert code == 2 and "NOISEAMP_THREADS" in err
-    monkeypatch.setenv("NOISEAMP_THREADS", "4")
-    code, out, _ = _run(capsys, "bounds", "--algo", "gd", "--kappa", "4",
-                        "--n", "2")
-    assert code == 0
-    assert json.loads(out)["config"]["threads"] == 4
+@pytest.mark.parametrize("argv", [
+    ("certify", "--algo", "na", "--kappa", "1e90"),   # kappa ** 3.5 overflows
+    ("certify", "--algo", "na", "--kappa", "1e33"),   # beta rounds to 1
+    ("certify", "--algo", "gd", "--kappa", "1e160"),  # bound is infinite
+    ("bounds", "--algo", "na", "--kappa", "1e300", "--n", "3"),
+])
+def test_huge_kappa_is_a_domain_error(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "KappaTooLarge"

@@ -70,6 +70,22 @@ def test_convergence_rate_is_worst_mode():
                          beta=float(rng.uniform(0.0, 0.95)))
         scan = max(modal_spectral_radius(cfg, float(l)) for l in s.values)
         assert convergence_rate(cfg, s) == pytest.approx(scan, rel=1e-14)
+    # Modes a few ulps inside the extremes, with m at a double root of NA or
+    # HB.  There b^2 + 4a cancels, so the float inputs fix the radius only
+    # to about sqrt(eps), and a mode next to m can compute a larger radius
+    # than m itself.  The rate read at m and L agrees with the scan to
+    # that accuracy.
+    for _ in range(200):
+        beta = float(rng.uniform(0.0, 0.999))
+        m, L = float(rng.uniform(0.01, 5.0)), float(rng.uniform(5.0, 50.0))
+        near = [v for k in range(1, 6)
+                for v in (m + k * np.spacing(m), L - k * np.spacing(L))]
+        s = make_spectrum([m, L, *near])
+        for algo, mu in ((Algo.NA, ((1.0 - beta) / (1.0 + beta)) ** 2),
+                         (Algo.HB, (1.0 - math.sqrt(beta)) ** 2)):
+            cfg = AlgoConfig(algo=algo, alpha=mu / m, beta=beta)
+            scan = max(modal_spectral_radius(cfg, float(l)) for l in s.values)
+            assert convergence_rate(cfg, s) == pytest.approx(scan, abs=1e-7)
 
 
 def test_nesterov_stability_boundary():
