@@ -11,6 +11,24 @@ module evaluates J-bar = sum over nonzero modes, the harmonic sum of the
 spectrum with its growth law B(n0), and per-dimension scaling sweeps of
 J-bar / n versus the condition number kappa = Theta(n0^2), including the
 log-log slope and growth-regime classification.
+
+Both sums run over eigenvalue multisets, not over the n0^d lattice points.
+An eigenvalue depends only on the multiset of its d axis values, and an
+axis has k distinct float values (about n0/2 of them, plus mirror pairs
+k, n0 - k whose values round apart by an ulp).  So each multiset
+i_1 <= ... <= i_d of distinct values is one term, weighted by the number
+of lattice points it stands for: the product of its values' multiplicities
+times its d! / prod(run length)! orderings.  That is C(k + d - 1, d) terms,
+one of them the zero mode, in place of n0^d; for d = 3, n0 = 200 it is
+848,045 in place of 8,000,000.  Each term's eigenvalue adds its axis values
+left to right, as :func:`torus_eigenvalues` does, and the weighted sum is
+formed exactly and rounded once.
+
+Exactness against the full lattice: kappa and rho (read at the extreme
+eigenvalues, which every ordering forms alike) are identical for every d,
+and so is J-bar for d <= 2, where a + b == b + a in floating point.  For
+d >= 3 the lattice adds the axis values of one multiset in several orders,
+which can round apart by an ulp, so J-bar agrees to about 1e-16 relative.
 """
 
 from __future__ import annotations
@@ -23,7 +41,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .dynamics import Algo, AlgoConfig, check_stable
+from .dynamics import Algo, AlgoConfig, check_stable, modal_spectral_radius
 from .errors import SizeOverflow
 from .spectrum import make_spectrum
 from .tuning import optimal_quadratic_params
@@ -67,9 +85,67 @@ def nonzero_torus_eigenvalues(t: TorusSpec) -> np.ndarray:
     return eigs[eigs > 0.0]
 
 
+def _torus_modes(t: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero torus eigenvalues, one per multiset of axis values.
+
+    Returns ``(lams, weights)``: ``lams`` holds one eigenvalue per
+    nondecreasing tuple of distinct axis values (the all-zero tuple
+    dropped), and ``weights`` the number of lattice points with that
+    eigenvalue, so ``weights.sum() == t.n - 1``.
+    """
+    axis = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(t.n0) / t.n0))
+    vals, counts = np.unique(axis, return_counts=True)
+    last = np.arange(vals.size)
+    lams, weights = vals, counts
+    run = np.ones_like(counts)  # how often the tuple's last value repeats
+    for size in range(2, t.d + 1):
+        # Extend every tuple by each value index >= its last one.
+        rows, new = np.nonzero(np.arange(vals.size) >= last[:, None])
+        run = np.where(new == last[rows], run[rows] + 1, 1)
+        # The ordering count grows from (size-1)!/prod(r!) to size!/prod(r!).
+        weights = weights[rows] * size // run * counts[new]
+        lams = lams[rows] + vals[new]
+        last = new
+    return lams[1:], weights[1:]
+
+
+_DIGIT_BITS = 18  # 2**18 * (weight sum < 2**35) stays below 2**53
+
+
+def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
+    """sum(values * weights) rounded once, as math.fsum of the expanded list.
+
+    Every value is an integer mantissa times a power of two.  The mantissa
+    is cut into 18-bit digits; per exponent, np.bincount adds digit * weight
+    in float64, which is exact because every partial sum is an integer below
+    2**53.  Python integers then add the per-exponent sums and round the
+    total once.  Needs nonnegative integer weights with sum below 2**35.
+    """
+    if not np.isfinite(values).all():
+        return math.fsum(values * weights)
+    mant, expo = np.frexp(values)
+    mant = (mant * 2.0 ** 53).astype(np.int64)
+    low = int(expo.min())
+    expo -= low
+    total = 0
+    for shift in range(0, 53, _DIGIT_BITS):
+        digit = mant >> shift
+        if shift + _DIGIT_BITS < 53:
+            digit &= (1 << _DIGIT_BITS) - 1
+        sums = np.bincount(expo, weights=digit * weights)
+        nz = np.flatnonzero(sums)
+        total += sum(int(v) << int(e) for e, v in zip(nz, sums[nz])) << shift
+    scale = low - 53
+    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+
+
 @dataclass(frozen=True)
 class ConsensusRecord:
-    """Variance summary of one algorithm on one torus."""
+    """Variance summary of one algorithm on one torus.
+
+    ``rho_at`` names the extreme eigenvalue whose mode sets ``rho``: "m" or
+    "L" ("m" on a tie).
+    """
 
     algo: Algo
     d: int
@@ -77,6 +153,7 @@ class ConsensusRecord:
     n: int
     kappa: float
     rho: float
+    rho_at: str
     jbar: float
 
     @property
@@ -86,7 +163,8 @@ class ConsensusRecord:
     def to_dict(self) -> dict[str, Any]:
         return {"algo": self.algo.value, "d": self.d, "n0": self.n0,
                 "n": self.n, "kappa": self.kappa, "rho": self.rho,
-                "jbar": self.jbar, "jbar_over_n": self.jbar_over_n}
+                "rho_at": self.rho_at, "jbar": self.jbar,
+                "jbar_over_n": self.jbar_over_n}
 
 
 def consensus_variance(algo: Algo, t: TorusSpec,
@@ -99,16 +177,18 @@ def consensus_variance(algo: Algo, t: TorusSpec,
     excluded (deviation-from-average variance).  Raises :class:`Unstable`
     if the method diverges on some nonzero mode.
     """
-    lams = nonzero_torus_eigenvalues(t)
+    lams, weights = _torus_modes(t)
     m, L = float(lams.min()), float(lams.max())
     if cfg is None:
         params = optimal_quadratic_params(algo, m, L)
         cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                          sigma=sigma)
     rho = check_stable(cfg, make_spectrum([m, L]))
-    jbar = math.fsum(_modal_variance_raw(cfg, lams))
+    rho_m, rho_l = modal_spectral_radius(cfg, np.array([m, L]))
+    jbar = _weighted_sum(_modal_variance_raw(cfg, lams), weights)
     return ConsensusRecord(algo=algo, d=t.d, n0=t.n0, n=t.n, kappa=L / m,
-                           rho=rho, jbar=jbar)
+                           rho=rho, rho_at="L" if rho_l > rho_m else "m",
+                           jbar=jbar)
 
 
 def reciprocal_sum(t: TorusSpec) -> dict[str, float]:
@@ -117,8 +197,8 @@ def reciprocal_sum(t: TorusSpec) -> dict[str, float]:
     B(n0) = (n0^d - n0^2) / (d - 2) for d != 2 and n0^d log(n0) for d = 2;
     the ratio sum / B stays bounded above and below as n0 grows.
     """
-    lams = nonzero_torus_eigenvalues(t)
-    total = math.fsum(1.0 / lams)
+    lams, weights = _torus_modes(t)
+    total = _weighted_sum(1.0 / lams, weights)
     if t.d == 2:
         growth = t.n0 ** t.d * math.log(t.n0)
     else:

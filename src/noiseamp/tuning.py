@@ -33,7 +33,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import Algo, AlgoConfig, SigmaMode, convergence_rate
-from .errors import InfeasibleCap, KappaTooSmall, NoGuarantee
+from .errors import InfeasibleCap, KappaTooLarge, KappaTooSmall, NoGuarantee
 from .spectrum import Spectrum, make_spectrum
 from .variance import variance_amplification
 
@@ -67,7 +67,8 @@ def conventional_params(algo: Algo, m: float, L: float) -> TunedParams:
                            math.sqrt(1.0 - 2.0 / (kappa + 1.0)))
     if algo == Algo.NA:
         r = math.sqrt(kappa)
-        return TunedParams(algo, 1.0 / L, (r - 1.0) / (r + 1.0),
+        return TunedParams(algo, 1.0 / L,
+                           _momentum((r - 1.0) / (r + 1.0), kappa),
                            math.sqrt(1.0 - 1.0 / r))
     raise NoGuarantee(
         "heavy ball has no convergence guarantee for general strongly "
@@ -84,13 +85,22 @@ def optimal_quadratic_params(algo: Algo, m: float, L: float) -> TunedParams:
     if algo == Algo.HB:
         r = math.sqrt(kappa)
         return TunedParams(algo, 4.0 / (math.sqrt(L) + math.sqrt(m)) ** 2,
-                           ((r - 1.0) / (r + 1.0)) ** 2,
+                           _momentum(((r - 1.0) / (r + 1.0)) ** 2, kappa),
                            (r - 1.0) / (r + 1.0))
     if algo == Algo.NA:
         rb = math.sqrt(3.0 * kappa + 1.0)
         return TunedParams(algo, 4.0 / (3.0 * L + m),
-                           (rb - 2.0) / (rb + 2.0), (rb - 2.0) / rb)
+                           _momentum((rb - 2.0) / (rb + 2.0), kappa),
+                           (rb - 2.0) / rb)
     raise ValueError(f"unknown algorithm {algo!r}")
+
+
+def _momentum(beta: float, kappa: float) -> float:
+    """A tuned momentum; :class:`KappaTooLarge` once it rounds to 1."""
+    if beta >= 1.0:
+        raise KappaTooLarge(
+            f"the tuned momentum rounds to 1 at kappa={kappa!r}")
+    return beta
 
 
 def rate_optimal_stepsize_hb(beta: float, m: float, L: float) -> float:

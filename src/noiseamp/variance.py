@@ -198,16 +198,19 @@ def variance_bounds(algo: Algo, kappa: float, n: int) -> tuple[float, float]:
         raise ValueError("kappa must be >= 1")
     if n < 1:
         raise DimensionTooSmall("need n >= 1")
+    # For GD, upper - lower = (n - 2)(kappa - 1)^2 / (4 kappa), and HB
+    # scales both by hb_gd_ratio.  At n = 2, or kappa near 1, the two closed
+    # forms are (nearly) equal and may round apart, so lower is clamped.
     if algo == Algo.GD:
         lower = (kappa - 1.0) ** 2 / (2.0 * kappa) + n
         upper = n * (kappa + 1.0) ** 2 / (4.0 * kappa)
-        return lower, upper
+        return (min(lower, upper) if n >= 2 else lower), upper
     if algo == Algo.HB:
         ratio = hb_gd_ratio(kappa)
         rk = math.sqrt(kappa)
         lower = ratio * ((kappa - 1.0) ** 2 / (2.0 * kappa) + n)
         upper = n * (kappa + 1.0) * (rk + 1.0) ** 4 / (32.0 * kappa * rk)
-        return lower, upper
+        return (min(lower, upper) if n >= 2 else lower), upper
     if algo == Algo.NA:
         if n < 2:
             raise DimensionTooSmall("NA bounds need n >= 2")

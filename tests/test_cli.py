@@ -90,6 +90,16 @@ def test_bounds_command(capsys):
     assert "hb_gd_ratio" in report
 
 
+@pytest.mark.parametrize("algo", ["gd", "hb"])
+def test_bounds_in_order_where_the_closed_forms_meet(capsys, algo):
+    # At n = 2 lower and upper are equal; unclamped, they round apart.
+    code, out, _ = _run(capsys, "bounds", "--algo", algo,
+                        "--kappa", "102477.15458177174", "--n", "2")
+    assert code == 0
+    report = json.loads(out)
+    assert report["lower"] <= report["upper"]
+
+
 def test_certify_command(capsys):
     code, out, _ = _run(capsys, "certify", "--algo", "na",
                         "--kappa", "10", "--n", "2")
@@ -184,6 +194,9 @@ def test_out_file(tmp_path, capsys):
     ("certify", "--algo", "na", "--kappa", "1e33"),   # beta rounds to 1
     ("certify", "--algo", "gd", "--kappa", "1e160"),  # bound is infinite
     ("bounds", "--algo", "na", "--kappa", "1e300", "--n", "3"),
+    ("analyze", "--algo", "na", "--kappa", "1e33", "--n", "3"),  # tuned beta
+    ("simulate", "--algo", "hb", "--kappa", "1e33", "--n", "2",  # rounds to 1
+     "--steps", "10"),
 ])
 def test_huge_kappa_is_a_domain_error(capsys, argv):
     code, out, err = _run(capsys, *argv)

@@ -2,11 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, Regime, SizeOverflow, TorusSpec,
-                      Unstable, consensus_variance, hb_gd_ratio,
-                      nonzero_torus_eigenvalues, reciprocal_sum,
+                      Unstable, consensus_variance, convergence_rate,
+                      hb_gd_ratio, make_spectrum, nonzero_torus_eigenvalues,
+                      optimal_quadratic_params, reciprocal_sum,
                       scaling_sweep, torus_eigenvalues)
+from noiseamp.consensus import _torus_modes, _weighted_sum
+from noiseamp.variance import _modal_variance_raw
 
 
 def test_torus_spec_validation():
@@ -113,3 +118,70 @@ def test_scaling_sweep_regimes():
     assert r.regime == Regime.CONSTANT
     with pytest.raises(ValueError):
         scaling_sweep(Algo.GD, 1, [8, 16])
+
+
+@st.composite
+def tori(draw):
+    """A torus with 1 <= d <= 5, n0 >= 3 and at most 2e5 nodes."""
+    d = draw(st.integers(1, 5))
+    n0 = draw(st.integers(3, math.floor(2e5 ** (1.0 / d) + 1e-9)))
+    return TorusSpec(d=d, n0=n0)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from(list(Algo)), tori())
+def test_multiset_sums_match_full_lattice(algo, t):
+    # The reference is the full-lattice evaluation: every node's eigenvalue,
+    # one math.fsum over all of them.
+    lams = nonzero_torus_eigenvalues(t)
+    m, L = float(lams.min()), float(lams.max())
+    p = optimal_quadratic_params(algo, m, L)
+    cfg = AlgoConfig(algo=algo, alpha=p.alpha, beta=p.beta)
+    rec = consensus_variance(algo, t)
+    assert rec.kappa == L / m
+    assert rec.rho == convergence_rate(cfg, make_spectrum(lams))
+    jbar = math.fsum(_modal_variance_raw(cfg, lams))
+    recip = math.fsum(1.0 / lams)
+    got = reciprocal_sum(t)["sum"]
+    if t.d <= 2:
+        assert rec.jbar == jbar
+        assert got == recip
+    else:
+        # A multiset's axis values are added in one order; the lattice adds
+        # them in every order, which can round apart by an ulp.
+        assert rec.jbar == pytest.approx(jbar, rel=1e-14, abs=0.0)
+        assert got == pytest.approx(recip, rel=1e-14, abs=0.0)
+    _, weights = _torus_modes(t)
+    assert weights.sum() == t.n - 1
+
+
+def test_weighted_sum_is_exact():
+    # Reference: math.fsum with every weight split into powers of two, so
+    # that each product value * 2**bit is exact.
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        size = int(rng.integers(1, 500))
+        values = rng.standard_normal(size) * 10.0 ** rng.uniform(-20, 20, size)
+        if trial % 2:
+            values = np.abs(values)
+        weights = rng.integers(0, 4000, size)
+        parts = [values * (weights & (1 << bit)) for bit in range(12)]
+        assert _weighted_sum(values, weights) == math.fsum(
+            np.concatenate(parts))
+
+
+def test_rho_at_names_the_extreme_that_sets_rho():
+    # 2-d torus, n0 = 8: m = 2 - sqrt(2), L = 8.  GD's radius is
+    # max(1 - alpha m, alpha L - 1).
+    t = TorusSpec(d=2, n0=8)
+    small = consensus_variance(Algo.GD, t,
+                               AlgoConfig(algo=Algo.GD, alpha=0.05))
+    assert small.rho_at == "m"
+    assert small.rho == pytest.approx(1.0 - 0.05 * (2.0 - math.sqrt(2.0)))
+    large = consensus_variance(Algo.GD, t,
+                               AlgoConfig(algo=Algo.GD, alpha=0.24))
+    assert large.rho_at == "L"
+    assert large.rho == pytest.approx(0.24 * 8.0 - 1.0)
+    assert large.to_dict()["rho_at"] == "L"
+    rows = scaling_sweep(Algo.NA, 2, [8, 12, 16, 24]).to_dict()["rows"]
+    assert all(row["rho_at"] in ("m", "L") for row in rows)

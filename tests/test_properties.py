@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, convergence_rate, make_spectrum,
                       modal_spectral_radius, variance_amplification,
-                      variance_via_eigenvalues, variance_via_lyapunov)
+                      variance_bounds, variance_via_eigenvalues,
+                      variance_via_lyapunov)
 
 # Derandomized, so that tier-1 runs the same examples every time.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -70,3 +71,13 @@ def test_rate_at_extremes_equals_full_scan(case):
     cfg, s = case
     scan = float(np.max(modal_spectral_radius(cfg, s.values)))
     assert convergence_rate(cfg, s) == scan
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from([Algo.GD, Algo.HB]), st.floats(1.0, 1e12),
+       st.one_of(st.just(2), st.integers(2, 100)))
+def test_variance_bounds_are_ordered(algo, kappa, n):
+    # upper - lower = (n - 2)(kappa - 1)^2 / (4 kappa) >= 0 (times the HB/GD
+    # ratio for HB); at n = 2 the two closed forms are equal.
+    lower, upper = variance_bounds(algo, kappa, n)
+    assert lower <= upper
