@@ -25,7 +25,7 @@ from .lmi import (LmiCertificate, LmiProblem, assemble_lmi,
 from .tuning import (TunedParams, TuningResult, acceleration_floor,
                      conventional_params, hb_tradeoff_margin,
                      na_jhat_m_lower_bound, optimal_quadratic_params,
-                     rate_optimal_stepsize_hb, tune_constrained)
+                     tune_constrained)
 from .consensus import (ConsensusRecord, Regime, SweepResult, TorusSpec,
                         consensus_variance, nonzero_torus_eigenvalues,
                         reciprocal_sum, scaling_sweep, torus_eigenvalues)

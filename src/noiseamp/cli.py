@@ -284,9 +284,8 @@ def _cmd_sweep(args) -> int:
     result = scaling_sweep(algo, args.d, n0_values, sigma=args.sigma)
     report = result.to_dict()
     report["config"] = _config_echo(args)
-    table = (["algo", "d", "n0", "n", "kappa", "jbar", "jbar_over_n"],
-             [[r.algo.value, r.d, r.n0, r.n, r.kappa, r.jbar, r.jbar_over_n]
-              for r in result.rows])
+    rows = report["rows"]
+    table = (list(rows[0]), [list(r.values()) for r in rows])
     _emit(report, args, table=table)
     return 0
 

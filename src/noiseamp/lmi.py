@@ -11,7 +11,7 @@ constraints satisfied by the gradient of any m-strongly-convex, L-smooth
 function.  Because every block of the LMI is a scalar multiple of the
 identity when X is given the structured form [[x1 I, x0 I], [x0 I, x2 I]],
 the n-dimensional LMI reduces losslessly to a 3x3 (NA) or 2x2 (GD) matrix
-inequality; both the reduced and the full (Kronecker) forms are available.
+inequality, the form assembled and evaluated here.
 
 Closed-form certificates at the standard tunings (alpha = 1/L, and for NA
 beta = (sqrt(k)-1)/(sqrt(k)+1)) are provided, together with a derivative-free
@@ -77,7 +77,6 @@ class LmiProblem:
     alpha: float
     beta: float = 0.0
     n: int = 1
-    reduced: bool = True
 
     def __post_init__(self):
         if self.algo not in (Algo.GD, Algo.NA):
@@ -173,15 +172,11 @@ def _lmi_entries(p: LmiProblem, cert: LmiCertificate) -> tuple[float, ...]:
 
 
 def assemble_lmi(p: LmiProblem, cert: LmiCertificate) -> np.ndarray:
-    """Assemble the LMI left-hand side for a candidate certificate.
+    """The reduced 2x2 (GD) or 3x3 (NA) LMI left-hand side of a candidate.
 
-    Reduced mode returns the 2x2 (GD) or 3x3 (NA) scalar-block matrix; full
-    mode returns its Kronecker expansion with identity blocks of size n.
+    The n-dimensional LMI is its Kronecker product with the n x n identity.
     """
-    lhs = _sym_matrix(_lmi_entries(p, cert))
-    if p.reduced:
-        return lhs
-    return np.kron(lhs, np.eye(p.n))
+    return _sym_matrix(_lmi_entries(p, cert))
 
 
 def certified_bound(p: LmiProblem, cert: LmiCertificate) -> float:
@@ -194,9 +189,8 @@ def certified_bound(p: LmiProblem, cert: LmiCertificate) -> float:
 def evaluate_certificate(p: LmiProblem, cert: LmiCertificate) -> LmiCertificate:
     """Fill in bound, residuals and validity of a candidate certificate.
 
-    The reduced and full LMIs have the same eigenvalues (the full one
-    repeats each n times) and the same largest entry, so both are judged
-    on the reduced entries.
+    It is judged on the reduced entries: the n-dimensional LMI repeats each
+    of their eigenvalues n times and has the same largest entry.
     """
     upper = _lmi_entries(p, cert)
     tol = PSD_TOL_SCALE * max(1.0, max(map(abs, upper)))

@@ -18,10 +18,15 @@ with extreme eigenvalues m and L:
                            beta = (sqrt(3k+1)-2)/(sqrt(3k+1)+2)
                                                       rho = (sqrt(3k+1)-2)/sqrt(3k+1)
 
-On top of these, the module minimizes J subject to a cap on the convergence
-rate (grid over momentum, golden-section in the step size), quantifies the
-heavy-ball rate/variance trade-off floor, and measures the variance floor
-that any accelerated tuning must pay.
+On top of these, the module minimizes J subject to a cap r on the
+convergence rate, with one search for GD and HB.  At momentum beta the
+mode polynomial z^2 - b z - a has a = -beta, b = 1 + beta - alpha lambda,
+and the Schur-Cohn conditions of :func:`convergence_rate`, read at
+lambda = m and L, make the feasible step sizes a closed-form interval.
+Golden-section minimizes J on it, slice by slice over a momentum grid; GD
+is the beta = 0 slice.  The module also quantifies the heavy-ball
+rate/variance trade-off floor and measures the variance floor that any
+accelerated tuning must pay.
 """
 
 from __future__ import annotations
@@ -32,8 +37,10 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import Algo, AlgoConfig, SigmaMode, convergence_rate
-from .errors import InfeasibleCap, KappaTooLarge, KappaTooSmall, NoGuarantee
+from .dynamics import (Algo, AlgoConfig, INSTABILITY_THRESHOLD, SigmaMode,
+                       convergence_rate)
+from .errors import (InfeasibleCap, KappaTooLarge, KappaTooSmall, NoGuarantee,
+                     Unstable)
 from .spectrum import Spectrum, make_spectrum
 from .variance import variance_amplification
 
@@ -103,18 +110,6 @@ def _momentum(beta: float, kappa: float) -> float:
     return beta
 
 
-def rate_optimal_stepsize_hb(beta: float, m: float, L: float) -> float:
-    """Step size minimizing the heavy-ball rate for a fixed momentum beta.
-
-    Balances the modal radii at lambda = m and lambda = L:
-    alpha = 2 (1 + beta) / (L + m).
-    """
-    _check_ml(m, L)
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("beta must lie in [0, 1)")
-    return 2.0 * (1.0 + beta) / (L + m)
-
-
 @dataclass(frozen=True)
 class TuningResult:
     """Outcome of constrained variance minimization."""
@@ -157,11 +152,39 @@ def _golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL):
     return x, fn(x)
 
 
-def _j_on_spectrum(algo: Algo, alpha: float, beta: float, s: Spectrum,
-                   sigma: float, sigma_mode: SigmaMode) -> float:
-    cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=sigma,
-                     sigma_mode=sigma_mode)
-    return variance_amplification(cfg, s).j
+def _step_interval(beta: float, r: float, m: float,
+                   L: float) -> tuple[float, float] | None:
+    """Step sizes alpha meeting rho <= r at momentum beta (gamma = 0).
+
+    The mode polynomial z^2 - b z - a has a = -beta and b = 1 + beta - mu.
+    By the Schur-Cohn conditions of :func:`convergence_rate` its roots lie
+    in |z| <= r exactly when beta <= r^2 and |1 + beta - mu| <= h with
+    h = r + beta / r.  Reading the rate at mu = alpha m and mu = alpha L
+    gives alpha in [max(1 + beta - h, 0) / m, (1 + beta + h) / L].  Returns
+    None for an empty slice.  At beta = 0 the edges are GD's
+    (1 - r) / m and (1 + r) / L, bit for bit.
+    """
+    h = r + beta / r
+    lo = max(1.0 + beta - h, 0.0) / m
+    hi = (1.0 + beta + h) / L
+    if beta > r * r or lo > hi:
+        return None
+    return lo, hi
+
+
+def _momentum_grid(r: float) -> list[float]:
+    """Heavy-ball momenta, log-spaced in 1 - beta down to the cap's r^2."""
+    exponents = np.linspace(min(-4.0, math.log10(1.0 - r * r)), 0.0,
+                            BETA_GRID_POINTS)
+    return np.unique(
+        np.clip(1.0 - 10.0 ** exponents, 0.0, 1.0 - 1e-12)).tolist()
+
+
+# Per-preset data of the constrained search: the rate class the cap scales
+# with (rho <= 1 - c / scale(kappa)) and the momentum slices searched.  GD
+# is heavy ball's beta = 0 slice.
+_SEARCH = {Algo.GD: (lambda kappa: kappa, lambda r: [0.0]),
+           Algo.HB: (math.sqrt, _momentum_grid)}
 
 
 def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
@@ -171,92 +194,54 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
 
     The cap scales with the best achievable rate class of the method:
     GD must satisfy rho <= 1 - c/kappa, HB rho <= 1 - c/sqrt(kappa)
-    (c = ``cap_constant``).  GD is a one-dimensional golden-section search
-    over the feasible step sizes; HB grids the momentum (log-spaced in
-    1 - beta) with a golden-section step-size search inside each feasible
-    slice.  Ties prefer smaller beta, then smaller alpha.  Raises
-    :class:`InfeasibleCap` when no parameters meet the cap.
+    (c = ``cap_constant``).  One search serves both: for each momentum
+    slice (GD has only beta = 0; HB grids beta log-spaced in 1 - beta) the
+    feasible step sizes form the closed-form interval of
+    :func:`_step_interval`, and golden-section minimizes J on it.  A step
+    whose computed rate exceeds the cap, or that is unstable, scores +inf,
+    so the reported rho meets the cap as computed.  Ties prefer smaller
+    beta, then smaller alpha.  Raises :class:`InfeasibleCap` when no
+    parameters meet the cap and :class:`KappaTooLarge` when the cap lies
+    above the instability threshold.
     """
+    if algo not in _SEARCH:
+        raise ValueError("constrained tuning is implemented for GD and HB")
     if cap_constant <= 0.0:
         raise ValueError("cap_constant must be positive")
-    m, L, kappa = s.m, s.L, s.kappa
-    if algo == Algo.GD:
-        cap = 1.0 - cap_constant / kappa
-        if cap <= 0.0:
-            raise InfeasibleCap(f"rate cap {cap!r} is non-positive")
-        lo = (1.0 - cap) / m
-        hi = (1.0 + cap) / L
-        if lo > hi:
-            raise InfeasibleCap(
-                f"no GD step size reaches rho <= {cap!r} on kappa={kappa!r}")
-        fn = lambda a: _j_on_spectrum(algo, a, 0.0, s, sigma, sigma_mode)
-        alpha, j = _golden_min(fn, lo, hi)
-        cfg = AlgoConfig(algo=algo, alpha=alpha)
-        rho = convergence_rate(cfg, s)
-        return TuningResult(algo, alpha, 0.0, j, rho, cap)
-    if algo == Algo.HB:
-        cap = 1.0 - cap_constant / math.sqrt(kappa)
-        if cap <= 0.0:
-            raise InfeasibleCap(f"rate cap {cap!r} is non-positive")
-        best = None
-        exponents = np.linspace(-4.0, 0.0, BETA_GRID_POINTS)
-        betas = np.unique(np.clip(1.0 - 10.0 ** exponents, 0.0, 1.0 - 1e-12))
-        for beta in betas:
-            res = _tune_hb_alpha(beta, s, cap, sigma, sigma_mode)
-            if res is None:
-                continue
-            alpha, j = res
-            key = (j, beta, alpha)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            raise InfeasibleCap(
-                f"no heavy-ball parameters reach rho <= {cap!r} on "
-                f"kappa={kappa!r}")
-        j, beta, alpha = best
-        cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta)
-        rho = convergence_rate(cfg, s)
-        return TuningResult(algo, alpha, beta, j, rho, cap)
-    raise ValueError("constrained tuning is implemented for GD and HB")
+    scale, momenta = _SEARCH[algo]
+    kappa = s.kappa
+    cap = 1.0 - cap_constant / scale(kappa)
+    if cap <= 0.0:
+        raise InfeasibleCap(f"rate cap {cap!r} is non-positive")
+    if cap > INSTABILITY_THRESHOLD:
+        raise KappaTooLarge(
+            f"rate cap {cap!r} at kappa={kappa!r} lies above the instability "
+            f"threshold {INSTABILITY_THRESHOLD!r}")
 
+    def capped_j(alpha: float, beta: float) -> float:
+        cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=sigma,
+                         sigma_mode=sigma_mode)
+        try:
+            rep = variance_amplification(cfg, s)
+        except Unstable:
+            return math.inf
+        return rep.j if rep.rho <= cap else math.inf
 
-def _tune_hb_alpha(beta: float, s: Spectrum, cap: float, sigma: float,
-                   sigma_mode: SigmaMode):
-    """Best feasible step size for a fixed heavy-ball momentum, or None."""
-    m, L = s.m, s.L
-
-    def rho_max(alpha: float) -> float:
-        cfg = AlgoConfig(algo=Algo.HB, alpha=alpha, beta=beta)
-        return convergence_rate(cfg, s)
-
-    center = rate_optimal_stepsize_hb(beta, m, L)
-    if rho_max(center) > cap:
-        return None
-    # rho_max is quasiconvex in alpha, so the feasible set is an interval
-    # around the rate-optimal step size; locate its edges by bisection.
-    hi_limit = 2.0 * (1.0 + beta) / L  # stability edge at lambda = L
-    lo = _bisect_edge(rho_max, cap, center, 1e-16, decreasing=True)
-    hi = _bisect_edge(rho_max, cap, center, hi_limit, decreasing=False)
-    fn = lambda a: _j_on_spectrum(Algo.HB, a, beta, s, sigma, sigma_mode)
-    alpha, j = _golden_min(fn, lo, hi)
-    return alpha, j
-
-
-def _bisect_edge(rho_fn, cap: float, inside: float, outside: float,
-                 decreasing: bool, iters: int = 200) -> float:
-    """Bisect the feasibility edge rho(alpha) = cap between two step sizes."""
-    a, b = inside, outside
-    if rho_fn(outside) <= cap:
-        return outside
-    for _ in range(iters):
-        mid = 0.5 * (a + b)
-        if rho_fn(mid) <= cap:
-            a = mid
-        else:
-            b = mid
-        if abs(b - a) <= 1e-15 * max(1.0, abs(a)):
-            break
-    return a
+    best = None
+    for beta in momenta(cap):
+        edges = _step_interval(beta, cap, s.m, s.L)
+        if edges is None:
+            continue
+        alpha, j = _golden_min(lambda a: capped_j(a, beta), *edges)
+        if j < math.inf and (best is None or (j, beta, alpha) < best):
+            best = (j, beta, alpha)
+    if best is None:
+        raise InfeasibleCap(
+            f"no {algo.value} parameters reach rho <= {cap!r} on "
+            f"kappa={kappa!r}")
+    j, beta, alpha = best
+    rho = convergence_rate(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
+    return TuningResult(algo, alpha, beta, j, rho, cap)
 
 
 def hb_tradeoff_margin(cfg: AlgoConfig, s: Spectrum) -> dict[str, float]:

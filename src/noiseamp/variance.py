@@ -193,27 +193,31 @@ def variance_bounds(algo: Algo, kappa: float, n: int) -> tuple[float, float]:
 
     Valid for every spectrum with n eigenvalues and extremes m, L = kappa m.
     NA's lower bound requires n >= 2 (it allocates one mode to each extreme).
+    A single eigenvalue has kappa = 1; n = 1 with kappa != 1 is a
+    ValueError.
     """
     if kappa < 1.0:
         raise ValueError("kappa must be >= 1")
     if n < 1:
         raise DimensionTooSmall("need n >= 1")
+    if algo == Algo.NA and n < 2:
+        raise DimensionTooSmall("NA bounds need n >= 2")
+    if n == 1 and kappa != 1.0:
+        raise ValueError("a one-eigenvalue spectrum has kappa = 1")
     # For GD, upper - lower = (n - 2)(kappa - 1)^2 / (4 kappa), and HB
     # scales both by hb_gd_ratio.  At n = 2, or kappa near 1, the two closed
     # forms are (nearly) equal and may round apart, so lower is clamped.
     if algo == Algo.GD:
         lower = (kappa - 1.0) ** 2 / (2.0 * kappa) + n
         upper = n * (kappa + 1.0) ** 2 / (4.0 * kappa)
-        return (min(lower, upper) if n >= 2 else lower), upper
+        return min(lower, upper), upper
     if algo == Algo.HB:
         ratio = hb_gd_ratio(kappa)
         rk = math.sqrt(kappa)
         lower = ratio * ((kappa - 1.0) ** 2 / (2.0 * kappa) + n)
         upper = n * (kappa + 1.0) * (rk + 1.0) ** 4 / (32.0 * kappa * rk)
-        return (min(lower, upper) if n >= 2 else lower), upper
+        return min(lower, upper), upper
     if algo == Algo.NA:
-        if n < 2:
-            raise DimensionTooSmall("NA bounds need n >= 2")
         kb = 3.0 * kappa + 1.0
         lower = kb ** 1.5 / 32.0 + 9.0 * math.sqrt(kb) / 64.0 + (n - 2)
         upper = (n - 1) * kb ** 1.5 / 8.0 + 9.0 * math.sqrt(kb) / 8.0

@@ -100,6 +100,19 @@ def test_bounds_in_order_where_the_closed_forms_meet(capsys, algo):
     assert report["lower"] <= report["upper"]
 
 
+@pytest.mark.parametrize("algo", ["gd", "hb"])
+def test_bounds_on_one_eigenvalue(capsys, algo):
+    # A single eigenvalue has kappa = 1.
+    code, _, err = _run(capsys, "bounds", "--algo", algo, "--kappa", "9",
+                        "--n", "1")
+    assert code == 2 and "kappa = 1" in err
+    code, out, _ = _run(capsys, "bounds", "--algo", algo, "--kappa", "1",
+                        "--n", "1")
+    assert code == 0
+    report = json.loads(out)
+    assert report["lower"] == report["upper"] == 1.0
+
+
 def test_certify_command(capsys):
     code, out, _ = _run(capsys, "certify", "--algo", "na",
                         "--kappa", "10", "--n", "2")
@@ -171,14 +184,18 @@ def test_sweep_command(capsys):
                         "--n0", "8,16,32,64", "--format", "csv")
     assert code == 0
     rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["algo", "d", "n0", "n", "kappa", "jbar", "jbar_over_n"]
+    assert rows[0] == ["algo", "d", "n0", "n", "kappa", "rho", "rho_at",
+                       "jbar", "jbar_over_n"]
     assert len(rows) == 5
     code, out, _ = _run(capsys, "sweep", "--algo", "gd", "--d", "1",
                         "--n0", "8,16,32,64")
     report = json.loads(out)
     assert report["regime"] in ("power_law", "logarithmic", "constant")
     # identical numeric content between the two formats
-    assert float(rows[1][5]) == report["rows"][0]["jbar"]
+    first = dict(zip(rows[0], rows[1]))
+    assert float(first["jbar"]) == report["rows"][0]["jbar"]
+    assert float(first["rho"]) == report["rows"][0]["rho"]
+    assert first["rho_at"] == report["rows"][0]["rho_at"]
 
 
 def test_out_file(tmp_path, capsys):
@@ -197,9 +214,25 @@ def test_out_file(tmp_path, capsys):
     ("analyze", "--algo", "na", "--kappa", "1e33", "--n", "3"),  # tuned beta
     ("simulate", "--algo", "hb", "--kappa", "1e33", "--n", "2",  # rounds to 1
      "--steps", "10"),
+    # The rate cap lies above the instability threshold.
+    ("tune", "--algo", "gd", "--kappa", "1e15", "--n", "3"),
+    ("tune", "--algo", "hb", "--kappa", "1e29", "--n", "3"),
+    ("tune", "--algo", "hb", "--kappa", "1e300", "--n", "3"),
 ])
 def test_huge_kappa_is_a_domain_error(capsys, argv):
     code, out, err = _run(capsys, *argv)
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "KappaTooLarge"
+
+
+@pytest.mark.parametrize("algo, kappa", [("gd", "1e14"), ("hb", "1e10"),
+                                         ("hb", "1e27")])
+def test_huge_kappa_tune_meets_its_cap(capsys, algo, kappa):
+    # At 1e14 GD's cap equals the instability threshold; at 1e10 HB needs
+    # momenta closer to 1 than 1 - 1e-4.
+    code, out, err = _run(capsys, "tune", "--algo", algo, "--kappa", kappa,
+                          "--n", "3")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["rho"] <= report["rate_cap"]

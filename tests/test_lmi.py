@@ -148,20 +148,6 @@ def test_na_certificate_within_factor_of_reference():
         assert cert.bound >= ref * (1 - 1e-12)
 
 
-def test_reduced_and_full_lmi_agree():
-    for n in (1, 2, 3):
-        for make in (lambda: gd_certificate(0.7, 4.0, n=n),
-                     lambda: na_certificate(8.0, 2.0, n=n)):
-            prob, cert = make()
-            reduced = assemble_lmi(prob, cert)
-            full = assemble_lmi(replace(prob, reduced=False), cert)
-            r_eigs = np.linalg.eigvalsh(reduced)
-            f_eigs = np.linalg.eigvalsh(full)
-            # The full LMI spectrum is the reduced one with multiplicity n.
-            np.testing.assert_allclose(
-                f_eigs, np.sort(np.repeat(r_eigs, n)), atol=1e-12)
-
-
 def test_contraction_bound():
     assert contraction_bound_gd(1.0, 2.0, 0.5, n=3) == pytest.approx(
         3.0 * 4.0 / 3.0, rel=1e-14)

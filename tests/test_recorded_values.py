@@ -8,15 +8,20 @@ sqrt(eps).  NA's coefficients a = beta mu - beta and
 b = 1 + beta - (1 + beta) mu round differently from the factored forms
 -beta (1 - mu) and (1 + beta)(1 - mu), so NA agrees to rounding.  The
 explicit pseudo-Huber step is bit-identical for every method.
+
+The tune results were recorded while heavy ball's step-size edges came
+from bisection.  The closed-form edges keep GD's interval bit for bit; for
+HB the golden-section tolerance and the float rate near double roots allow
+1e-8 relative in alpha and 1e-11 relative in J.
 """
 
 import numpy as np
 import pytest
 
-from noiseamp import (Algo, AlgoConfig, PseudoHuber, Quadratic, TorusSpec,
-                      consensus_variance, make_spectrum,
+from noiseamp import (Algo, AlgoConfig, InfeasibleCap, PseudoHuber,
+                      Quadratic, TorusSpec, consensus_variance, make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
-                      simulate, variance_amplification)
+                      simulate, tune_constrained, variance_amplification)
 
 SPECTRUM = [1.0, 2.5, 4.0, 9.0, 30.0]
 
@@ -93,3 +98,57 @@ def test_simulations_match_recorded_values(algo):
                                rtol=QUADRATIC_RTOL[algo], atol=0.0)
     huber = simulate(cfg, PseudoHuber(1.0, 30.0, 3), 2000, seed=3)
     assert huber.j_hat == RECORDED[algo]["huber"]
+
+
+def _tune_spectrum(kappa, n, seed):
+    """Extremes 1 and kappa, the other eigenvalues log-uniform."""
+    rng = np.random.default_rng(seed)
+    return make_spectrum(np.concatenate([[1.0, kappa],
+                                         kappa ** rng.random(n - 2)]))
+
+
+# tune results (alpha, beta, J) recorded while heavy ball's step-size edges
+# were found by bisection, for the benchmark's tune shapes (algo, kappa, n,
+# cap constant) on _tune_spectrum(kappa, n, seed=index), and for the
+# README's spectrum 1,5,25.  None marks an infeasible cap.
+RECORDED_TUNES = [
+    (("gd", 10.0, 10, 0.5),
+     (0.1701511705549453, 0.0, 18.492121641656585)),
+    (("gd", 100.0, 30, 1.0),
+     (0.019149226354793398, 0.0, 178.0131884791437)),
+    (("gd", 1000.0, 50, 0.8),
+     (0.001974244070508826, 0.0, 1530.3162324636257)),
+    (("hb", 10.0, 50, 1.0),
+     (0.2200638909643286, 0.22424548703875868, 82.7641937963566)),
+    (("hb", 100.0, 20, 1.0),
+     (0.03102989105026431, 0.6207309809267754, 162.20425856053237)),
+    (("hb", 1000.0, 10, 0.5),
+     (0.0034984147395938246, 0.7664278530909878, 1736.4939269825286)),
+    (("gd", 300.0, 20, 3.0), None),
+    (("hb", 300.0, 20, 3.0), None),
+]
+README_TUNE = (0.09701564976130264, 0.4119374011253243, 13.676477204258623)
+
+
+def _check_tune(res, want):
+    alpha, beta, j = want
+    assert res.beta == beta
+    assert res.alpha == pytest.approx(alpha, rel=1e-8, abs=0.0)
+    assert res.j == pytest.approx(j, rel=1e-11, abs=0.0)
+    assert res.rho <= res.rate_cap
+
+
+@pytest.mark.parametrize("seed", range(len(RECORDED_TUNES)))
+def test_tunes_match_recorded_values(seed):
+    (algo, kappa, n, cap), want = RECORDED_TUNES[seed]
+    s = _tune_spectrum(kappa, n, seed)
+    if want is None:
+        with pytest.raises(InfeasibleCap):
+            tune_constrained(Algo(algo), s, cap_constant=cap)
+    else:
+        _check_tune(tune_constrained(Algo(algo), s, cap_constant=cap), want)
+
+
+def test_readme_tune_matches_recorded_value():
+    res = tune_constrained(Algo.HB, make_spectrum([1.0, 5.0, 25.0]))
+    _check_tune(res, README_TUNE)

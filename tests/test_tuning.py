@@ -2,14 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooSmall,
                       NoGuarantee, SigmaMode, acceleration_floor,
-                      conventional_params, hb_tradeoff_margin, make_spectrum,
+                      conventional_params, convergence_rate,
+                      hb_tradeoff_margin, make_spectrum,
                       modal_spectral_radius, modal_variance,
                       na_jhat_m_lower_bound, optimal_quadratic_params,
-                      rate_optimal_stepsize_hb, tune_constrained,
-                      variance_amplification)
+                      tune_constrained, variance_amplification)
+from noiseamp.tuning import _step_interval
 
 
 def test_conventional_params_values():
@@ -52,21 +55,6 @@ def test_stated_rates_are_achieved_on_extremes():
             assert rho == pytest.approx(p.rho, rel=1e-7)
 
 
-def test_rate_optimal_stepsize_balances_extremes():
-    m, L = 1.0, 16.0
-    for beta in (0.0, 0.3, 0.8):
-        a_star = rate_optimal_stepsize_hb(beta, m, L)
-
-        def rate(alpha):
-            cfg = AlgoConfig(algo=Algo.HB, alpha=alpha, beta=beta)
-            return max(np.atleast_1d(
-                modal_spectral_radius(cfg, np.array([m, L]))))
-
-        best = rate(a_star)
-        for alpha in np.linspace(0.2 * a_star, 1.8 * a_star, 61):
-            assert rate(float(alpha)) >= best - 1e-12
-
-
 def test_tune_constrained_gd_respects_cap():
     s = make_spectrum([1.0, 3.0, 10.0])
     res = tune_constrained(Algo.GD, s, cap_constant=1.0)
@@ -94,6 +82,47 @@ def test_tune_constrained_hb():
     assert res.j <= j_opt * (1 + 1e-9)
     with pytest.raises(InfeasibleCap):
         tune_constrained(Algo.HB, s, cap_constant=20.0)
+
+
+# Relative margin around the slice edges, safe for r in [0.05, 0.99] and
+# beta not within 1% of r^2.  Crossing the margin moves the rate at an edge
+# by at least 1e-4 * EDGE_MARGIN (there mu >= (1 - r)^2), and away from a
+# double root (|r^2 - beta| >= 0.01 r^2) its rounding error stays below
+# 2e-12.  Above r^2 the rate is at least sqrt(beta) >= 1.005 r.  kappa and
+# m do not enter these bounds; they vary the scan.
+EDGE_MARGIN = 1e-6
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.floats(1.0, 1e4), st.floats(1e-3, 1e3), st.floats(0.05, 0.99),
+       st.floats(0.0, 1.0, exclude_max=True))
+def test_step_interval_matches_a_rate_scan(kappa, m, r, beta):
+    assume(not 0.99 * r * r < beta < 1.01 * r * r)
+    s = make_spectrum([m, kappa * m])
+
+    def feasible(alpha):
+        cfg = AlgoConfig(algo=Algo.HB, alpha=float(alpha), beta=beta)
+        return convergence_rate(cfg, s) <= r
+
+    edges = _step_interval(beta, r, s.m, s.L)
+    scan = np.linspace(0.0, 2.0 * (1.0 + beta) / s.L, 401)[1:]
+    if edges is None:
+        assert not any(map(feasible, scan))
+        return
+    lo, hi = edges
+    below, above = lo * (1.0 - EDGE_MARGIN), hi * (1.0 + EDGE_MARGIN)
+    first, last = lo * (1.0 + EDGE_MARGIN), hi * (1.0 - EDGE_MARGIN)
+    assert all(feasible(a) for a in [first, last, *scan]
+               if first <= a <= last)
+    assert not any(feasible(a) for a in [below, above, *scan]
+                   if 0.0 < a and not below < a < above)
+
+
+def test_gd_edges_are_the_zero_momentum_slice():
+    # At beta = 0, h = r + beta / r keeps GD's edges bit for bit.
+    r = 1.0 - 0.5 / 7.0
+    assert _step_interval(0.0, r, 0.3, 2.1) == ((1.0 - r) / 0.3,
+                                                 (1.0 + r) / 2.1)
 
 
 def test_gd_half_factor_of_optimal_rate_tuning():
