@@ -14,7 +14,7 @@ from .errors import (DimensionTooSmall, EmptySpectrum, InfeasibleCap,
                      KappaTooLarge, KappaTooSmall, NoGuarantee, NoiseAmpError,
                      NonFinite, NonPositiveEigenvalue, NotContractive,
                      ShapeMismatch, SizeOverflow, Unstable, UnstableMode)
-from .spectrum import Spectrum, is_symmetric, make_spectrum
+from .spectrum import Spectrum, make_spectrum
 from .variance import (VarianceReport, extreme_modal_values, hb_gd_ratio,
                        modal_variance, na_gd_ratio_bounds,
                        variance_amplification, variance_bounds,
@@ -27,8 +27,8 @@ from .tuning import (TunedParams, TuningResult, acceleration_floor,
                      na_jhat_m_lower_bound, optimal_quadratic_params,
                      tune_constrained)
 from .consensus import (ConsensusRecord, Regime, SweepResult, TorusSpec,
-                        consensus_variance, nonzero_torus_eigenvalues,
-                        reciprocal_sum, scaling_sweep, torus_eigenvalues)
+                        consensus_variance, reciprocal_sum, scaling_sweep,
+                        torus_eigenvalues, torus_spectrum)
 from .montecarlo import (PseudoHuber, Quadratic, SimResult, ensemble_variance,
                          simulate, standard_normals)
 

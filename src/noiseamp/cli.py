@@ -3,6 +3,7 @@
 Subcommands::
 
     analyze    exact J, J', per-mode variances and rate on a spectrum
+               (--torus: one mode per eigenvalue multiset, with its count)
     bounds     spectrum-free variance bounds and ratio identities
     certify    LMI variance certificates for GD / NA on general problems
     tune       constrained variance minimization under a rate cap
@@ -28,7 +29,8 @@ from typing import Any
 
 import numpy as np
 
-from .consensus import TorusSpec, consensus_variance, scaling_sweep
+from .consensus import (TorusSpec, consensus_variance, scaling_sweep,
+                        torus_spectrum)
 from .dynamics import Algo, AlgoConfig, SigmaMode
 from .errors import NoiseAmpError
 from .lmi import gd_certificate, na_certificate, q_bounds, refine_bound
@@ -77,9 +79,7 @@ def _resolve_spectrum(args) -> Spectrum:
     if args.spectrum is not None:
         return _parse_spectrum(args.spectrum)
     if getattr(args, "torus", None) is not None:
-        from .consensus import nonzero_torus_eigenvalues
-        t = _parse_torus(args.torus)
-        return make_spectrum(nonzero_torus_eigenvalues(t))
+        return torus_spectrum(_parse_torus(args.torus))
     if args.kappa is None or args.n is None:
         raise UsageError("--kappa and --n must be given together")
     kappa, n = args.kappa, args.n

@@ -12,17 +12,15 @@ spectrum with its growth law B(n0), and per-dimension scaling sweeps of
 J-bar / n versus the condition number kappa = Theta(n0^2), including the
 log-log slope and growth-regime classification.
 
-Both sums run over eigenvalue multisets, not over the n0^d lattice points.
-An eigenvalue depends only on the multiset of its d axis values, and an
-axis has k distinct float values (about n0/2 of them, plus mirror pairs
-k, n0 - k whose values round apart by an ulp).  So each multiset
-i_1 <= ... <= i_d of distinct values is one term, weighted by the number
-of lattice points it stands for: the product of its values' multiplicities
-times its d! / prod(run length)! orderings.  That is C(k + d - 1, d) terms,
-one of them the zero mode, in place of n0^d; for d = 3, n0 = 200 it is
-848,045 in place of 8,000,000.  Each term's eigenvalue adds its axis values
-left to right, as :func:`torus_eigenvalues` does, and the weighted sum is
-formed exactly and rounded once.
+:func:`torus_spectrum` lists the nonzero spectrum by eigenvalue multisets,
+not by the n0^d lattice points.  An eigenvalue depends only on the multiset
+of its d axis values, and an axis has k distinct float values (about n0/2,
+plus mirror pairs k, n0 - k that round apart by an ulp).  Each multiset
+i_1 <= ... <= i_d is one mode, counted with its lattice points: the product
+of its values' multiplicities times d! / prod(run length)!.  That is
+C(k + d - 1, d) modes in place of n0^d (848,045 in place of 8e6 for d = 3,
+n0 = 200).  Each mode adds its axis values left to right, as the
+full-lattice reference :func:`torus_eigenvalues` does.
 
 Exactness against the full lattice: kappa and rho (read at the extreme
 eigenvalues, which every ordering forms alike) are identical for every d,
@@ -37,15 +35,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
-from .dynamics import Algo, AlgoConfig, check_stable, modal_spectral_radius
+from .dynamics import Algo, AlgoConfig, modal_spectral_radius
 from .errors import SizeOverflow
-from .spectrum import make_spectrum
+from .spectrum import Spectrum
 from .tuning import optimal_quadratic_params
-from .variance import _modal_variance_raw
+from .variance import variance_amplification
 
 MAX_NETWORK_SIZE = 10_000_000
 
@@ -79,19 +77,12 @@ def torus_eigenvalues(t: TorusSpec) -> np.ndarray:
                   range(t.d - 1), axis)
 
 
-def nonzero_torus_eigenvalues(t: TorusSpec) -> np.ndarray:
-    """Nonzero Laplacian eigenvalues (the single zero mode removed)."""
-    eigs = torus_eigenvalues(t)
-    return eigs[eigs > 0.0]
+def torus_spectrum(t: TorusSpec) -> Spectrum:
+    """Nonzero torus Laplacian spectrum, one mode per multiset of axis values.
 
-
-def _torus_modes(t: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero torus eigenvalues, one per multiset of axis values.
-
-    Returns ``(lams, weights)``: ``lams`` holds one eigenvalue per
-    nondecreasing tuple of distinct axis values (the all-zero tuple
-    dropped), and ``weights`` the number of lattice points with that
-    eigenvalue, so ``weights.sum() == t.n - 1``.
+    ``values`` holds one eigenvalue per nondecreasing tuple of distinct axis
+    values (the all-zero tuple dropped), unsorted, and ``counts`` the number
+    of lattice points with that eigenvalue, so ``n == t.n - 1``.
     """
     axis = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(t.n0) / t.n0))
     vals, counts = np.unique(axis, return_counts=True)
@@ -106,37 +97,7 @@ def _torus_modes(t: TorusSpec) -> tuple[np.ndarray, np.ndarray]:
         weights = weights[rows] * size // run * counts[new]
         lams = lams[rows] + vals[new]
         last = new
-    return lams[1:], weights[1:]
-
-
-_DIGIT_BITS = 18  # 2**18 * (weight sum < 2**35) stays below 2**53
-
-
-def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
-    """sum(values * weights) rounded once, as math.fsum of the expanded list.
-
-    Every value is an integer mantissa times a power of two.  The mantissa
-    is cut into 18-bit digits; per exponent, np.bincount adds digit * weight
-    in float64, which is exact because every partial sum is an integer below
-    2**53.  Python integers then add the per-exponent sums and round the
-    total once.  Needs nonnegative integer weights with sum below 2**35.
-    """
-    if not np.isfinite(values).all():
-        return math.fsum(values * weights)
-    mant, expo = np.frexp(values)
-    mant = (mant * 2.0 ** 53).astype(np.int64)
-    low = int(expo.min())
-    expo -= low
-    total = 0
-    for shift in range(0, 53, _DIGIT_BITS):
-        digit = mant >> shift
-        if shift + _DIGIT_BITS < 53:
-            digit &= (1 << _DIGIT_BITS) - 1
-        sums = np.bincount(expo, weights=digit * weights)
-        nz = np.flatnonzero(sums)
-        total += sum(int(v) << int(e) for e, v in zip(nz, sums[nz])) << shift
-    scale = low - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+    return Spectrum(values=lams[1:], counts=weights[1:])
 
 
 @dataclass(frozen=True)
@@ -177,18 +138,16 @@ def consensus_variance(algo: Algo, t: TorusSpec,
     excluded (deviation-from-average variance).  Raises :class:`Unstable`
     if the method diverges on some nonzero mode.
     """
-    lams, weights = _torus_modes(t)
-    m, L = float(lams.min()), float(lams.max())
+    s = torus_spectrum(t)
     if cfg is None:
-        params = optimal_quadratic_params(algo, m, L)
+        params = optimal_quadratic_params(algo, s.m, s.L)
         cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                          sigma=sigma)
-    rho = check_stable(cfg, make_spectrum([m, L]))
-    rho_m, rho_l = modal_spectral_radius(cfg, np.array([m, L]))
-    jbar = _weighted_sum(_modal_variance_raw(cfg, lams), weights)
-    return ConsensusRecord(algo=algo, d=t.d, n0=t.n0, n=t.n, kappa=L / m,
-                           rho=rho, rho_at="L" if rho_l > rho_m else "m",
-                           jbar=jbar)
+    rep = variance_amplification(cfg, s)
+    rho_m, rho_l = modal_spectral_radius(cfg, np.array([s.m, s.L]))
+    return ConsensusRecord(algo=algo, d=t.d, n0=t.n0, n=t.n, kappa=s.kappa,
+                           rho=rep.rho, rho_at="L" if rho_l > rho_m else "m",
+                           jbar=rep.j)
 
 
 def reciprocal_sum(t: TorusSpec) -> dict[str, float]:
@@ -197,8 +156,8 @@ def reciprocal_sum(t: TorusSpec) -> dict[str, float]:
     B(n0) = (n0^d - n0^2) / (d - 2) for d != 2 and n0^d log(n0) for d = 2;
     the ratio sum / B stays bounded above and below as n0 grows.
     """
-    lams, weights = _torus_modes(t)
-    total = _weighted_sum(1.0 / lams, weights)
+    s = torus_spectrum(t)
+    total = s.sum(1.0 / s.values)
     if t.d == 2:
         growth = t.n0 ** t.d * math.log(t.n0)
     else:

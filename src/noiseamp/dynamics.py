@@ -156,16 +156,31 @@ def convergence_rate(cfg: AlgoConfig, s: Spectrum) -> float:
     an interval: rho is quasiconvex in lambda and attains its maximum over
     [m, L] at an endpoint.
     """
-    return float(modal_spectral_radius(cfg, s.values[[0, -1]]).max())
+    return float(modal_spectral_radius(cfg, np.array([s.L, s.m])).max())
+
+
+def check_step_size(cfg: AlgoConfig, L: float):
+    """Raise :class:`Unstable` at L when alpha L >= 4, before any overflow.
+
+    No preset is stable there: stability at L needs alpha L <
+    2 (1 + beta) / (1 + 2 gamma) <= 4.  The reported rate is inf from
+    mu = 1e150 on, where b^2 could overflow.
+    """
+    mu = cfg.alpha * L  # a Python float: overflows to inf without a warning
+    if mu >= 4.0:
+        rho = float(modal_spectral_radius(cfg, L)) if mu < 1e150 else math.inf
+        raise Unstable(L, rho)
 
 
 def check_stable(cfg: AlgoConfig, s: Spectrum) -> float:
     """Return the convergence rate, raising :class:`Unstable` if >= 1.
 
-    Like :func:`convergence_rate` it reads the extreme modes only.  A NaN
-    rate (from an overflowing step) counts as unstable.
+    Like :func:`convergence_rate` it reads the extreme modes only, L first,
+    so that a tie names L.  Steps rejected by :func:`check_step_size` never
+    reach the rate formula.
     """
-    lams = s.values[[0, -1]]
+    check_step_size(cfg, s.L)
+    lams = np.array([s.L, s.m])
     rhos = modal_spectral_radius(cfg, lams)
     rho = float(rhos.max())
     if not rho < INSTABILITY_THRESHOLD:
@@ -227,9 +242,9 @@ def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
 
     Starts from P^0 = 0 and iterates P <- A P A^T + sigma^2 B B^T mode by
     mode (vectorized across modes) on the companion state; GD's iterate x^t
-    is its second component.  With ``weighted=True`` each mode is weighted
-    by its eigenvalue (objective-suboptimality output).  Raises
-    :class:`Unstable` if some mode diverges.
+    is its second component.  Each mode counts with its multiplicity and,
+    with ``weighted=True``, its eigenvalue (objective-suboptimality output).
+    Raises :class:`Unstable` if some mode diverges.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -237,6 +252,8 @@ def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
     lams = s.values
     sig2 = cfg.effective_sigma ** 2
     w = lams if weighted else np.ones_like(lams)
+    if s.counts is not None:
+        w = w * s.counts
     a, b = companion_coefficients(cfg, lams)
     current = 2 - cfg.order
     p00 = p01 = p11 = np.zeros_like(lams)

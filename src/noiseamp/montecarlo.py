@@ -24,7 +24,7 @@ from typing import Any
 import numpy as np
 from scipy.signal import lfilter
 
-from .dynamics import AlgoConfig, companion_coefficients
+from .dynamics import AlgoConfig, check_step_size, companion_coefficients
 from .errors import NonFinite
 from .spectrum import Spectrum
 
@@ -72,11 +72,15 @@ def standard_normals(seed: int, replicate: int, count: int) -> np.ndarray:
 
 
 class Quadratic:
-    """Quadratic objective given by its Hessian spectrum, minimizer at 0."""
+    """Quadratic objective given by its Hessian spectrum, minimizer at 0.
+
+    Coordinate i has the i-th largest eigenvalue, counted with multiplicity.
+    """
 
     def __init__(self, s: Spectrum):
         self.spectrum = s
-        self.lams = s.values.copy()
+        counts = 1 if s.counts is None else s.counts
+        self.lams = np.sort(np.repeat(s.values, counts))[::-1].copy()
 
     @property
     def dim(self) -> int:
@@ -195,10 +199,13 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
     """Run one noisy trajectory and estimate J by time averaging.
 
     The estimate averages the squared errors of the ``steps`` noise-driven
-    iterates.  Raises :class:`NonFinite` if the trajectory diverges.
+    iterates.  Raises :class:`NonFinite` if the trajectory diverges, and
+    :class:`Unstable` before drawing noise for a step no quadratic allows.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if isinstance(obj, Quadratic):
+        check_step_size(cfg, obj.spectrum.L)
     noise = standard_normals(seed, replicate, steps * obj.dim)
     if isinstance(obj, Quadratic):
         x = _iterates_quadratic(cfg, obj, steps, noise)

@@ -133,13 +133,13 @@ def _check_ml(m: float, L: float):
 
 
 def _golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL):
-    """Golden-section minimum of a unimodal function on [lo, hi]."""
+    """Scale-free golden-section minimum of a unimodal function on [lo, hi]."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = fn(c), fn(d)
-    while (b - a) > tol * max(1.0, abs(a) + abs(b)):
+    while (b - a) > tol * (abs(a) + abs(b)):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

@@ -10,17 +10,18 @@ closed form, with mu = alpha lambda,
     J_hat = sigma^2 (1 + beta - gamma mu)
             / (mu (1 - beta + gamma mu) (2(1 + beta) - (1 + 2 gamma) mu)).
 
-The module offers three independent evaluation routes (this closed form, a
-numerical solve of each modal Lyapunov equation, and the closed-loop
-eigenvalue form), the HB/GD ratio identity, the extreme-mode values used by
-the NA/GD sandwich, and the spectrum-free variance bounds at the
-quadratic-optimal parameter choices.
+:func:`variance_amplification` evaluates J on every spectrum, explicit or
+torus, and for the tuning search; J' is computed when read.  The module
+also offers two independent routes (a numerical solve of each modal
+Lyapunov equation, and the closed-loop eigenvalue form), the HB/GD ratio
+identity, the extreme-mode values used by the NA/GD sandwich, and the
+spectrum-free variance bounds at the quadratic-optimal parameter choices.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -57,62 +58,54 @@ def _modal_variance_raw(cfg: AlgoConfig, lams: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class VarianceReport:
-    """Exact steady-state variance of an algorithm on a spectrum.
+    """Exact steady-state variance of a configured method on a spectrum.
 
-    ``j`` sums per-mode iterate variances, ``j_prime`` weights each mode by
-    its eigenvalue (objective-suboptimality output), ``z_eigs`` are the
-    eigenvalues of the steady-state output covariance (the per-mode values
-    sorted descending), and ``rho`` is the convergence rate.
+    ``j`` sums per-mode iterate variances, ``rho`` is the convergence rate,
+    and ``per_mode`` is aligned with ``spectrum.values``.  ``j_prime``
+    weights each mode by its eigenvalue (objective-suboptimality output);
+    it is computed when read, which J-only callers (tuning) never do.
     """
 
-    algo: Algo
-    alpha: float
-    beta: float
-    sigma: float
+    cfg: AlgoConfig
     rho: float
     j: float
-    j_prime: float
-    per_mode: np.ndarray        # J_hat(lambda_i), aligned with lambdas
-    lambdas: np.ndarray
-    z_eigs: np.ndarray          # per-mode variances sorted descending
+    per_mode: np.ndarray
+    spectrum: Spectrum
+
+    @property
+    def j_prime(self) -> float:
+        s = self.spectrum
+        return s.sum(self.per_mode * s.values)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "algo": self.algo.value,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "sigma": self.sigma,
-            "rho": self.rho,
-            "J": self.j,
-            "J_prime": self.j_prime,
-            "per_mode": [
-                {"lambda": float(l), "j_hat": float(v)}
-                for l, v in zip(self.lambdas, self.per_mode)
-            ],
-            "z_eigs": [float(v) for v in self.z_eigs],
-        }
+        """The report; a spectrum with multiplicities adds each mode's count."""
+        s, cfg = self.spectrum, self.cfg
+        modes = [{"lambda": l, "j_hat": v} for l, v in
+                 zip(s.values.tolist(), self.per_mode.tolist())]
+        if s.counts is not None:
+            for mode, count in zip(modes, s.counts.tolist()):
+                mode["count"] = count
+        return {"algo": cfg.algo.value, "alpha": cfg.alpha, "beta": cfg.beta,
+                "sigma": cfg.effective_sigma, "rho": self.rho, "J": self.j,
+                "J_prime": self.j_prime, "per_mode": modes}
 
 
 def variance_amplification(cfg: AlgoConfig, s: Spectrum) -> VarianceReport:
-    """Evaluate J, J' and per-mode variances; raises :class:`Unstable`."""
+    """Evaluate J and per-mode variances; raises :class:`Unstable`.
+
+    J is the exactly rounded sum of the per-mode variances, each counted
+    with its multiplicity (:meth:`Spectrum.sum`).
+    """
     rho = check_stable(cfg, s)
     per_mode = _modal_variance_raw(cfg, s.values)
-    # Modes are accumulated in ascending mode index (descending eigenvalue)
-    # with exact compensated summation.
-    j = math.fsum(per_mode)
-    j_prime = math.fsum(per_mode * s.values)
-    return VarianceReport(
-        algo=cfg.algo, alpha=cfg.alpha, beta=cfg.beta,
-        sigma=cfg.effective_sigma, rho=rho, j=j, j_prime=j_prime,
-        per_mode=per_mode, lambdas=s.values.copy(),
-        z_eigs=np.sort(per_mode)[::-1].copy(),
-    )
+    return VarianceReport(cfg=cfg, rho=rho, j=s.sum(per_mode),
+                          per_mode=per_mode, spectrum=s)
 
 
 def variance_via_lyapunov(cfg: AlgoConfig, s: Spectrum) -> float:
     """J evaluated by solving each modal Lyapunov equation numerically."""
     check_stable(cfg, s)
-    return math.fsum(_modal_lyapunov(cfg, s.values)[:, 0])
+    return s.sum(_modal_lyapunov(cfg, s.values)[:, 0])
 
 
 def variance_via_eigenvalues(cfg: AlgoConfig, s: Spectrum) -> float:
@@ -130,7 +123,7 @@ def variance_via_eigenvalues(cfg: AlgoConfig, s: Spectrum) -> float:
     l2 = 0.5 * (b - disc)
     num = 1.0 + l1 * l2
     den = (1.0 - l1 * l2) * (1.0 - l1) * (1.0 - l2) * (1.0 + l1) * (1.0 + l2)
-    return math.fsum((cfg.effective_sigma ** 2 * num / den).real)
+    return s.sum((cfg.effective_sigma ** 2 * num / den).real)
 
 
 @kappa_closed_form

@@ -1,8 +1,12 @@
+import contextlib
 import csv
 import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiseamp import Algo, AlgoConfig, make_spectrum, variance_amplification
 from noiseamp.cli import run
@@ -12,6 +16,14 @@ def _run(capsys, *argv):
     code = run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _run_stdout(argv):
+    """Exit code and stdout, for hypothesis tests (no capsys fixture)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, out.getvalue()
 
 
 def test_analyze_json(capsys):
@@ -39,7 +51,61 @@ def test_analyze_csv_matches_json(capsys):
     flat = dict((k, v) for k, v, in rows[1:])
     assert float(flat["J"]) == report["J"]
     assert float(flat["per_mode[0].j_hat"]) == report["per_mode"][0]["j_hat"]
-    assert float(flat["z_eigs[2]"]) == report["z_eigs"][2]
+
+
+def _leaves(obj, prefix=""):
+    """(path, value) of every scalar in a JSON report, in document order."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _leaves(v, f"{prefix}.{k}" if prefix else k)
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _leaves(v, f"{prefix}[{i}]")
+    else:
+        yield prefix, obj
+
+
+_sources = st.one_of(
+    st.lists(st.floats(0.05, 10.0), min_size=1, max_size=8).map(
+        lambda vals: ("--spectrum", ",".join(map(repr, vals)))),
+    st.tuples(st.integers(1, 3), st.integers(3, 9)).map(
+        lambda t: ("--torus", f"{t[0]},{t[1]}")))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["gd", "hb", "na"]), _sources)
+def test_analyze_csv_carries_the_json_numbers(algo, source):
+    args = ["analyze", "--algo", algo, *source]
+    code, out_json = _run_stdout(args)
+    assert code == 0
+    code, out_csv = _run_stdout(args + ["--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out_csv)))
+    assert rows[0] == ["field", "value"]
+    leaves = list(_leaves(json.loads(out_json)))
+    assert [k for k, _ in rows[1:]] == [k for k, _ in leaves]
+    for (_, text), (key, value) in zip(rows[1:], leaves):
+        if isinstance(value, str):
+            assert text == value, key
+        else:
+            assert float(text) == value, key
+
+
+@pytest.mark.parametrize("algo, torus", [("gd", "1,9"), ("hb", "2,16"),
+                                         ("na", "3,8")])
+def test_analyze_torus_lists_modes_with_counts(capsys, algo, torus):
+    # One entry per multiset of axis values, weighted by its lattice points.
+    code, out, _ = _run(capsys, "analyze", "--algo", algo, "--torus", torus)
+    assert code == 0
+    report = json.loads(out)
+    d, n0 = (int(v) for v in torus.split(","))
+    modes = report["per_mode"]
+    assert sum(m["count"] for m in modes) == n0 ** d - 1
+    assert len(modes) < n0 ** d - 1
+    assert report["J"] == math.fsum(m["j_hat"] for m in modes
+                                    for _ in range(m["count"]))
+    code, out, _ = _run(capsys, "consensus", "--algo", algo, "--torus", torus)
+    assert json.loads(out)["jbar"] == report["J"]
 
 
 def test_analyze_kappa_n_source(capsys):
@@ -236,3 +302,24 @@ def test_huge_kappa_tune_meets_its_cap(capsys, algo, kappa):
     assert code == 0 and err == ""
     report = json.loads(out)
     assert report["rho"] <= report["rate_cap"]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--algo", "gd", "--spectrum", "1,1e10", "--params",
+     "explicit", "--alpha", "1e300"),
+    ("analyze", "--algo", "hb", "--spectrum", "1,1e10", "--params",
+     "explicit", "--alpha", "1e300", "--beta", "0.5"),
+    ("consensus", "--algo", "na", "--torus", "2,8", "--params", "explicit",
+     "--alpha", "1e308", "--beta", "0.5"),
+    ("simulate", "--algo", "gd", "--spectrum", "1,1e10", "--params",
+     "explicit", "--alpha", "1e300", "--steps", "10"),
+])
+def test_huge_step_is_unstable_without_overflow(capsys, argv):
+    # alpha L overflows; the step is rejected before any arithmetic on it.
+    code, out, err = _run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "Unstable"
+    assert "nan" not in payload["message"]

@@ -5,13 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiseamp import (Algo, AlgoConfig, Regime, SizeOverflow, TorusSpec,
-                      Unstable, consensus_variance, convergence_rate,
-                      hb_gd_ratio, make_spectrum, nonzero_torus_eigenvalues,
-                      optimal_quadratic_params, reciprocal_sum,
-                      scaling_sweep, torus_eigenvalues)
-from noiseamp.consensus import _torus_modes, _weighted_sum
+from noiseamp import (Algo, AlgoConfig, Quadratic, Regime, SizeOverflow,
+                      TorusSpec, Unstable, consensus_variance,
+                      convergence_rate, hb_gd_ratio, make_spectrum,
+                      optimal_quadratic_params, propagate_covariance,
+                      reciprocal_sum, scaling_sweep, torus_eigenvalues,
+                      torus_spectrum, variance_amplification)
+from noiseamp.spectrum import _weighted_sum
 from noiseamp.variance import _modal_variance_raw
+
+
+def _nonzero_lattice(t):
+    """Every node's nonzero eigenvalue: the full-lattice reference."""
+    eigs = torus_eigenvalues(t)
+    return eigs[eigs > 0.0]
 
 
 def test_torus_spec_validation():
@@ -37,7 +44,7 @@ def test_exactly_one_zero_mode():
         eigs = torus_eigenvalues(t)
         assert eigs.size == t.n
         assert np.count_nonzero(eigs == 0.0) == 1
-        assert nonzero_torus_eigenvalues(t).size == t.n - 1
+        assert len(torus_spectrum(t)) == t.n - 1
 
 
 def test_largest_eigenvalue_and_conditioning():
@@ -46,9 +53,9 @@ def test_largest_eigenvalue_and_conditioning():
         ratios = []
         for n0 in (8, 16, 32):
             t = TorusSpec(d=d, n0=n0)
-            lams = nonzero_torus_eigenvalues(t)
-            assert lams.max() == pytest.approx(4.0 * d, rel=1e-12)
-            ratios.append((lams.max() / lams.min()) / n0 ** 2)
+            s = torus_spectrum(t)
+            assert s.L == pytest.approx(4.0 * d, rel=1e-12)
+            ratios.append(s.kappa / n0 ** 2)
         assert max(ratios) / min(ratios) < 1.2
 
 
@@ -77,7 +84,7 @@ def test_explicit_config_override():
     t = TorusSpec(d=1, n0=8)
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.2)
     rec = consensus_variance(Algo.GD, t, cfg=cfg)
-    lams = nonzero_torus_eigenvalues(t)
+    lams = _nonzero_lattice(t)
     expected = math.fsum(1.0 / (0.2 * l * (2.0 - 0.2 * l)) for l in lams)
     assert rec.jbar == pytest.approx(expected, rel=1e-12)
 
@@ -133,7 +140,7 @@ def tori(draw):
 def test_multiset_sums_match_full_lattice(algo, t):
     # The reference is the full-lattice evaluation: every node's eigenvalue,
     # one math.fsum over all of them.
-    lams = nonzero_torus_eigenvalues(t)
+    lams = _nonzero_lattice(t)
     m, L = float(lams.min()), float(lams.max())
     p = optimal_quadratic_params(algo, m, L)
     cfg = AlgoConfig(algo=algo, alpha=p.alpha, beta=p.beta)
@@ -151,8 +158,13 @@ def test_multiset_sums_match_full_lattice(algo, t):
         # them in every order, which can round apart by an ulp.
         assert rec.jbar == pytest.approx(jbar, rel=1e-14, abs=0.0)
         assert got == pytest.approx(recip, rel=1e-14, abs=0.0)
-    _, weights = _torus_modes(t)
-    assert weights.sum() == t.n - 1
+    s = torus_spectrum(t)
+    assert s.n == t.n - 1
+    # analyze --torus and consensus share one path.
+    rep = variance_amplification(cfg, s)
+    assert rep.j == rec.jbar
+    if t.d <= 2:
+        assert rep.j_prime == math.fsum(_modal_variance_raw(cfg, lams) * lams)
 
 
 def test_weighted_sum_is_exact():
@@ -185,3 +197,16 @@ def test_rho_at_names_the_extreme_that_sets_rho():
     assert large.to_dict()["rho_at"] == "L"
     rows = scaling_sweep(Algo.NA, 2, [8, 12, 16, 24]).to_dict()["rows"]
     assert all(row["rho_at"] in ("m", "L") for row in rows)
+
+
+def test_torus_spectrum_expands_for_simulation():
+    # Quadratic repeats each eigenvalue by its count, in descending order,
+    # and the transient variance counts each mode with its multiplicity.
+    t = TorusSpec(d=2, n0=5)
+    s = torus_spectrum(t)
+    full = make_spectrum(_nonzero_lattice(t))
+    assert list(Quadratic(s).lams) == list(full.values)
+    cfg = AlgoConfig(algo=Algo.HB, alpha=0.1, beta=0.4)
+    np.testing.assert_allclose(propagate_covariance(cfg, s, 30),
+                               propagate_covariance(cfg, full, 30),
+                               rtol=1e-13, atol=0.0)

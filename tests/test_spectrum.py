@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from noiseamp import (EmptySpectrum, NonPositiveEigenvalue, is_symmetric,
+from noiseamp import (EmptySpectrum, NonPositiveEigenvalue, Spectrum,
                       make_spectrum)
 
 
@@ -33,30 +35,12 @@ def test_nonpositive_raises(bad):
         make_spectrum(bad)
 
 
-def test_symmetric_simple():
-    assert is_symmetric(make_spectrum([1.0, 2.0, 3.0]))
-    assert is_symmetric(make_spectrum([1.0, 9.0]))
-    assert is_symmetric(make_spectrum([5.0]))
-
-
-def test_symmetric_respects_multiplicity():
-    # {4, 2, 2} has center 3; the second 2 has no partner at 4.
-    assert not is_symmetric(make_spectrum([4.0, 2.0, 2.0]))
-    assert is_symmetric(make_spectrum([4.0, 4.0, 2.0, 2.0]))
-
-
-def test_symmetric_tolerance():
-    s = make_spectrum([1.0, 2.0 + 1e-15, 3.0])
-    assert is_symmetric(s)
-    s = make_spectrum([1.0, 2.1, 3.0])
-    assert not is_symmetric(s)
-    assert is_symmetric(s, tol=0.25)
-
-
-def test_mirrored_construction_is_symmetric():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        vals = rng.uniform(0.5, 10.0, size=rng.integers(1, 12))
-        m, L = vals.min(), vals.max()
-        full = np.concatenate([vals, m + L - vals])
-        assert is_symmetric(make_spectrum(full))
+def test_counts_weight_every_sum():
+    # A spectrum with multiplicities keeps its order and counts each value.
+    s = Spectrum(values=np.array([2.0, 0.1, 3.0]), counts=np.array([4, 1, 2]))
+    assert (s.m, s.L, s.kappa) == (0.1, 3.0, 30.0)
+    assert s.n == len(s) == 7
+    assert list(s.values) == [2.0, 0.1, 3.0]
+    expanded = np.repeat(s.values, s.counts)
+    assert s.sum(1.0 / s.values) == math.fsum(1.0 / expanded)
+    assert make_spectrum(expanded).sum(expanded) == s.sum(s.values)

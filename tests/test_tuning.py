@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooSmall,
@@ -188,3 +188,18 @@ def test_acceleration_floor():
         acceleration_floor(Algo.NA, 4.0, cap_constant=10.0, samples=10)
     with pytest.raises(ValueError):
         acceleration_floor(Algo.GD, 100.0)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.sampled_from([Algo.GD, Algo.HB]),
+       st.lists(st.floats(0.05, 10.0), min_size=2, max_size=10),
+       st.floats(1e-8, 1e8))
+@example(Algo.HB, [1.0, 5.0, 25.0], 1e8)
+def test_tuned_variance_is_scale_free(algo, values, c):
+    # J is invariant under lambda -> c lambda, alpha -> alpha / c, so the
+    # tuned J must not depend on the spectrum's scale.
+    s = make_spectrum(values)
+    assume(s.kappa > 2.0)
+    j = tune_constrained(algo, s).j
+    scaled = tune_constrained(algo, make_spectrum(c * s.values)).j
+    assert scaled == pytest.approx(j, rel=1e-10, abs=0.0)
