@@ -2,17 +2,27 @@
 
 Runs the exact noisy recursions from x^0 = x^1 = 0 and reports the running
 average J_hat = (1/T) sum_{k=1..T} ||x^k - x*||^2 over the noise-driven
-iterates, plus optional per-iterate ensemble statistics for comparison with
-the covariance recursion.
+iterates with its batch-means standard error, plus optional per-iterate
+ensemble statistics for comparison with the covariance recursion.
 
 Noise is generated by a counter-based splitmix64 generator feeding
 Box-Muller, keyed by (seed, replicate) with the counter enumerating
 (step, coordinate) draws.  Identical keys reproduce identical trajectories
-bit-for-bit on any platform, and distinct replicates are independent
-streams.  Every method steps x+ = x + beta d - alpha grad f(x + gamma d)
-+ sigma w with d = x - x- (see :mod:`noiseamp.dynamics`).  Quadratic
-objectives filter each mode through 1 / (1 - b z^-1 - a z^-2); general
-objectives step the recursion explicitly.
+bit-for-bit on any platform, distinct replicates are independent streams,
+and a draw can be generated from any counter offset.  Every method steps
+x+ = x + beta d - alpha grad f(x + gamma d) + sigma w with d = x - x- (see
+:mod:`noiseamp.dynamics`).
+
+:func:`simulate` advances ``BLOCK_STEPS`` steps at a time: each block draws
+its noise at its offset, advances the state and writes its slice of the
+squared-norm trace, so the result is bit-identical to one long run.
+Quadratic objectives filter each mode through 1 / (1 - b z^-1 - a z^-2),
+carrying the filter state between blocks.  Any other objective must be
+separable: ``coordinate_gradient(j)`` returns d f / d x_j as a float ->
+float function of x_j alone, and each coordinate steps as a scalar
+recursion.  Memory is O(BLOCK_STEPS * n) for the noise and iterates plus
+8 bytes per step for the trace that ``j_hat`` and ``per_step`` are read
+from.
 """
 
 from __future__ import annotations
@@ -31,6 +41,9 @@ from .spectrum import Spectrum
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 DIVERGENCE_NORM = 1e12
+BLOCK_STEPS = 1 << 14         # steps advanced per noise block in simulate
+NOISE_BLOCK_PAIRS = 1 << 14   # Box-Muller pairs per pass in standard_normals
+BATCHES = 100                 # batches of the batch-means standard error
 
 
 def _mix(z: int) -> int:
@@ -45,30 +58,58 @@ def _stream_key(seed: int, replicate: int) -> int:
     return _mix(_mix(seed & _MASK) ^ _mix((replicate + 0x1F123BB5) & _MASK))
 
 
-def _uniforms(key: int, count: int) -> np.ndarray:
-    """Counter-based splitmix64 outputs mapped into the open interval (0, 1)."""
-    idx = np.arange(1, count + 1, dtype=np.uint64)
-    z = np.uint64(key) + idx * np.uint64(_GOLDEN)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    z = z ^ (z >> np.uint64(31))
-    return ((z >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0 ** -53
+def _uniforms(key: int, first: int, count: int) -> np.ndarray:
+    """Splitmix64 outputs at counters first, first + 2, ..., in (0, 1).
+
+    Each output depends on its counter alone.  The mixing runs in place on
+    one uint64 buffer and one scratch buffer.
+    """
+    z = np.arange(first, first + 2 * count, 2, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(key)
+    t = np.empty_like(z)
+    for shift, mult in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+    u = z.astype(np.float64)
+    u += 0.5
+    u *= 2.0 ** -53
+    return u
 
 
-def standard_normals(seed: int, replicate: int, count: int) -> np.ndarray:
-    """``count`` reproducible N(0, 1) draws for the given (seed, replicate)."""
+def standard_normals(seed: int, replicate: int, count: int,
+                     start: int = 0) -> np.ndarray:
+    """Draws ``start`` .. ``start + count - 1`` of the N(0, 1) stream of
+    (seed, replicate).
+
+    Draw 2p is r cos(theta) and draw 2p + 1 is r sin(theta) for the
+    Box-Muller pair built from uniforms 2p + 1 and 2p + 2 of the counter.
+    A draw depends only on its index, so
+    ``standard_normals(s, r, c, start)`` equals
+    ``standard_normals(s, r, start + c)[start:]`` bit for bit.  Pairs are
+    generated ``NOISE_BLOCK_PAIRS`` at a time.
+    """
     if count <= 0:
         return np.empty(0)
-    half = (count + 1) // 2
-    u = _uniforms(_stream_key(seed, replicate), 2 * half)
-    # Consecutive uniforms feed each Box-Muller pair, so the first k draws
-    # do not depend on how many draws are requested in total.
-    r = np.sqrt(-2.0 * np.log(u[0::2]))
-    theta = 2.0 * np.pi * u[1::2]
-    z = np.empty(2 * half)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return z[:count]
+    key = _stream_key(seed, replicate)
+    first, stop = start // 2, (start + count + 1) // 2
+    z = np.empty((stop - first, 2))
+    for p in range(first, stop, NOISE_BLOCK_PAIRS):
+        k = min(NOISE_BLOCK_PAIRS, stop - p)
+        r = np.log(_uniforms(key, 2 * p + 1, k))
+        r *= -2.0
+        np.sqrt(r, out=r)
+        theta = _uniforms(key, 2 * p + 2, k)
+        theta *= 2.0 * np.pi
+        pairs = z[p - first:p - first + k]
+        np.multiply(r, np.cos(theta), out=pairs[:, 0])
+        np.multiply(r, np.sin(theta), out=pairs[:, 1])
+    offset = start - 2 * first
+    return z.reshape(-1)[offset:offset + count]
 
 
 class Quadratic:
@@ -121,6 +162,20 @@ class PseudoHuber:
         return self.m * x + (self.L - self.m) * x / np.sqrt(
             1.0 + (x / self.delta) ** 2)
 
+    def coordinate_gradient(self, j: int):
+        """d f / d x_j as a float -> float function of x_j alone.
+
+        Equal bit for bit to ``gradient`` (numpy squares with one
+        multiplication; Python's ``** 2`` would round differently).
+        """
+        m, excess, delta = self.m, self.L - self.m, self.delta
+
+        def grad(y: float) -> float:
+            s = y / delta
+            return m * y + excess * y / math.sqrt(1.0 + s * s)
+
+        return grad
+
     def value(self, x: np.ndarray) -> float:
         quad = 0.5 * self.m * float(np.dot(x, x))
         huber = (self.delta ** 2
@@ -138,10 +193,12 @@ class SimResult:
     seed: int
     per_step: np.ndarray | None = None          # mean ||x^t||^2, t = 0..steps
     per_step_stderr: np.ndarray | None = None   # across replicates
+    j_hat_stderr: float | None = None
     j_hat_replicates: tuple[float, ...] = ()
 
     def to_dict(self) -> dict[str, Any]:
-        out = {"j_hat": self.j_hat, "steps": self.steps,
+        out = {"j_hat": self.j_hat, "j_hat_stderr": self.j_hat_stderr,
+               "steps": self.steps,
                "replicates": self.replicates, "seed": self.seed}
         if self.per_step is not None:
             out["per_step"] = [float(v) for v in self.per_step]
@@ -150,48 +207,64 @@ class SimResult:
         return out
 
 
-def _iterates_quadratic(cfg: AlgoConfig, obj: Quadratic, steps: int,
-                        noise: np.ndarray) -> np.ndarray:
-    """Exact iterate sequence on a quadratic, one linear filter per mode.
+def _batch_stderr(sq: np.ndarray) -> float | None:
+    """Batch-means standard error of the mean of ``sq`` over ``BATCHES``
+    equal batches (a tail shorter than one batch is left out); None for
+    fewer than ``BATCHES`` values."""
+    size = sq.size // BATCHES
+    if size == 0:
+        return None
+    means = sq[:size * BATCHES].reshape(BATCHES, size).mean(axis=1)
+    return float(means.std(ddof=1)) / math.sqrt(BATCHES)
 
-    Returns x^0 .. x^T for GD and x^0 .. x^{T+1} for HB/NA (the last T
-    entries are the noise-driven iterates in both cases).
+
+def _filter_stepper(cfg: AlgoConfig, obj: Quadratic):
+    """Block advance on a quadratic: one linear filter per mode.
+
+    Mode j filters sigma w through 1 / (1 - b_j z^-1 - a_j z^-2); its
+    filter state is carried from block to block.
     """
-    order = cfg.order
-    w = np.zeros((steps + order, obj.dim))
-    w[order:] = noise.reshape(steps, obj.dim)
     a, b = companion_coefficients(cfg, obj.lams)
-    x = np.empty_like(w)
-    for j in range(obj.dim):
-        den = [1.0, -b[j], -a[j]][:order + 1]
-        x[:, j] = lfilter([cfg.effective_sigma], den, w[:, j])
-    return x
+    num = [cfg.effective_sigma]
+    dens = [[1.0, -b[j], -a[j]][:cfg.order + 1] for j in range(obj.dim)]
+    states = [np.zeros(cfg.order) for _ in range(obj.dim)]
+
+    def advance(w: np.ndarray) -> np.ndarray:
+        x = np.empty_like(w)
+        for j, den in enumerate(dens):
+            x[:, j], states[j] = lfilter(num, den, w[:, j], zi=states[j])
+        return x
+
+    return advance
 
 
-def _iterates_generic(cfg: AlgoConfig, obj, steps: int,
-                      noise: np.ndarray) -> np.ndarray:
-    """Step the (possibly nonlinear) recursion explicitly from x^0 = x^1 = 0.
-
-    Iterates are numbered as by :func:`_iterates_quadratic`.
-    """
+def _coordinate_stepper(cfg: AlgoConfig, obj):
+    """Block advance on a separable objective: one scalar recursion per
+    coordinate, carrying (x_prev, x) from block to block."""
+    if not callable(getattr(obj, "coordinate_gradient", None)):
+        raise TypeError(
+            f"{type(obj).__name__} has no coordinate_gradient(j); simulate "
+            f"steps a non-quadratic objective one coordinate at a time")
     alpha, beta, gamma = cfg.alpha, cfg.beta, cfg.gamma
-    gradient = obj.gradient
-    kicks = cfg.effective_sigma * noise.reshape(steps, obj.dim)
-    skip = 2 - cfg.order
-    x = np.zeros((steps + 2, obj.dim))
-    for t in range(steps):
-        cur = x[t + 1]
-        d = cur - x[t]
-        nxt = cur + beta * d - alpha * gradient(cur + gamma * d) + kicks[t]
-        x[t + 2] = nxt
-        _check_finite(nxt, t + 2 - skip)
-    return x[skip:]
+    sigma = cfg.effective_sigma
+    grads = [obj.coordinate_gradient(j) for j in range(obj.dim)]
+    carry = [(0.0, 0.0)] * obj.dim
 
+    def advance(w: np.ndarray) -> np.ndarray:
+        x = np.empty_like(w)
+        for j, grad in enumerate(grads):
+            prev, cur = carry[j]
+            col = []
+            for kick in (sigma * w[:, j]).tolist():
+                d = cur - prev
+                prev, cur = cur, (cur + beta * d
+                                  - alpha * grad(cur + gamma * d) + kick)
+                col.append(cur)
+            x[:, j] = col
+            carry[j] = prev, cur
+        return x
 
-def _check_finite(x: np.ndarray, step: int):
-    # A NaN or infinite norm fails the comparison too.
-    if not x.dot(x) <= DIVERGENCE_NORM ** 2:
-        raise NonFinite(step)
+    return advance
 
 
 def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
@@ -199,29 +272,38 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
     """Run one noisy trajectory and estimate J by time averaging.
 
     The estimate averages the squared errors of the ``steps`` noise-driven
-    iterates.  Raises :class:`NonFinite` if the trajectory diverges, and
-    :class:`Unstable` before drawing noise for a step no quadratic allows.
+    iterates.  The run advances ``BLOCK_STEPS`` steps at a time, drawing
+    each block's noise at its offset in the stream.  Raises
+    :class:`NonFinite` at the first iterate whose norm exceeds
+    ``DIVERGENCE_NORM`` or is not finite, :class:`Unstable` before drawing
+    noise for a step no quadratic allows, and :class:`TypeError` for a
+    non-quadratic objective without ``coordinate_gradient``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if isinstance(obj, Quadratic):
         check_step_size(cfg, obj.spectrum.L)
-    noise = standard_normals(seed, replicate, steps * obj.dim)
-    if isinstance(obj, Quadratic):
-        x = _iterates_quadratic(cfg, obj, steps, noise)
-        sq = np.einsum("ij,ij->i", x, x)
-        bad = ~np.isfinite(sq)
-        if bad.any() or np.nanmax(sq) > DIVERGENCE_NORM ** 2:
-            first = int(np.argmax(bad | (sq > DIVERGENCE_NORM ** 2)))
-            raise NonFinite(first)
+        advance = _filter_stepper(cfg, obj)
     else:
-        x = _iterates_generic(cfg, obj, steps, noise)
-        sq = np.einsum("ij,ij->i", x, x)
-    # Noise-driven iterates are the last `steps` entries of the sequence.
-    j_hat = float(np.mean(sq[-steps:]))
+        advance = _coordinate_stepper(cfg, obj)
+    n, order = obj.dim, cfg.order
+    # sq[t] = ||x^t||^2.  x^0 (and x^1 for two-step methods) start at 0;
+    # the last `steps` entries are the noise-driven iterates.
+    sq = np.zeros(steps + order)
+    for t0 in range(0, steps, BLOCK_STEPS):
+        t1 = min(t0 + BLOCK_STEPS, steps)
+        w = standard_normals(seed, replicate, (t1 - t0) * n, t0 * n)
+        x = advance(w.reshape(t1 - t0, n))
+        block = sq[order + t0:order + t1]
+        np.einsum("ij,ij->i", x, x, out=block)
+        # A NaN norm fails the comparison too.
+        bad = ~(block <= DIVERGENCE_NORM ** 2)
+        if bad.any():
+            raise NonFinite(order + t0 + int(np.argmax(bad)))
+    j_hat = float(np.mean(sq[order:]))
     per_step = sq[:steps + 1] if track_per_step else None
     return SimResult(j_hat=j_hat, steps=steps, replicates=1, seed=seed,
-                     per_step=per_step,
+                     per_step=per_step, j_hat_stderr=_batch_stderr(sq[order:]),
                      j_hat_replicates=(j_hat,))
 
 
@@ -244,9 +326,11 @@ def ensemble_variance(cfg: AlgoConfig, obj, steps: int, replicates: int,
     mean = tracks.mean(axis=0)
     if replicates > 1:
         stderr = tracks.std(axis=0, ddof=1) / math.sqrt(replicates)
+        j_hat_stderr = float(np.std(j_hats, ddof=1)) / math.sqrt(replicates)
     else:
         stderr = np.zeros(steps + 1)
+        j_hat_stderr = res.j_hat_stderr
     return SimResult(j_hat=float(np.mean(j_hats)), steps=steps,
                      replicates=replicates, seed=seed, per_step=mean,
-                     per_step_stderr=stderr,
+                     per_step_stderr=stderr, j_hat_stderr=j_hat_stderr,
                      j_hat_replicates=tuple(j_hats))

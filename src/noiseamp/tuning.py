@@ -46,6 +46,7 @@ from .variance import variance_amplification
 
 GOLDEN_TOL = 1e-10
 BETA_GRID_POINTS = 400
+SMALL_CAP_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -173,11 +174,18 @@ def _step_interval(beta: float, r: float, m: float,
 
 
 def _momentum_grid(r: float) -> list[float]:
-    """Heavy-ball momenta, log-spaced in 1 - beta down to the cap's r^2."""
+    """Heavy-ball momenta, log-spaced in 1 - beta down to the cap's r^2.
+
+    Momenta above r^2 are infeasible, so when the grid's smallest positive
+    momentum exceeds r^2 (small kappa) ``SMALL_CAP_POINTS`` evenly spaced
+    slices in (0, r^2] are searched as well.
+    """
     exponents = np.linspace(min(-4.0, math.log10(1.0 - r * r)), 0.0,
                             BETA_GRID_POINTS)
-    return np.unique(
-        np.clip(1.0 - 10.0 ** exponents, 0.0, 1.0 - 1e-12)).tolist()
+    grid = np.unique(np.clip(1.0 - 10.0 ** exponents, 0.0, 1.0 - 1e-12))
+    if not np.any((grid > 0.0) & (grid <= r * r)):
+        grid = np.union1d(grid, np.linspace(0.0, r * r, SMALL_CAP_POINTS))
+    return grid.tolist()
 
 
 # Per-preset data of the constrained search: the rate class the cap scales

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -323,3 +324,18 @@ def test_huge_step_is_unstable_without_overflow(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "Unstable"
     assert "nan" not in payload["message"]
+
+
+def test_huge_step_pseudo_huber_diverges_without_warning(capsys):
+    # No quadratic bound applies, so the run starts and diverges; the
+    # scalar stepping overflows to inf silently and exits with NonFinite.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "simulate", "--algo", "gd",
+                              "--spectrum", "1,1e10", "--objective",
+                              "pseudo-huber", "--params", "explicit",
+                              "--alpha", "1e300")
+    assert caught == []
+    assert code == 3
+    assert out == ""
+    assert json.loads(err)["error"] == "NonFinite"

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from noiseamp import (Algo, AlgoConfig, NonFinite, PseudoHuber, Quadratic,
                       SigmaMode, ensemble_variance, make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
                       simulate, standard_normals, variance_amplification)
+from noiseamp import montecarlo
+from noiseamp.dynamics import companion_coefficients
 
 
 def test_normals_reproducible_and_keyed():
@@ -19,6 +22,20 @@ def test_normals_reproducible_and_keyed():
     assert not np.array_equal(a, d)
     # prefix property: shorter draws are a prefix of longer ones
     np.testing.assert_array_equal(a[:10], standard_normals(42, 0, 10))
+
+
+@pytest.mark.parametrize("pairs", [3, montecarlo.NOISE_BLOCK_PAIRS])
+@pytest.mark.parametrize("start", [0, 1, 6, 7])
+def test_normals_at_an_offset_equal_the_long_draw(monkeypatch, pairs, start):
+    # Draws are generated `pairs` Box-Muller pairs at a time; counts that
+    # cross one or more blocks, from odd and even offsets, must reproduce
+    # the matching slice of one long draw bit for bit.
+    monkeypatch.setattr(montecarlo, "NOISE_BLOCK_PAIRS", pairs)
+    for count in (1, 2, 2 * pairs - 1, 2 * pairs + 1, 4 * pairs + 2):
+        long = standard_normals(9, 2, start + count)
+        part = standard_normals(9, 2, count, start)
+        assert part.shape == (count,)
+        assert part.tobytes() == long[start:].tobytes()
 
 
 def test_normals_frozen_reference():
@@ -56,6 +73,105 @@ class _GenericQuadratic:
     def gradient(self, x):
         return self.lams * x
 
+    def coordinate_gradient(self, j):
+        lam = float(self.lams[j])
+        return lambda y: lam * y
+
+
+def test_objective_without_coordinate_gradient_is_rejected():
+    class Vectorial:
+        dim = 2
+
+        def gradient(self, x):
+            return x
+
+    cfg = AlgoConfig(algo=Algo.GD, alpha=0.5)
+    with pytest.raises(TypeError, match="coordinate_gradient"):
+        simulate(cfg, Vectorial(), 10, seed=0)
+
+
+def test_coordinate_gradient_matches_gradient_bitwise():
+    obj = PseudoHuber(0.3, 7.0, 3, delta=0.6)
+    x = np.random.default_rng(4).normal(scale=5.0, size=(200, 3))
+    want = obj.gradient(x)
+    for j in range(3):
+        grad = obj.coordinate_gradient(j)
+        got = np.array([grad(v) for v in x[:, j].tolist()])
+        assert got.tobytes() == want[:, j].tobytes()
+
+
+def _unchunked(cfg, obj, steps, seed):
+    """Squared norms of x^0 .. x^{steps + order - 1} from one noise draw.
+
+    The reference for :func:`simulate`: quadratics filter each mode over
+    the whole run, other objectives step the vector recursion with
+    ``gradient``.  Returns (sq, first divergent index or None).
+    """
+    order, n = cfg.order, obj.dim
+    noise = standard_normals(seed, 0, steps * n).reshape(steps, n)
+    if isinstance(obj, Quadratic):
+        w = np.zeros((steps + order, n))
+        w[order:] = noise
+        a, b = companion_coefficients(cfg, obj.lams)
+        x = np.empty_like(w)
+        for j in range(n):
+            x[:, j] = lfilter([cfg.effective_sigma],
+                              [1.0, -b[j], -a[j]][:order + 1], w[:, j])
+    else:
+        x = np.zeros((steps + 2, n))
+        kicks = cfg.effective_sigma * noise
+        with np.errstate(all="ignore"):
+            for t in range(steps):
+                cur = x[t + 1]
+                d = cur - x[t]
+                x[t + 2] = (cur + cfg.beta * d
+                            - cfg.alpha * obj.gradient(cur + cfg.gamma * d)
+                            + kicks[t])
+        x = x[2 - order:]
+    sq = np.einsum("ij,ij->i", x, x)
+    bad = ~(sq <= montecarlo.DIVERGENCE_NORM ** 2)
+    return sq, (int(np.argmax(bad)) if bad.any() else None)
+
+
+_CHUNK_CASES = [(Algo.GD, 0.3, 0.0), (Algo.HB, 0.4, 0.5), (Algo.NA, 0.3, 0.6)]
+_CHUNK_OBJECTIVES = (Quadratic(make_spectrum([1.0, 2.0, 3.0])),
+                     PseudoHuber(1.0, 3.0, 3, delta=0.7))
+
+
+@pytest.mark.parametrize("block", [64, montecarlo.BLOCK_STEPS])
+@pytest.mark.parametrize("algo, alpha, beta", _CHUNK_CASES)
+def test_chunked_simulation_matches_unchunked_reference(monkeypatch, block,
+                                                         algo, alpha, beta):
+    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", block)
+    cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=0.9)
+    lengths = (block - 1, block + 1, 2 * block + 1)
+    if block == montecarlo.BLOCK_STEPS and algo != Algo.NA:
+        lengths = lengths[-1:]   # keep the explicit reference cheap
+    for obj in _CHUNK_OBJECTIVES:
+        for steps in lengths:
+            sq, first_bad = _unchunked(cfg, obj, steps, seed=8)
+            assert first_bad is None
+            res = simulate(cfg, obj, steps, seed=8, track_per_step=True)
+            assert res.j_hat == float(np.mean(sq[-steps:]))
+            assert res.per_step.tobytes() == sq[:steps + 1].tobytes()
+
+
+@pytest.mark.parametrize("algo, beta", [(Algo.GD, 0.0), (Algo.HB, 0.5),
+                                        (Algo.NA, 0.5)])
+def test_divergence_step_matches_unchunked_reference(monkeypatch, algo, beta):
+    # Slightly past the stability edge alpha m (1 + 2 gamma) = 2 (1 + beta)
+    # of the smallest curvature m = 1, so the run diverges several blocks in.
+    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 64)
+    gamma = beta if algo == Algo.NA else 0.0
+    alpha = 2.0 * (1.0 + beta) / (1.0 + 2.0 * gamma) * 1.02
+    cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta)
+    for obj in (Quadratic(make_spectrum([1.0, 1.0])),
+                PseudoHuber(1.0, 1.0, 2)):
+        _, first_bad = _unchunked(cfg, obj, 3000, seed=2)
+        assert first_bad is not None and first_bad > 3 * 64
+        with pytest.raises(NonFinite, match=f"at step {first_bad}$"):
+            simulate(cfg, obj, 3000, seed=2)
+
 
 def test_filter_path_matches_explicit_recursion():
     s = make_spectrum([0.5, 2.0, 3.5])
@@ -68,6 +184,27 @@ def test_filter_path_matches_explicit_recursion():
         assert fast.j_hat == pytest.approx(slow.j_hat, rel=1e-9)
         np.testing.assert_allclose(fast.per_step, slow.per_step,
                                    rtol=1e-8, atol=1e-10)
+
+
+def test_j_hat_stderr_by_hand():
+    cfg = AlgoConfig(algo=Algo.HB, alpha=0.3, beta=0.4)
+    res = simulate(cfg, PseudoHuber(1.0, 4.0, 2), 1050, seed=6,
+                   track_per_step=True)
+    # The 1050 noise-driven norms are x^2 .. x^1051: 100 batches of 10,
+    # the last 50 left out.
+    sq, _ = _unchunked(cfg, PseudoHuber(1.0, 4.0, 2), 1050, seed=6)
+    batch = [sum(sq[2 + 10 * b:12 + 10 * b]) / 10 for b in range(100)]
+    mean = sum(batch) / 100
+    sd = math.sqrt(sum((v - mean) ** 2 for v in batch) / 99)
+    assert res.j_hat_stderr == pytest.approx(sd / 10, rel=1e-12)
+    assert simulate(cfg, Quadratic(make_spectrum([1.0])), 99,
+                    seed=6).j_hat_stderr is None
+
+    ens = ensemble_variance(cfg, Quadratic(make_spectrum([1.0, 2.0])), 50, 4,
+                            seed=6)
+    j = ens.j_hat_replicates
+    sd = math.sqrt(sum((v - sum(j) / 4) ** 2 for v in j) / 3)
+    assert ens.j_hat_stderr == pytest.approx(sd / 2, rel=1e-12)
 
 
 def test_simulation_matches_exact_variance():
