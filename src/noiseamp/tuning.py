@@ -177,8 +177,8 @@ def _momentum_grid(r: float) -> list[float]:
     """Heavy-ball momenta, log-spaced in 1 - beta down to the cap's r^2.
 
     Momenta above r^2 are infeasible, so when the grid's smallest positive
-    momentum exceeds r^2 (small kappa) ``SMALL_CAP_POINTS`` evenly spaced
-    slices in (0, r^2] are searched as well.
+    momentum exceeds r^2 (small kappa), ``SMALL_CAP_POINTS`` evenly spaced
+    slices from 0 to r^2 are searched as well.
     """
     exponents = np.linspace(min(-4.0, math.log10(1.0 - r * r)), 0.0,
                             BETA_GRID_POINTS)
