@@ -13,16 +13,21 @@ and a draw can be generated from any counter offset.  Every method steps
 x+ = x + beta d - alpha grad f(x + gamma d) + sigma w with d = x - x- (see
 :mod:`noiseamp.dynamics`).
 
-:func:`simulate` advances ``BLOCK_STEPS`` steps at a time: each block draws
-its noise at its offset, advances the state and writes its slice of the
-squared-norm trace, so the result is bit-identical to one long run.
+:func:`simulate` advances in blocks of steps: each block draws its noise at
+its offset, advances the state and writes its slice of the squared-norm
+trace, so the result is bit-identical to one long run.  Blocks double from
+``FIRST_BLOCK_STEPS`` up to ``BLOCK_STEPS``, so a run that diverges early
+stops within about twice its divergence step.
 Quadratic objectives filter each mode through 1 / (1 - b z^-1 - a z^-2),
 carrying the filter state between blocks.  Any other objective must be
-separable: ``coordinate_gradient(j)`` returns d f / d x_j as a float ->
-float function of x_j alone, and each coordinate steps as a scalar
-recursion.  Memory is O(BLOCK_STEPS * n) for the noise and iterates plus
-8 bytes per step for the trace that ``j_hat`` and ``per_step`` are read
-from.
+separable and give its gradient two ways: ``gradient(x)`` on the whole
+vector and ``coordinate_gradient(j)``, d f / d x_j as a float -> float
+function of x_j alone, equal bit for bit.  Up to ``SCALAR_MAX_DIM``
+coordinates, each coordinate steps as a scalar recursion on Python floats;
+above it, the whole vector steps once per iterate through numpy, whose
+per-call cost is then spread over enough coordinates.  Memory is
+O(BLOCK_STEPS * n) for the noise and iterates plus 8 bytes per step for
+the trace that ``j_hat`` and ``per_step`` are read from.
 """
 
 from __future__ import annotations
@@ -41,9 +46,11 @@ from .spectrum import Spectrum
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 DIVERGENCE_NORM = 1e12
-BLOCK_STEPS = 1 << 14         # steps advanced per noise block in simulate
+FIRST_BLOCK_STEPS = 1 << 8    # simulate's first block; each next one doubles
+BLOCK_STEPS = 1 << 14         # up to this many steps per block
 NOISE_BLOCK_PAIRS = 1 << 14   # Box-Muller pairs per pass in standard_normals
 BATCHES = 100                 # batches of the batch-means standard error
+SCALAR_MAX_DIM = 28           # separable objectives up to this n step per coordinate
 
 
 def _mix(z: int) -> int:
@@ -126,12 +133,6 @@ class Quadratic:
     @property
     def dim(self) -> int:
         return self.spectrum.n
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.lams * x
-
-    def value(self, x: np.ndarray) -> float:
-        return 0.5 * float(np.dot(self.lams, x * x))
 
 
 class PseudoHuber:
@@ -238,30 +239,45 @@ def _filter_stepper(cfg: AlgoConfig, obj: Quadratic):
     return advance
 
 
-def _coordinate_stepper(cfg: AlgoConfig, obj):
-    """Block advance on a separable objective: one scalar recursion per
-    coordinate, carrying (x_prev, x) from block to block."""
-    if not callable(getattr(obj, "coordinate_gradient", None)):
-        raise TypeError(
-            f"{type(obj).__name__} has no coordinate_gradient(j); simulate "
-            f"steps a non-quadratic objective one coordinate at a time")
+def _separable_stepper(cfg: AlgoConfig, obj):
+    """Block advance on a separable objective, carrying (x_prev, x) from
+    block to block.
+
+    Each lane steps x+ = x + beta d - alpha grad(x + gamma d) + kick over
+    the block: one lane per coordinate on Python floats when the dimension
+    is at most ``SCALAR_MAX_DIM``, else one lane holding the whole vector.
+    """
+    for name in ("coordinate_gradient", "gradient"):
+        if not callable(getattr(obj, name, None)):
+            raise TypeError(
+                f"{type(obj).__name__} has no {name}; simulate steps a "
+                f"non-quadratic objective through coordinate_gradient(j) "
+                f"and gradient(x)")
     alpha, beta, gamma = cfg.alpha, cfg.beta, cfg.gamma
     sigma = cfg.effective_sigma
-    grads = [obj.coordinate_gradient(j) for j in range(obj.dim)]
-    carry = [(0.0, 0.0)] * obj.dim
+    if obj.dim <= SCALAR_MAX_DIM:
+        lanes = [[j, obj.coordinate_gradient(j), 0.0, 0.0]
+                 for j in range(obj.dim)]
+    else:
+        zero = np.zeros(obj.dim)
+        lanes = [[slice(None), obj.gradient, zero, zero]]
 
     def advance(w: np.ndarray) -> np.ndarray:
         x = np.empty_like(w)
-        for j, grad in enumerate(grads):
-            prev, cur = carry[j]
-            col = []
-            for kick in (sigma * w[:, j]).tolist():
-                d = cur - prev
-                prev, cur = cur, (cur + beta * d
-                                  - alpha * grad(cur + gamma * d) + kick)
-                col.append(cur)
-            x[:, j] = col
-            carry[j] = prev, cur
+        for lane in lanes:
+            cols, grad, prev, cur = lane
+            kicks = sigma * w[:, cols]
+            rows = []
+            # A diverging vector lane overflows to inf and NaN without
+            # warnings; simulate reports the first bad iterate.
+            with np.errstate(all="ignore"):
+                for kick in kicks.tolist() if kicks.ndim == 1 else kicks:
+                    d = cur - prev
+                    prev, cur = cur, (cur + beta * d
+                                      - alpha * grad(cur + gamma * d) + kick)
+                    rows.append(cur)
+            x[:, cols] = rows
+            lane[2:] = prev, cur
         return x
 
     return advance
@@ -272,12 +288,14 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
     """Run one noisy trajectory and estimate J by time averaging.
 
     The estimate averages the squared errors of the ``steps`` noise-driven
-    iterates.  The run advances ``BLOCK_STEPS`` steps at a time, drawing
-    each block's noise at its offset in the stream.  Raises
+    iterates.  The run advances in blocks that double from
+    ``FIRST_BLOCK_STEPS`` to ``BLOCK_STEPS`` steps, drawing each block's
+    noise at its offset in the stream.  Raises
     :class:`NonFinite` at the first iterate whose norm exceeds
     ``DIVERGENCE_NORM`` or is not finite, :class:`Unstable` before drawing
     noise for a step no quadratic allows, and :class:`TypeError` for a
-    non-quadratic objective without ``coordinate_gradient``.
+    non-quadratic objective without ``coordinate_gradient`` or
+    ``gradient``.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -285,13 +303,14 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
         check_step_size(cfg, obj.spectrum.L)
         advance = _filter_stepper(cfg, obj)
     else:
-        advance = _coordinate_stepper(cfg, obj)
+        advance = _separable_stepper(cfg, obj)
     n, order = obj.dim, cfg.order
     # sq[t] = ||x^t||^2.  x^0 (and x^1 for two-step methods) start at 0;
     # the last `steps` entries are the noise-driven iterates.
     sq = np.zeros(steps + order)
-    for t0 in range(0, steps, BLOCK_STEPS):
-        t1 = min(t0 + BLOCK_STEPS, steps)
+    t0, size = 0, FIRST_BLOCK_STEPS
+    while t0 < steps:
+        t1 = min(t0 + size, steps)
         w = standard_normals(seed, replicate, (t1 - t0) * n, t0 * n)
         x = advance(w.reshape(t1 - t0, n))
         block = sq[order + t0:order + t1]
@@ -300,6 +319,7 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
         bad = ~(block <= DIVERGENCE_NORM ** 2)
         if bad.any():
             raise NonFinite(order + t0 + int(np.argmax(bad)))
+        t0, size = t1, min(2 * size, BLOCK_STEPS)
     j_hat = float(np.mean(sq[order:]))
     per_step = sq[:steps + 1] if track_per_step else None
     return SimResult(j_hat=j_hat, steps=steps, replicates=1, seed=seed,

@@ -326,15 +326,17 @@ def test_huge_step_is_unstable_without_overflow(capsys, argv):
     assert "nan" not in payload["message"]
 
 
-def test_huge_step_pseudo_huber_diverges_without_warning(capsys):
-    # No quadratic bound applies, so the run starts and diverges; the
-    # scalar stepping overflows to inf silently and exits with NonFinite.
+@pytest.mark.parametrize("source", [("--spectrum", "1,1e10"),
+                                    ("--kappa", "1e10", "--n", "50")])
+def test_huge_step_pseudo_huber_diverges_without_warning(capsys, source):
+    # No quadratic bound applies, so the run starts and diverges; both the
+    # scalar stepping (n = 2) and the vector stepping (n = 50) overflow to
+    # inf silently and exit with NonFinite.
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, out, err = _run(capsys, "simulate", "--algo", "gd",
-                              "--spectrum", "1,1e10", "--objective",
-                              "pseudo-huber", "--params", "explicit",
-                              "--alpha", "1e300")
+        code, out, err = _run(capsys, "simulate", "--algo", "gd", *source,
+                              "--objective", "pseudo-huber", "--params",
+                              "explicit", "--alpha", "1e300")
     assert caught == []
     assert code == 3
     assert out == ""

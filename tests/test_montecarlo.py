@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -78,16 +79,24 @@ class _GenericQuadratic:
         return lambda y: lam * y
 
 
-def test_objective_without_coordinate_gradient_is_rejected():
+def test_objective_without_the_separable_contract_is_rejected():
     class Vectorial:
         dim = 2
 
         def gradient(self, x):
             return x
 
+    class Scalar:
+        dim = 2
+
+        def coordinate_gradient(self, j):
+            return lambda y: y
+
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.5)
-    with pytest.raises(TypeError, match="coordinate_gradient"):
+    with pytest.raises(TypeError, match="no coordinate_gradient"):
         simulate(cfg, Vectorial(), 10, seed=0)
+    with pytest.raises(TypeError, match="no gradient"):
+        simulate(cfg, Scalar(), 10, seed=0)
 
 
 def test_coordinate_gradient_matches_gradient_bitwise():
@@ -136,31 +145,64 @@ def _unchunked(cfg, obj, steps, seed):
 _CHUNK_CASES = [(Algo.GD, 0.3, 0.0), (Algo.HB, 0.4, 0.5), (Algo.NA, 0.3, 0.6)]
 _CHUNK_OBJECTIVES = (Quadratic(make_spectrum([1.0, 2.0, 3.0])),
                      PseudoHuber(1.0, 3.0, 3, delta=0.7))
+# Separable objectives step per coordinate up to SCALAR_MAX_DIM and as one
+# vector above it; 0 forces the vector lane on the small objective.
+_LANES = [montecarlo.SCALAR_MAX_DIM, 0]
 
 
-@pytest.mark.parametrize("block", [64, montecarlo.BLOCK_STEPS])
+def _check_against_reference(cfg, obj, lengths):
+    for steps in lengths:
+        sq, first_bad = _unchunked(cfg, obj, steps, seed=8)
+        assert first_bad is None
+        res = simulate(cfg, obj, steps, seed=8, track_per_step=True)
+        assert res.j_hat == float(np.mean(sq[-steps:]))
+        assert res.per_step.tobytes() == sq[:steps + 1].tobytes()
+
+
+@pytest.mark.parametrize("lane_max_dim", _LANES)
 @pytest.mark.parametrize("algo, alpha, beta", _CHUNK_CASES)
-def test_chunked_simulation_matches_unchunked_reference(monkeypatch, block,
-                                                         algo, alpha, beta):
-    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", block)
+def test_chunked_simulation_matches_unchunked_reference(
+        monkeypatch, lane_max_dim, algo, alpha, beta):
+    # Blocks of 2, 4, 8, 8, ... steps: every length up to 4 full blocks
+    # puts the run's end one step before, on and after each block edge.
+    monkeypatch.setattr(montecarlo, "SCALAR_MAX_DIM", lane_max_dim)
+    monkeypatch.setattr(montecarlo, "FIRST_BLOCK_STEPS", 2)
+    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 8)
     cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=0.9)
-    lengths = (block - 1, block + 1, 2 * block + 1)
-    if block == montecarlo.BLOCK_STEPS and algo != Algo.NA:
-        lengths = lengths[-1:]   # keep the explicit reference cheap
     for obj in _CHUNK_OBJECTIVES:
-        for steps in lengths:
-            sq, first_bad = _unchunked(cfg, obj, steps, seed=8)
-            assert first_bad is None
-            res = simulate(cfg, obj, steps, seed=8, track_per_step=True)
-            assert res.j_hat == float(np.mean(sq[-steps:]))
-            assert res.per_step.tobytes() == sq[:steps + 1].tobytes()
+        _check_against_reference(cfg, obj, range(1, 4 * 8))
 
 
+@pytest.mark.parametrize("lane_max_dim", _LANES)
+def test_chunked_simulation_at_the_real_block_sizes(monkeypatch,
+                                                    lane_max_dim):
+    monkeypatch.setattr(montecarlo, "SCALAR_MAX_DIM", lane_max_dim)
+    first, block = montecarlo.FIRST_BLOCK_STEPS, montecarlo.BLOCK_STEPS
+    cfg = AlgoConfig(algo=Algo.NA, alpha=0.3, beta=0.6, sigma=0.9)
+    for obj in _CHUNK_OBJECTIVES:
+        _check_against_reference(
+            cfg, obj, (first - 1, first + 1, block - 1, block + 1,
+                       2 * block + 1))
+
+
+def test_lane_choice_keeps_the_bits():
+    # Just above the scalar limit the vector lane runs; both match the
+    # reference.
+    cfg = AlgoConfig(algo=Algo.HB, alpha=0.2, beta=0.5, sigma=0.9)
+    for n in (montecarlo.SCALAR_MAX_DIM, montecarlo.SCALAR_MAX_DIM + 1):
+        _check_against_reference(cfg, PseudoHuber(1.0, 3.0, n), (300,))
+
+
+@pytest.mark.parametrize("lane_max_dim", _LANES)
 @pytest.mark.parametrize("algo, beta", [(Algo.GD, 0.0), (Algo.HB, 0.5),
                                         (Algo.NA, 0.5)])
-def test_divergence_step_matches_unchunked_reference(monkeypatch, algo, beta):
+def test_divergence_step_matches_unchunked_reference(monkeypatch,
+                                                     lane_max_dim, algo,
+                                                     beta):
     # Slightly past the stability edge alpha m (1 + 2 gamma) = 2 (1 + beta)
     # of the smallest curvature m = 1, so the run diverges several blocks in.
+    monkeypatch.setattr(montecarlo, "SCALAR_MAX_DIM", lane_max_dim)
+    monkeypatch.setattr(montecarlo, "FIRST_BLOCK_STEPS", 16)
     monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 64)
     gamma = beta if algo == Algo.NA else 0.0
     alpha = 2.0 * (1.0 + beta) / (1.0 + 2.0 * gamma) * 1.02
@@ -173,9 +215,33 @@ def test_divergence_step_matches_unchunked_reference(monkeypatch, algo, beta):
             simulate(cfg, obj, 3000, seed=2)
 
 
-def test_filter_path_matches_explicit_recursion():
+def test_divergent_run_stops_near_its_divergence_step():
+    # Blocks double from FIRST_BLOCK_STEPS, so a run diverging at step k
+    # steps at most 2 k + FIRST_BLOCK_STEPS iterates, not all of them.
+    calls = []
+
+    class Counted(PseudoHuber):
+        def coordinate_gradient(self, j):
+            grad = super().coordinate_gradient(j)
+
+            def counted(y):
+                calls.append(j)
+                return grad(y)
+
+            return counted
+
+    cfg = AlgoConfig(algo=Algo.HB, alpha=3.06, beta=0.5)
+    with pytest.raises(NonFinite) as err:
+        simulate(cfg, Counted(1.0, 1.0, 1), 1_000_000, seed=2)
+    k = err.value.step
+    assert k < montecarlo.BLOCK_STEPS // 4
+    assert len(calls) <= 2 * k + montecarlo.FIRST_BLOCK_STEPS
+
+
+def test_filter_path_matches_explicit_recursion(monkeypatch):
     s = make_spectrum([0.5, 2.0, 3.5])
-    for algo in (Algo.GD, Algo.HB, Algo.NA):
+    for lane_max_dim, algo in itertools.product(_LANES, Algo):
+        monkeypatch.setattr(montecarlo, "SCALAR_MAX_DIM", lane_max_dim)
         beta = 0.0 if algo == Algo.GD else 0.45
         cfg = AlgoConfig(algo=algo, alpha=0.2, beta=beta, sigma=0.8)
         fast = simulate(cfg, Quadratic(s), 2000, seed=5, track_per_step=True)
