@@ -15,9 +15,10 @@ x+ = x + beta d - alpha grad f(x + gamma d) + sigma w with d = x - x- (see
 
 :func:`simulate` advances in blocks of steps: each block draws its noise at
 its offset, advances the state and writes its slice of the squared-norm
-trace, so the result is bit-identical to one long run.  Blocks double from
-``FIRST_BLOCK_STEPS`` up to ``BLOCK_STEPS``, so a run that diverges early
-stops within about twice its divergence step.
+trace, so the result is bit-identical to one long run.  Blocks hold
+``BLOCK_STEPS`` steps.  On a non-quadratic objective, where a step costs
+far more, they double from ``FIRST_BLOCK_STEPS`` up to ``BLOCK_STEPS``,
+so a run that diverges early stops within about twice its divergence step.
 Quadratic objectives filter each mode through 1 / (1 - b z^-1 - a z^-2),
 carrying the filter state between blocks.  Any other objective must be
 separable and give its gradient two ways: ``gradient(x)`` on the whole
@@ -46,11 +47,11 @@ from .spectrum import Spectrum
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 DIVERGENCE_NORM = 1e12
-FIRST_BLOCK_STEPS = 1 << 8    # simulate's first block; each next one doubles
-BLOCK_STEPS = 1 << 14         # up to this many steps per block
+BLOCK_STEPS = 1 << 14         # steps per block in simulate
+FIRST_BLOCK_STEPS = 1 << 8    # first block of a non-quadratic run
 NOISE_BLOCK_PAIRS = 1 << 14   # Box-Muller pairs per pass in standard_normals
 BATCHES = 100                 # batches of the batch-means standard error
-SCALAR_MAX_DIM = 28           # separable objectives up to this n step per coordinate
+SCALAR_MAX_DIM = 28           # n where scalar and vector steps cost alike
 
 
 def _mix(z: int) -> int:
@@ -288,9 +289,9 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
     """Run one noisy trajectory and estimate J by time averaging.
 
     The estimate averages the squared errors of the ``steps`` noise-driven
-    iterates.  The run advances in blocks that double from
-    ``FIRST_BLOCK_STEPS`` to ``BLOCK_STEPS`` steps, drawing each block's
-    noise at its offset in the stream.  Raises
+    iterates.  The run advances ``BLOCK_STEPS`` steps at a time (a
+    non-quadratic run starts at ``FIRST_BLOCK_STEPS`` and doubles), drawing
+    each block's noise at its offset in the stream.  Raises
     :class:`NonFinite` at the first iterate whose norm exceeds
     ``DIVERGENCE_NORM`` or is not finite, :class:`Unstable` before drawing
     noise for a step no quadratic allows, and :class:`TypeError` for a
@@ -301,14 +302,14 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
         raise ValueError("steps must be >= 1")
     if isinstance(obj, Quadratic):
         check_step_size(cfg, obj.spectrum.L)
-        advance = _filter_stepper(cfg, obj)
+        advance, size = _filter_stepper(cfg, obj), BLOCK_STEPS
     else:
-        advance = _separable_stepper(cfg, obj)
+        advance, size = _separable_stepper(cfg, obj), FIRST_BLOCK_STEPS
     n, order = obj.dim, cfg.order
     # sq[t] = ||x^t||^2.  x^0 (and x^1 for two-step methods) start at 0;
     # the last `steps` entries are the noise-driven iterates.
     sq = np.zeros(steps + order)
-    t0, size = 0, FIRST_BLOCK_STEPS
+    t0 = 0
     while t0 < steps:
         t1 = min(t0 + size, steps)
         w = standard_normals(seed, replicate, (t1 - t0) * n, t0 * n)

@@ -163,8 +163,8 @@ def _check_against_reference(cfg, obj, lengths):
 @pytest.mark.parametrize("algo, alpha, beta", _CHUNK_CASES)
 def test_chunked_simulation_matches_unchunked_reference(
         monkeypatch, lane_max_dim, algo, alpha, beta):
-    # Blocks of 2, 4, 8, 8, ... steps: every length up to 4 full blocks
-    # puts the run's end one step before, on and after each block edge.
+    # Blocks of 8 steps (2, 4, 8, 8, ... for pseudo-Huber): every length
+    # up to 4 full blocks ends one step before, on and after each edge.
     monkeypatch.setattr(montecarlo, "SCALAR_MAX_DIM", lane_max_dim)
     monkeypatch.setattr(montecarlo, "FIRST_BLOCK_STEPS", 2)
     monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 8)
