@@ -186,11 +186,28 @@ def test_chunked_simulation_at_the_real_block_sizes(monkeypatch,
 
 
 def test_lane_choice_keeps_the_bits():
-    # Just above the scalar limit the vector lane runs; both match the
-    # reference.
+    # Up to the scalar limit only coordinate_gradient steps the run, above
+    # it only gradient; both match the reference.
+    used = set()
+
+    class Traced(PseudoHuber):
+        def gradient(self, x):
+            used.add("gradient")
+            return super().gradient(x)
+
+        def coordinate_gradient(self, j):
+            used.add("coordinate_gradient")
+            return super().coordinate_gradient(j)
+
     cfg = AlgoConfig(algo=Algo.HB, alpha=0.2, beta=0.5, sigma=0.9)
-    for n in (montecarlo.SCALAR_MAX_DIM, montecarlo.SCALAR_MAX_DIM + 1):
-        _check_against_reference(cfg, PseudoHuber(1.0, 3.0, n), (300,))
+    for n, lane in ((montecarlo.SCALAR_MAX_DIM, "coordinate_gradient"),
+                    (montecarlo.SCALAR_MAX_DIM + 1, "gradient")):
+        used.clear()
+        res = simulate(cfg, Traced(1.0, 3.0, n), 300, seed=8,
+                       track_per_step=True)
+        assert used == {lane}
+        sq, _ = _unchunked(cfg, PseudoHuber(1.0, 3.0, n), 300, seed=8)
+        assert res.per_step.tobytes() == sq[:301].tobytes()
 
 
 @pytest.mark.parametrize("lane_max_dim", _LANES)
