@@ -12,7 +12,8 @@ Subcommands::
     sweep      network-size scaling of J-bar/n with slope and regime
 
 Exit codes: 0 on success, 2 on usage errors, 3 on domain errors (unstable
-iteration, infeasible cap, oversized lattice, diverged trajectory, ...).
+iteration, infeasible cap, oversized lattice, diverged trajectory, a float
+overflow, ...).
 Domain errors emit a single JSON object {"error": ..., "message": ...} on
 stderr.  Reports are JSON by default; --format csv flattens the same numeric
 content into header-bearing comma-separated rows.
@@ -22,8 +23,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 from typing import Any
 
@@ -83,8 +86,8 @@ def _resolve_spectrum(args) -> Spectrum:
     if args.kappa is None or args.n is None:
         raise UsageError("--kappa and --n must be given together")
     kappa, n = args.kappa, args.n
-    if kappa < 1.0:
-        raise UsageError("--kappa must be >= 1")
+    if not 1.0 <= kappa < math.inf:
+        raise UsageError("--kappa must be finite and >= 1")
     if n < 1:
         raise UsageError("--n must be >= 1")
     if n == 1:
@@ -202,6 +205,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_certify(args) -> int:
     algo = Algo(args.algo)
+    if args.refine < 0:
+        raise UsageError("--refine must be >= 0")
     if args.kappa < 1.0:
         raise UsageError("--kappa must be >= 1")
     if algo == Algo.GD:
@@ -252,6 +257,8 @@ def _cmd_consensus(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.replicates < 1:
+        raise UsageError("--replicates must be >= 1")
     s = _resolve_spectrum(args)
     cfg = _resolve_config(args, s)
     if args.objective == "pseudo-huber":
@@ -313,7 +320,9 @@ def _add_common(p: argparse.ArgumentParser, problem: bool = True,
                        default="fixed", dest="sigma_mode")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every call."""
     parser = argparse.ArgumentParser(
         prog="noiseamp",
         description="Noise amplification of noisy first-order methods")
@@ -401,7 +410,8 @@ def run(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except NoiseAmpError as exc:
+    except (NoiseAmpError, OverflowError) as exc:
+        # OverflowError: a float ** (sigma^2, say) left double precision.
         payload = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(payload) + "\n")
         return 3

@@ -203,6 +203,9 @@ def scaling_sweep(algo: Algo, d: int, n0_values: Sequence[int],
     """Sweep torus sizes and fit the growth of J-bar / n against kappa."""
     if len(n0_values) < 4:
         raise ValueError("a sweep needs at least 4 lattice sizes")
+    if not sigma > 0.0:
+        raise ValueError("a sweep needs sigma > 0: J-bar has no log-log fit "
+                         "at zero")
     rows = [consensus_variance(algo, TorusSpec(d=d, n0=int(n0)), sigma=sigma)
             for n0 in sorted(n0_values)]
     slope, regime = _classify(rows)

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -89,6 +90,40 @@ class AlgoConfig:
             return self.alpha
         return self.sigma
 
+    @property
+    def noise_power(self) -> float:
+        """Variance sigma^2 of the injected noise."""
+        return self.effective_sigma ** 2
+
+
+class ConfigRows(NamedTuple):
+    """Many (alpha, beta) settings of one preset, evaluated together.
+
+    ``alpha`` and ``beta`` are column arrays (rows x 1).  The per-mode
+    formulas that take an :class:`AlgoConfig` (:func:`companion_coefficients`,
+    :func:`modal_spectral_radius`, ``variance._modal_variance_raw``) take
+    a ConfigRows as well and broadcast it against a row of eigenvalues
+    into rows x modes, each entry rounded as that row's AlgoConfig would
+    round it.  Nothing is validated.
+    """
+
+    algo: Algo
+    alpha: np.ndarray
+    beta: np.ndarray
+    sigma: float = 1.0
+    sigma_mode: SigmaMode = SigmaMode.FIXED
+
+    gamma = AlgoConfig.gamma
+    effective_sigma = AlgoConfig.effective_sigma
+
+    @property
+    def noise_power(self) -> float | np.ndarray:
+        if self.sigma_mode == SigmaMode.EQUALS_ALPHA:
+            # Python's ** rounds as AlgoConfig's does; numpy's square of
+            # an array can differ from it by an ulp.
+            return np.array([[a ** 2] for a in self.alpha.ravel().tolist()])
+        return self.sigma ** 2
+
 
 @dataclass(frozen=True)
 class ModalSystem:
@@ -105,10 +140,11 @@ class ModalSystem:
         return self.a_hat.shape[0]
 
 
-def companion_coefficients(cfg: AlgoConfig, lam):
+def companion_coefficients(cfg: AlgoConfig | ConfigRows, lam):
     """(a, b) of the mode polynomial z^2 - b z - a, elementwise in lam.
 
     a = gamma mu - beta and b = 1 + beta - (1 + gamma) mu, mu = alpha lam.
+    A :class:`ConfigRows` gives rows x eigenvalues.
     """
     mu = cfg.alpha * lam
     gamma = cfg.gamma
@@ -131,13 +167,15 @@ def modal_system(cfg: AlgoConfig, lam: float) -> ModalSystem:
                        c_hat=np.eye(1, cfg.order))
 
 
-def modal_spectral_radius(cfg: AlgoConfig, lam) -> float | np.ndarray:
+def modal_spectral_radius(cfg: AlgoConfig | ConfigRows,
+                          lam) -> float | np.ndarray:
     """Closed-form spectral radius of the modal iteration matrix.
 
     The roots of z^2 - b z - a have largest modulus
     max(sqrt|a|, |b|/2 + sqrt(max(b^2/4 + a, 0))): for complex roots
     |z|^2 = |a| >= b^2 / 4, and for real roots |a| = |z1 z2| <= max|z|^2.
-    Accepts a scalar eigenvalue or an array (evaluated elementwise).
+    Accepts a scalar eigenvalue or an array (evaluated elementwise), and
+    a :class:`ConfigRows` for rows x eigenvalues.
     """
     a, b = companion_coefficients(cfg, np.asarray(lam, dtype=float))
     half = 0.5 * np.abs(b)
@@ -216,7 +254,7 @@ def _modal_lyapunov(cfg: AlgoConfig, lams) -> np.ndarray:
     system = np.stack([one, zero, -one,
                        zero, 1.0 - a, -b,
                        -a * a, -2.0 * a * b, 1.0 - b * b], axis=-1)
-    rhs = np.stack([zero, zero, one * cfg.effective_sigma ** 2], axis=-1)
+    rhs = np.stack([zero, zero, one * cfg.noise_power], axis=-1)
     return np.linalg.solve(system.reshape(a.shape + (3, 3)),
                            rhs[..., None])[..., 0]
 
@@ -250,7 +288,7 @@ def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
         raise ValueError("steps must be >= 1")
     check_stable(cfg, s)
     lams = s.values
-    sig2 = cfg.effective_sigma ** 2
+    sig2 = cfg.noise_power
     w = lams if weighted else np.ones_like(lams)
     if s.counts is not None:
         w = w * s.counts

@@ -50,11 +50,16 @@ class Spectrum:
     def __len__(self) -> int:
         return self.n
 
-    def sum(self, terms: np.ndarray) -> float:
-        """Exactly rounded sum of terms aligned with ``values``."""
-        if self.counts is None:
+    def sum(self, terms: np.ndarray) -> float | np.ndarray:
+        """Exactly rounded sum of terms aligned with ``values``.
+
+        Rows x modes ``terms`` give an array of row sums.
+        """
+        if self.counts is not None:
+            return _weighted_sum(terms, self.counts)
+        if terms.ndim == 1:
             return math.fsum(terms)  # the same rounding, without the setup
-        return _weighted_sum(terms, self.counts)
+        return np.array([math.fsum(row) for row in terms.tolist()])
 
 
 def make_spectrum(values: Iterable[float] | Sequence[float]) -> Spectrum:
@@ -76,31 +81,59 @@ def make_spectrum(values: Iterable[float] | Sequence[float]) -> Spectrum:
     return Spectrum(values=np.sort(arr)[::-1].copy())
 
 
-_DIGIT_BITS = 18  # 2**18 * (weight sum < 2**35) stays below 2**53
+# Bins per exponent (a power of two): adjacent terms add independently.
+_LANES = 4
 
 
-def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float:
+def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
     """sum(values * weights) rounded once, as math.fsum of the expanded list.
 
     Every value is an integer mantissa times a power of two.  The mantissa
-    is cut into 18-bit digits; per exponent, np.bincount adds digit * weight
-    in float64, which is exact because every partial sum is an integer below
-    2**53.  Python integers then add the per-exponent sums and round the
-    total once.  Needs nonnegative integer weights with sum below 2**35.
+    is cut into digits of 53 - log2(weight sum) bits, so that per exponent
+    np.bincount adds digit * weight in float64 exactly: every partial sum
+    is an integer below 2**53.  Python integers then add the per-exponent
+    sums and round the total once.  Needs nonnegative integer weights with
+    sum below 2**35 (at most three digits).  Rows x modes ``values`` give
+    an array of row sums, one bincount per digit serving every row.
     """
-    if not np.isfinite(values).all():
-        return math.fsum(values * weights)
-    mant, expo = np.frexp(values)
+    rows = np.atleast_2d(values)
+    out = np.empty(len(rows))
+    finite = np.isfinite(rows).all(axis=1)
+    for i in np.flatnonzero(~finite):
+        out[i] = math.fsum(rows[i] * weights)
+    if finite.any():
+        out[finite] = _digit_sums(rows[finite] if not finite.all() else rows,
+                                  weights)
+    return out if values.ndim == 2 else float(out[0])
+
+
+def _digit_sums(rows: np.ndarray, weights: np.ndarray) -> list[float]:
+    """Exactly rounded weighted sums of finite rows (see _weighted_sum)."""
+    digit_bits = 53 - int(weights.sum()).bit_length()
+    mant, expo = np.frexp(rows)
     mant = (mant * 2.0 ** 53).astype(np.int64)
-    low = int(expo.min())
-    expo -= low
-    total = 0
-    for shift in range(0, 53, _DIGIT_BITS):
-        digit = mant >> shift
-        if shift + _DIGIT_BITS < 53:
-            digit &= (1 << _DIGIT_BITS) - 1
-        sums = np.bincount(expo, weights=digit * weights)
+    low = expo.min(axis=1, keepdims=True)
+    width = int(expo.max() - low.min()) + 1
+    # Bin (row, exponent, lane); the lanes split runs of equal exponents,
+    # whose additions would otherwise wait on each other.
+    lane = np.arange(rows.shape[1]) & (_LANES - 1)
+    offset = _LANES * (width * np.arange(len(rows))[:, None] - low)
+    bins = (expo * _LANES + (offset + lane)).ravel()
+    weights = weights.astype(float)
+    totals = [0] * len(rows)
+    for shift in range(0, 53, digit_bits):
+        digit = mant >> shift if shift else mant
+        if shift + digit_bits < 53:
+            digit = digit & ((1 << digit_bits) - 1)
+        sums = np.bincount(bins, weights=(digit * weights).ravel(),
+                           minlength=len(rows) * width * _LANES)
+        sums = sums.reshape(-1, _LANES).sum(axis=1)
         nz = np.flatnonzero(sums)
-        total += sum(int(v) << int(e) for e, v in zip(nz, sums[nz])) << shift
-    scale = low - 53
-    return float(total << scale) if scale >= 0 else total / (1 << -scale)
+        for b, v in zip(nz.tolist(), sums[nz].tolist()):
+            row, e = divmod(b, width)
+            totals[row] += int(v) << (e + shift)
+    out = []
+    for total, scale in zip(totals, (low.ravel() - 53).tolist()):
+        out.append(float(total << scale) if scale >= 0
+                   else total / (1 << -scale))
+    return out

@@ -23,10 +23,10 @@ convergence rate, with one search for GD and HB.  At momentum beta the
 mode polynomial z^2 - b z - a has a = -beta, b = 1 + beta - alpha lambda,
 and the Schur-Cohn conditions of :func:`convergence_rate`, read at
 lambda = m and L, make the feasible step sizes a closed-form interval.
-Golden-section minimizes J on it, slice by slice over a momentum grid; GD
-is the beta = 0 slice.  The module also quantifies the heavy-ball
-rate/variance trade-off floor and measures the variance floor that any
-accelerated tuning must pay.
+Golden-section minimizes J on it for every slice of a momentum grid at
+once, the slices advancing in lockstep; GD is the beta = 0 slice.  The
+module also quantifies the heavy-ball rate/variance trade-off floor and
+measures the variance floor that any accelerated tuning must pay.
 """
 
 from __future__ import annotations
@@ -37,16 +37,18 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import (Algo, AlgoConfig, INSTABILITY_THRESHOLD, SigmaMode,
-                       convergence_rate)
-from .errors import (InfeasibleCap, KappaTooLarge, KappaTooSmall, NoGuarantee,
-                     Unstable)
+from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
+                       SigmaMode, convergence_rate, modal_spectral_radius)
+from .errors import InfeasibleCap, KappaTooLarge, KappaTooSmall, NoGuarantee
 from .spectrum import Spectrum, make_spectrum
-from .variance import variance_amplification
+from .variance import _modal_variance_raw, variance_amplification
 
 GOLDEN_TOL = 1e-10
 BETA_GRID_POINTS = 400
 SMALL_CAP_POINTS = 64
+# Rows x modes terms evaluated at once: enough rows to share each numpy
+# call, few enough that the arrays stay in cache and memory stays bounded.
+BATCH_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -113,7 +115,14 @@ def _momentum(beta: float, kappa: float) -> float:
 
 @dataclass(frozen=True)
 class TuningResult:
-    """Outcome of constrained variance minimization."""
+    """Outcome of constrained variance minimization, with the search's effort.
+
+    ``slices`` counts the momenta with a nonempty step interval,
+    ``feasible_slices`` those whose minimum J is finite, ``evaluations``
+    the J evaluations of the whole search, and ``alpha_at_edge`` says
+    whether the chosen slice's final bracket touches an end of its step
+    interval.
+    """
 
     algo: Algo
     alpha: float
@@ -121,11 +130,18 @@ class TuningResult:
     j: float
     rho: float
     rate_cap: float
+    slices: int
+    feasible_slices: int
+    evaluations: int
+    alpha_at_edge: bool
 
     def to_dict(self) -> dict[str, Any]:
         return {"algo": self.algo.value, "alpha": self.alpha,
                 "beta": self.beta, "J": self.j, "rho": self.rho,
-                "rate_cap": self.rate_cap}
+                "rate_cap": self.rate_cap, "slices": self.slices,
+                "feasible_slices": self.feasible_slices,
+                "evaluations": self.evaluations,
+                "alpha_at_edge": self.alpha_at_edge}
 
 
 def _check_ml(m: float, L: float):
@@ -133,24 +149,45 @@ def _check_ml(m: float, L: float):
         raise ValueError("need 0 < m <= L")
 
 
-def _golden_min(fn, lo: float, hi: float, tol: float = GOLDEN_TOL):
-    """Scale-free golden-section minimum of a unimodal function on [lo, hi]."""
+def _golden_rows(fn, lo: np.ndarray, hi: np.ndarray,
+                 tol: float = GOLDEN_TOL):
+    """Scale-free golden-section searches on [lo[i], hi[i]], in lockstep.
+
+    Each row makes the probes, comparisons and stopping test of a scalar
+    golden-section search on its own interval, with the same floats; the
+    rows share each round's evaluation ``fn(alpha, rows)`` of the probes
+    ``alpha`` of the rows still open (indices ``rows``).  A row stops once
+    its bracket is within ``tol`` of its scale.  Returns the final brackets
+    (a, b) and the number of evaluations made.
+    """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while (b - a) > tol * (abs(a) + abs(b)):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-    return x, fn(x)
+    rows = np.arange(a.size)
+    fc, fd = np.split(fn(np.concatenate([c, d]), np.tile(rows, 2)), 2)
+    evaluations = 2 * rows.size
+    final_a, final_b = a.copy(), b.copy()
+    width = b - a
+    while True:
+        # Brackets sit in [0, inf), where abs() changes nothing.
+        open_ = width > tol * (a + b)
+        if np.count_nonzero(open_) < open_.size:
+            final_a[rows], final_b[rows] = a, b
+            rows, a, b, c, d, fc, fd, width = (
+                v[open_] for v in (rows, a, b, c, d, fc, fd, width))
+            if rows.size == 0:
+                return final_a, final_b, evaluations
+        left = fc < fd  # keep [a, d] and probe below d, else keep [c, b]
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        width = b - a
+        step = invphi * width
+        probe = np.where(left, b - step, a + step)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        f = fn(probe, rows)
+        fc, fd = np.where(left, f, fd), np.where(left, fc, f)
+        evaluations += rows.size
 
 
 def _step_interval(beta: float, r: float, m: float,
@@ -225,31 +262,59 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
         raise KappaTooLarge(
             f"rate cap {cap!r} at kappa={kappa!r} lies above the instability "
             f"threshold {INSTABILITY_THRESHOLD!r}")
+    infeasible = InfeasibleCap(
+        f"no {algo.value} parameters reach rho <= {cap!r} on "
+        f"kappa={kappa!r}")
+    slices = [(beta, *edges) for beta in momenta(cap)
+              if (edges := _step_interval(beta, cap, s.m, s.L)) is not None]
+    if not slices:
+        raise infeasible
+    betas, lo, hi = np.array(slices).T.copy()
+    if not hi.max() < 2.0 ** 1023:  # brackets add a + b
+        raise ValueError(f"step sizes up to {hi.max()!r} on L={s.L!r} leave "
+                         f"double precision")
+    # Every step of the search lies in (0, 2**1023), so of the checks an
+    # AlgoConfig makes only sigma's can fail: make them once.
+    AlgoConfig(algo=algo, alpha=float(hi[0]), beta=float(betas[0]),
+               sigma=sigma, sigma_mode=sigma_mode)
+    # A step is kept when rho <= cap and rho < INSTABILITY_THRESHOLD; the
+    # bound below makes that one comparison.  The step-size guard of
+    # check_step_size adds nothing here: alpha L >= 4 gives |b| / 2 > 1.
+    bound = min(cap, math.nextafter(INSTABILITY_THRESHOLD, 0.0))
+    extremes = np.array([s.L, s.m])
+    chunk = max(1, BATCH_TERMS // s.values.size)
 
-    def capped_j(alpha: float, beta: float) -> float:
-        cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=sigma,
-                         sigma_mode=sigma_mode)
-        try:
-            rep = variance_amplification(cfg, s)
-        except Unstable:
-            return math.inf
-        return rep.j if rep.rho <= cap else math.inf
+    def capped_j(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        if alpha.size > chunk:
+            return np.concatenate([
+                capped_j(alpha[i:i + chunk], rows[i:i + chunk])
+                for i in range(0, alpha.size, chunk)])
+        cfg = ConfigRows(algo, alpha[:, None], betas[rows, None], sigma,
+                         sigma_mode)
+        ok = modal_spectral_radius(cfg, extremes) <= bound
+        if np.count_nonzero(ok) < ok.size:  # (count_nonzero is the cheapest)
+            kept = ok.all(axis=1)
+            j = np.full(alpha.size, math.inf)
+            if kept.any():
+                j[kept] = capped_j(alpha[kept], rows[kept])
+            return j
+        return s.sum(_modal_variance_raw(cfg, s.values))
 
-    best = None
-    for beta in momenta(cap):
-        edges = _step_interval(beta, cap, s.m, s.L)
-        if edges is None:
-            continue
-        alpha, j = _golden_min(lambda a: capped_j(a, beta), *edges)
-        if j < math.inf and (best is None or (j, beta, alpha) < best):
-            best = (j, beta, alpha)
-    if best is None:
-        raise InfeasibleCap(
-            f"no {algo.value} parameters reach rho <= {cap!r} on "
-            f"kappa={kappa!r}")
-    j, beta, alpha = best
+    a, b, evaluations = _golden_rows(capped_j, lo, hi)
+    alphas = 0.5 * (a + b)
+    js = capped_j(alphas, np.arange(alphas.size))
+    feasible = js < math.inf
+    if not feasible.any():
+        raise infeasible
+    # Momenta ascend, so the first smallest J is the (J, beta, alpha) minimum.
+    best = int(np.argmin(np.where(feasible, js, math.inf)))
+    alpha, beta = float(alphas[best]), float(betas[best])
     rho = convergence_rate(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
-    return TuningResult(algo, alpha, beta, j, rho, cap)
+    return TuningResult(
+        algo, alpha, beta, float(js[best]), rho, cap, slices=len(slices),
+        feasible_slices=int(feasible.sum()),
+        evaluations=evaluations + len(slices),
+        alpha_at_edge=bool(a[best] == lo[best] or b[best] == hi[best]))
 
 
 def hb_tradeoff_margin(cfg: AlgoConfig, s: Spectrum) -> dict[str, float]:

@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import (Algo, AlgoConfig, INSTABILITY_THRESHOLD,
+from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
                        _modal_lyapunov, check_stable, companion_coefficients,
                        modal_spectral_radius)
 from .errors import DimensionTooSmall, UnstableMode, kappa_closed_form
@@ -41,13 +41,15 @@ def modal_variance(cfg: AlgoConfig, lam: float) -> float:
     return float(_modal_variance_raw(cfg, np.asarray(lam, dtype=float)))
 
 
-def _modal_variance_raw(cfg: AlgoConfig, lams: np.ndarray) -> np.ndarray:
+def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,
+                        lams: np.ndarray) -> np.ndarray:
     """Vectorized J_hat(lambda); assumes stability was already checked.
 
     Written in mu = alpha lambda, not in the companion coefficients (a, b):
     there b + a - 1 = -mu would be computed with cancellation for small mu.
+    A :class:`ConfigRows` gives rows x eigenvalues.
     """
-    sig2 = cfg.effective_sigma ** 2
+    sig2 = cfg.noise_power
     beta, gamma = cfg.beta, cfg.gamma
     mu = cfg.alpha * lams
     gmu = gamma * mu
@@ -123,7 +125,7 @@ def variance_via_eigenvalues(cfg: AlgoConfig, s: Spectrum) -> float:
     l2 = 0.5 * (b - disc)
     num = 1.0 + l1 * l2
     den = (1.0 - l1 * l2) * (1.0 - l1) * (1.0 - l2) * (1.0 + l1) * (1.0 + l2)
-    return s.sum((cfg.effective_sigma ** 2 * num / den).real)
+    return s.sum((cfg.noise_power * num / den).real)
 
 
 @kappa_closed_form

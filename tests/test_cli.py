@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiseamp import Algo, AlgoConfig, make_spectrum, variance_amplification
-from noiseamp.cli import run
+from noiseamp.cli import build_parser, run
 
 
 def _run(capsys, *argv):
@@ -193,6 +193,58 @@ def test_certify_command(capsys):
     assert json.loads(out)["valid"] is True
 
 
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "10",
+     "--replicates", "0"),
+    ("simulate", "--algo", "hb", "--kappa", "4", "--n", "3", "--steps", "10",
+     "--replicates", "-2"),
+    ("certify", "--algo", "na", "--kappa", "10", "--refine", "-5"),
+])
+def test_counts_that_do_nothing_are_usage_errors(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "must be >=" in err
+
+
+_REQUESTS = [
+    ("analyze", "--algo", "hb", "--spectrum", "1,4,9"),
+    ("tune", "--algo", "gd", "--spectrum", "1,5,10", "--format", "csv"),
+    ("certify", "--algo", "gd", "--kappa", "3", "--refine", "20"),
+    ("simulate", "--algo", "na", "--kappa", "4", "--n", "3", "--steps",
+     "200", "--seed", "5"),
+    ("sweep", "--algo", "gd", "--d", "1", "--n0", "8,12,16,20"),
+]
+_BEFORE = [
+    ("analyze", "--algo", "gd", "--nope"),                # argparse error
+    ("simulate", "--algo", "gd", "--spectrum", "1,2", "--steps", "20",
+     "--replicates", "2", "--seed", "9", "--objective", "pseudo-huber",
+     "--format", "csv", "--sigma-mode", "equals-alpha"),  # other defaults
+    ("consensus", "--algo", "hb", "--torus", "2,8", "--params", "explicit",
+     "--alpha", "0.1", "--beta", "0.2", "--sigma", "3"),
+    ("tune",),                                            # missing --algo
+]
+
+
+def _run_all(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("request_argv", _REQUESTS)
+def test_shared_parser_keeps_no_state_between_calls(request_argv):
+    # The parser is built once per process; a request must not see what an
+    # earlier call parsed, failed on or set as a default.
+    build_parser.cache_clear()
+    alone = _run_all(request_argv)
+    assert alone[0] == 0
+    for before in _BEFORE:
+        _run_all(before)
+        assert _run_all(request_argv) == alone, before
+    assert build_parser() is build_parser()
+
+
 def test_tune_command(capsys):
     code, out, _ = _run(capsys, "tune", "--algo", "gd",
                         "--spectrum", "1,5,10")
@@ -341,3 +393,88 @@ def test_huge_step_pseudo_huber_diverges_without_warning(capsys, source):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "NonFinite"
+
+
+# The argv fuzzer: each subcommand with its required flags, one problem
+# source where it takes one, and up to four more of its flags, one in ten
+# of them foreign to it.  One value in ten is hostile.  Sizes stay small
+# (n <= 20, steps <= 1000, torus n0 <= 16, refine <= 50) so that every
+# call is quick.
+_HOSTILE = ["-1", "0", "-0.5", "nan", "inf", "-inf", "", "x", "1e300",
+            "-1e-300", "1,2"]
+_VALUES = {
+    "--algo": ["gd", "hb", "na"],
+    "--spectrum": ["1,4", "1,9,25", "3,4", "1,1e10", "0,1", "-1,2", "1",
+                   "1e-300,1", "1e-310,2e-310", "1,nan", "a,b"],
+    "--kappa": ["1", "4", "100", "1e6", "0.5", "1e20"],
+    "--n": ["1", "2", "5", "20"],
+    "--torus": ["1,8", "2,8", "2,16", "3,8", "2", "0,5", "6,3", "2,2"],
+    "--params": ["table1", "table2", "explicit"],
+    "--alpha": ["0.1", "0.5", "1e-9", "3", "1e300"],
+    "--beta": ["0.3", "0.99", "1", "-0.1"],
+    "--sigma": ["1", "0.5", "0", "1e200"],
+    "--sigma-mode": ["fixed", "equals-alpha"],
+    "--format": ["json", "csv"],
+    "--steps": ["1", "10", "1000", "0", "-5"],
+    "--replicates": ["1", "2", "3", "0", "-1"],
+    "--seed": ["0", "7", "-3"],
+    "--objective": ["quadratic", "pseudo-huber"],
+    "--delta": ["1", "0.1", "0", "-1"],
+    "--cap-constant": ["1", "0.5", "3", "20", "0"],
+    "--L": ["1", "1e-3", "0", "-2"],
+    "--refine": ["0", "5", "50", "-5"],
+    "--d": ["1", "2", "3", "0", "6"],
+    "--n0": ["8,12,16,4", "8,16", "4,5,6,7", "8,x", "3,4,5,16", ""],
+    "--nope": ["1"],
+}
+_PROBLEM = ["--spectrum", "--kappa", "--n", "--torus"]
+_CONFIG = ["--params", "--alpha", "--beta", "--sigma", "--sigma-mode"]
+# Required flags, then the other flags of each subcommand.
+_COMMANDS = {
+    "analyze": (["--algo"], _PROBLEM + _CONFIG + ["--format"]),
+    "bounds": (["--algo", "--kappa", "--n"], ["--format"]),
+    "certify": (["--algo", "--kappa"], ["--L", "--n", "--refine",
+                                        "--format"]),
+    "tune": (["--algo"], _PROBLEM + ["--cap-constant", "--sigma",
+                                     "--sigma-mode", "--format"]),
+    "consensus": (["--algo", "--torus"], _CONFIG[:-1] + ["--format"]),
+    # simulate's default of 100,000 steps is not small
+    "simulate": (["--algo", "--steps"],
+                 _PROBLEM + _CONFIG + ["--replicates", "--seed", "--objective",
+                                       "--delta", "--format"]),
+    "sweep": (["--algo", "--d", "--n0"], ["--sigma", "--format"]),
+    "nope": ([], []),
+}
+_SOURCES = [["--spectrum"], ["--kappa", "--n"], ["--torus"]]
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional = _COMMANDS[command]
+    flags = list(required)
+    if "--spectrum" in optional:
+        flags += draw(st.sampled_from(_SOURCES))
+    foreign = sorted(set(_VALUES) - set(optional) - {"--steps"})
+    for _ in range(draw(st.integers(0, 4))):
+        own = optional and draw(st.integers(0, 9)) > 0
+        flags.append(draw(st.sampled_from(optional if own else foreign)))
+    argv = [command]
+    for flag in flags:
+        hostile = flag != "--steps" and draw(st.integers(0, 9)) == 0
+        argv += [flag, draw(st.sampled_from(_HOSTILE if hostile
+                                            else _VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_argvs())
+def test_fuzzed_argv_exits_cleanly(argv):
+    # Any argv ends in exit 0, 2 or 3 without a traceback or a warning;
+    # a domain error (3) writes one JSON object to stderr and no report.
+    code, out, err = _run_all(argv)
+    assert code in (0, 2, 3), (argv, code)
+    if code == 3:
+        payload = json.loads(err)
+        assert set(payload) == {"error", "message"}
+        assert out == ""

@@ -182,6 +182,34 @@ def test_weighted_sum_is_exact():
             np.concatenate(parts))
 
 
+def _fsum_reference(values, weights, bits):
+    parts = [values * (weights & (1 << bit)) for bit in range(bits)]
+    return math.fsum(np.concatenate(parts))
+
+
+def test_weighted_sum_of_rows_is_exact_per_row():
+    # Rows x modes give each row's exactly rounded sum; rows of different
+    # scales share one bincount per digit, and a non-finite row falls back
+    # to fsum alone.  Weight sums near 2**35 take three digits.
+    rng = np.random.default_rng(8)
+    for trial in range(60):
+        rows, size = int(rng.integers(1, 6)), int(rng.integers(1, 300))
+        scale = 10.0 ** rng.uniform(-30, 30, (rows, 1))
+        values = rng.standard_normal((rows, size)) * scale
+        top = 4000 if trial % 2 else 2 ** 34 // size
+        weights = rng.integers(0, top, size)
+        if trial % 5 == 0:
+            values[0, 0] = math.inf
+        sums = _weighted_sum(values, weights)
+        assert sums.shape == (rows,)
+        for row, total in zip(values, sums.tolist()):
+            if np.isfinite(row).all():
+                assert total == _weighted_sum(row, weights)
+                assert total == _fsum_reference(row, weights, 35)
+            else:
+                assert total == math.inf
+
+
 def test_rho_at_names_the_extreme_that_sets_rho():
     # 2-d torus, n0 = 8: m = 2 - sqrt(2), L = 8.  GD's radius is
     # max(1 - alpha m, alpha L - 1).

@@ -5,14 +5,16 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooSmall,
-                      NoGuarantee, SigmaMode, acceleration_floor,
-                      conventional_params, convergence_rate,
-                      hb_tradeoff_margin, make_spectrum,
+from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooLarge,
+                      KappaTooSmall, NoGuarantee, SigmaMode, TorusSpec,
+                      Unstable, acceleration_floor, conventional_params,
+                      convergence_rate, hb_tradeoff_margin, make_spectrum,
                       modal_spectral_radius, modal_variance,
                       na_jhat_m_lower_bound, optimal_quadratic_params,
-                      tune_constrained, variance_amplification)
-from noiseamp.tuning import _step_interval
+                      torus_spectrum, tune_constrained,
+                      variance_amplification)
+from noiseamp.dynamics import INSTABILITY_THRESHOLD
+from noiseamp.tuning import GOLDEN_TOL, _SEARCH, _step_interval
 
 
 def test_conventional_params_values():
@@ -204,3 +206,114 @@ def test_tuned_variance_is_scale_free(algo, values, c):
     j = tune_constrained(algo, s).j
     scaled = tune_constrained(algo, make_spectrum(c * s.values)).j
     assert scaled == pytest.approx(j, rel=1e-10, abs=0.0)
+
+
+def _golden_min(fn, lo, hi, tol=GOLDEN_TOL):
+    """Scale-free golden-section minimum of a unimodal function on [lo, hi]."""
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while (b - a) > tol * (abs(a) + abs(b)):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+    return x, fn(x)
+
+
+def _reference_tune(algo, s, cap_constant=1.0, sigma=1.0,
+                    sigma_mode=SigmaMode.FIXED):
+    """The search slice by slice: one scalar golden-section search per
+    momentum, each evaluation one AlgoConfig and one variance_amplification.
+    Returns (alpha, beta, J, rho)."""
+    scale, momenta = _SEARCH[algo]
+    kappa = s.kappa
+    cap = 1.0 - cap_constant / scale(kappa)
+    if cap <= 0.0:
+        raise InfeasibleCap(f"rate cap {cap!r} is non-positive")
+    if cap > INSTABILITY_THRESHOLD:
+        raise KappaTooLarge("cap above the instability threshold")
+
+    def capped_j(alpha, beta):
+        cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=sigma,
+                         sigma_mode=sigma_mode)
+        try:
+            rep = variance_amplification(cfg, s)
+        except Unstable:
+            return math.inf
+        return rep.j if rep.rho <= cap else math.inf
+
+    best = None
+    for beta in momenta(cap):
+        edges = _step_interval(beta, cap, s.m, s.L)
+        if edges is None:
+            continue
+        alpha, j = _golden_min(lambda a: capped_j(a, beta), *edges)
+        if j < math.inf and (best is None or (j, beta, alpha) < best):
+            best = (j, beta, alpha)
+    if best is None:
+        raise InfeasibleCap("no parameters reach the cap")
+    j, beta, alpha = best
+    rho = convergence_rate(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
+    return alpha, beta, j, rho
+
+
+def _outcome(search, *args, **kwargs):
+    """(alpha, beta, J, rho) as floats, or the exception type raised."""
+    try:
+        out = search(*args, **kwargs)
+    except (InfeasibleCap, KappaTooLarge, ValueError) as exc:
+        return type(exc)
+    if isinstance(out, tuple):
+        return out
+    return out.alpha, out.beta, out.j, out.rho
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from([Algo.GD, Algo.HB]),
+       st.one_of(
+           st.lists(st.floats(0.05, 100.0), min_size=1, max_size=8).map(
+               make_spectrum),
+           st.sampled_from([(2, 16), (1, 9), (3, 5)]).map(
+               lambda t: torus_spectrum(TorusSpec(*t)))),
+       st.floats(0.05, 3.0), st.floats(0.1, 10.0),
+       st.sampled_from(list(SigmaMode)))
+@example(Algo.HB, torus_spectrum(TorusSpec(2, 16)), 1.0, 1.0,
+         SigmaMode.FIXED)
+@example(Algo.HB, make_spectrum([3.0, 4.0]), 1.0, 1.0, SigmaMode.FIXED)
+@example(Algo.GD, make_spectrum([1.0, 10.0]), 10.0, 1.0, SigmaMode.FIXED)
+@example(Algo.HB, make_spectrum([1.0, 25.0]), 20.0, 1.0,
+         SigmaMode.EQUALS_ALPHA)
+def test_lockstep_search_matches_the_slice_by_slice_search(
+        algo, s, cap_constant, sigma, sigma_mode):
+    # Every slice takes the same probes and comparisons as its own scalar
+    # search, so alpha, beta, J and rho agree bit for bit, and so does the
+    # exception when no slice meets the cap.
+    args = (algo, s, cap_constant, sigma, sigma_mode)
+    assert (_outcome(tune_constrained, *args)
+            == _outcome(_reference_tune, *args))
+
+
+def test_tuning_effort_is_reported():
+    res = tune_constrained(Algo.HB, make_spectrum([1.0, 5.0, 25.0]))
+    assert 0 < res.feasible_slices <= res.slices
+    # Two probes and one midpoint per slice, plus one probe per iteration.
+    assert res.evaluations > 3 * res.slices
+    # Heavy ball's minimum presses against the rate cap: the bracket ends
+    # at the step interval's edge, where rho equals the cap to rounding.
+    assert res.alpha_at_edge is True
+    assert res.rho == pytest.approx(res.rate_cap, rel=1e-9)
+    # Under a loose cap GD's minimum lies inside its interval.
+    gd = tune_constrained(Algo.GD, make_spectrum([1.0, 5.0, 25.0]),
+                          cap_constant=0.01)
+    assert (gd.slices, gd.feasible_slices) == (1, 1)
+    assert gd.alpha_at_edge is False
+    assert set(gd.to_dict()) >= {"slices", "feasible_slices", "evaluations",
+                                 "alpha_at_edge"}
