@@ -284,10 +284,10 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     extremes = np.array([s.L, s.m])
     chunk = max(1, BATCH_TERMS // s.values.size)
 
-    def capped_j(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    def batch_j(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if alpha.size > chunk:
             return np.concatenate([
-                capped_j(alpha[i:i + chunk], rows[i:i + chunk])
+                batch_j(alpha[i:i + chunk], rows[i:i + chunk])
                 for i in range(0, alpha.size, chunk)])
         cfg = ConfigRows(algo, alpha[:, None], betas[rows, None], sigma,
                          sigma_mode)
@@ -296,13 +296,13 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
             kept = ok.all(axis=1)
             j = np.full(alpha.size, math.inf)
             if kept.any():
-                j[kept] = capped_j(alpha[kept], rows[kept])
+                j[kept] = batch_j(alpha[kept], rows[kept])
             return j
         return s.sum(_modal_variance_raw(cfg, s.values))
 
-    a, b, evaluations = _golden_rows(capped_j, lo, hi)
+    a, b, evaluations = _golden_rows(batch_j, lo, hi)
     alphas = 0.5 * (a + b)
-    js = capped_j(alphas, np.arange(alphas.size))
+    js = batch_j(alphas, np.arange(alphas.size))
     feasible = js < math.inf
     if not feasible.any():
         raise infeasible
