@@ -115,17 +115,22 @@ def _digit_sums(rows: np.ndarray, weights: np.ndarray) -> list[float]:
     low = expo.min(axis=1, keepdims=True)
     width = int(expo.max() - low.min()) + 1
     # Bin (row, exponent, lane); the lanes split runs of equal exponents,
-    # whose additions would otherwise wait on each other.
-    lane = np.arange(rows.shape[1]) & (_LANES - 1)
-    offset = _LANES * (width * np.arange(len(rows))[:, None] - low)
-    bins = (expo * _LANES + (offset + lane)).ravel()
+    # whose additions would otherwise wait on each other.  Built in place,
+    # as are the digits: these arrays are as large as the spectrum.
+    bins = expo.astype(np.intp)
+    del expo
+    bins -= low
+    bins += width * np.arange(len(rows))[:, None]
+    bins *= _LANES
+    bins += np.arange(rows.shape[1]) & (_LANES - 1)
     weights = weights.astype(float)
     totals = [0] * len(rows)
     for shift in range(0, 53, digit_bits):
-        digit = mant >> shift if shift else mant
+        digit = mant >> shift
         if shift + digit_bits < 53:
-            digit = digit & ((1 << digit_bits) - 1)
-        sums = np.bincount(bins, weights=(digit * weights).ravel(),
+            digit &= (1 << digit_bits) - 1
+        digit = digit * weights
+        sums = np.bincount(bins.ravel(), weights=digit.ravel(),
                            minlength=len(rows) * width * _LANES)
         sums = sums.reshape(-1, _LANES).sum(axis=1)
         nz = np.flatnonzero(sums)
