@@ -114,7 +114,6 @@ class ConfigRows(NamedTuple):
     sigma_mode: SigmaMode = SigmaMode.FIXED
 
     gamma = AlgoConfig.gamma
-    effective_sigma = AlgoConfig.effective_sigma
 
     @property
     def noise_power(self) -> float | np.ndarray:
