@@ -200,14 +200,21 @@ CONSTANT_MAX_GROWTH = 0.05
 
 def scaling_sweep(algo: Algo, d: int, n0_values: Sequence[int],
                   sigma: float = 1.0) -> SweepResult:
-    """Sweep torus sizes and fit the growth of J-bar / n against kappa."""
-    if len(n0_values) < 4:
+    """Sweep torus sizes and fit the growth of J-bar / n against kappa.
+
+    The sizes must be distinct: a repeated size adds a point at the same
+    kappa, which says nothing about growth.
+    """
+    sizes = sorted(set(n0_values))
+    if len(sizes) < len(n0_values):
+        raise ValueError(f"repeated lattice sizes in {list(n0_values)}")
+    if len(sizes) < 4:
         raise ValueError("a sweep needs at least 4 lattice sizes")
     if not sigma > 0.0:
         raise ValueError("a sweep needs sigma > 0: J-bar has no log-log fit "
                          "at zero")
     rows = [consensus_variance(algo, TorusSpec(d=d, n0=int(n0)), sigma=sigma)
-            for n0 in sorted(n0_values)]
+            for n0 in sizes]
     slope, regime = _classify(rows)
     return SweepResult(algo=algo, d=d, rows=tuple(rows), slope=slope,
                        regime=regime)

@@ -95,6 +95,15 @@ def kappa_closed_form(fn):
     return wrapper
 
 
+class VarianceOverflow(NoiseAmpError):
+    """J, J' or a mode's variance (sigma^2 times its unit-noise variance)
+    leaves double range."""
+
+    def __init__(self, what: str = "J"):
+        super().__init__(f"{what} leaves double precision: a per-mode term "
+                         f"or their sum overflows")
+
+
 class SizeOverflow(NoiseAmpError):
     """Requested lattice exceeds the supported network size."""
 

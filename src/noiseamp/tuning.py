@@ -41,7 +41,8 @@ from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
                        SigmaMode, convergence_rate, modal_spectral_radius)
 from .errors import InfeasibleCap, KappaTooLarge, KappaTooSmall, NoGuarantee
 from .spectrum import Spectrum, make_spectrum
-from .variance import _modal_variance_raw, variance_amplification
+from .variance import (_finite_sum, _modal_variance_raw,
+                       variance_amplification)
 
 GOLDEN_TOL = 1e-10
 BETA_GRID_POINTS = 400
@@ -246,8 +247,9 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     whose computed rate exceeds the cap, or that is unstable, scores +inf,
     so the reported rho meets the cap as computed.  Ties prefer smaller
     beta, then smaller alpha.  Raises :class:`InfeasibleCap` when no
-    parameters meet the cap and :class:`KappaTooLarge` when the cap lies
-    above the instability threshold.
+    parameters meet the cap, :class:`KappaTooLarge` when the cap lies
+    above the instability threshold and :class:`VarianceOverflow` when J
+    leaves double range at a step searched that meets the cap.
     """
     if algo not in _SEARCH:
         raise ValueError("constrained tuning is implemented for GD and HB")
@@ -298,7 +300,7 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
             if kept.any():
                 j[kept] = batch_j(alpha[kept], rows[kept])
             return j
-        return s.sum(_modal_variance_raw(cfg, s.values))
+        return _finite_sum(s, _modal_variance_raw(cfg, s.values))
 
     a, b, evaluations = _golden_rows(batch_j, lo, hi)
     alphas = 0.5 * (a + b)

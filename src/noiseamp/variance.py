@@ -29,7 +29,8 @@ import numpy as np
 from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
                        _modal_lyapunov, check_stable, companion_coefficients,
                        modal_spectral_radius)
-from .errors import DimensionTooSmall, UnstableMode, kappa_closed_form
+from .errors import (DimensionTooSmall, UnstableMode, VarianceOverflow,
+                     kappa_closed_form)
 from .spectrum import Spectrum
 
 
@@ -38,7 +39,10 @@ def modal_variance(cfg: AlgoConfig, lam: float) -> float:
     rho = modal_spectral_radius(cfg, lam)
     if not rho < INSTABILITY_THRESHOLD:
         raise UnstableMode(lam, rho)
-    return float(_modal_variance_raw(cfg, np.asarray(lam, dtype=float)))
+    v = float(_modal_variance_raw(cfg, np.asarray(lam, dtype=float)))
+    if v == math.inf:
+        raise VarianceOverflow("J_hat")
+    return v
 
 
 def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,
@@ -47,15 +51,30 @@ def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,
 
     Written in mu = alpha lambda, not in the companion coefficients (a, b):
     there b + a - 1 = -mu would be computed with cancellation for small mu.
-    A :class:`ConfigRows` gives rows x eigenvalues.
+    A :class:`ConfigRows` gives rows x eigenvalues.  A variance that leaves
+    double range comes out as inf, without a warning (see :func:`_finite_sum`).
     """
     sig2 = cfg.noise_power
     beta, gamma = cfg.beta, cfg.gamma
     mu = cfg.alpha * lams
     gmu = gamma * mu
-    return (sig2 * (1.0 + beta - gmu)
-            / (mu * (1.0 - beta + gmu)
-               * (2.0 * (1.0 + beta) - (1.0 + 2.0 * gamma) * mu)))
+    with np.errstate(over="ignore"):
+        return (sig2 * (1.0 + beta - gmu)
+                / (mu * (1.0 - beta + gmu)
+                   * (2.0 * (1.0 + beta) - (1.0 + 2.0 * gamma) * mu)))
+
+
+def _finite_sum(s: Spectrum, terms: np.ndarray,
+                what: str = "J") -> float | np.ndarray:
+    """``s.sum(terms)``; raises :class:`VarianceOverflow` where a term or a
+    sum of the nonnegative ``terms`` leaves double range."""
+    try:
+        total = s.sum(terms)
+    except OverflowError:  # an exactly rounded sum past the largest double
+        total = math.inf
+    if not np.all(np.isfinite(total)):
+        raise VarianceOverflow(what)
+    return total
 
 
 @dataclass(frozen=True)
@@ -77,7 +96,9 @@ class VarianceReport:
     @property
     def j_prime(self) -> float:
         s = self.spectrum
-        return s.sum(self.per_mode * s.values)
+        with np.errstate(over="ignore"):
+            terms = self.per_mode * s.values
+        return _finite_sum(s, terms, "J_prime")
 
     def to_dict(self) -> dict[str, Any]:
         """The report; a spectrum with multiplicities adds each mode's count."""
@@ -93,14 +114,15 @@ class VarianceReport:
 
 
 def variance_amplification(cfg: AlgoConfig, s: Spectrum) -> VarianceReport:
-    """Evaluate J and per-mode variances; raises :class:`Unstable`.
+    """Evaluate J and per-mode variances; raises :class:`Unstable`, and
+    :class:`VarianceOverflow` where J leaves double range.
 
     J is the exactly rounded sum of the per-mode variances, each counted
     with its multiplicity (:meth:`Spectrum.sum`).
     """
     rho = check_stable(cfg, s)
     per_mode = _modal_variance_raw(cfg, s.values)
-    return VarianceReport(cfg=cfg, rho=rho, j=s.sum(per_mode),
+    return VarianceReport(cfg=cfg, rho=rho, j=_finite_sum(s, per_mode),
                           per_mode=per_mode, spectrum=s)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -5,12 +6,14 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noiseamp import Algo, AlgoConfig, make_spectrum, variance_amplification
-from noiseamp.cli import build_parser, run
+from noiseamp.cli import (_config_echo, _emit, _resolve_config,
+                          _resolve_spectrum, build_parser, run)
 
 
 def _run(capsys, *argv):
@@ -298,6 +301,19 @@ def test_simulate_ensemble_csv(capsys):
     assert len(rows) == 52  # header + steps + 1 iterate rows
 
 
+@pytest.mark.parametrize("n0", ["8,8,8,8", "8,16,16,32,64"])
+def test_sweep_repeated_sizes_are_a_usage_error(capsys, n0):
+    # A repeated size adds no point to the fit (numpy warned that it was
+    # poorly conditioned); it fails before any lattice is summed.
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, "sweep", "--algo", "gd", "--d", "1",
+                              "--n0", n0)
+    assert caught == []
+    assert code == 2 and out == ""
+    assert "repeated lattice sizes" in err
+
+
 def test_sweep_command(capsys):
     code, out, _ = _run(capsys, "sweep", "--algo", "gd", "--d", "1",
                         "--n0", "8,16,32,64", "--format", "csv")
@@ -376,6 +392,26 @@ def test_huge_step_is_unstable_without_overflow(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "Unstable"
     assert "nan" not in payload["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    # sigma^2 times the variance at lambda = 1 leaves double range
+    ("analyze", "--algo", "gd", "--spectrum", "1,1e10", "--sigma", "1e150"),
+    ("tune", "--algo", "gd", "--spectrum", "1,1e10", "--sigma", "1e150"),
+    ("tune", "--algo", "hb", "--spectrum", "1,1e10", "--sigma", "1e150"),
+    # every J_hat lambda term overflows, while J does not
+    ("analyze", "--algo", "gd", "--spectrum", "1e200,1e210", "--sigma",
+     "1e50"),
+    # finite per-mode terms whose count-weighted sum overflows
+    ("consensus", "--algo", "gd", "--torus", "2,1000", "--sigma", "1e151"),
+])
+def test_overflowing_j_is_a_domain_error(capsys, argv):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = _run(capsys, *argv)
+    assert caught == []
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "VarianceOverflow"
 
 
 @pytest.mark.parametrize("source", [("--spectrum", "1,1e10"),
@@ -479,3 +515,121 @@ def test_fuzzed_argv_exits_cleanly(argv):
         payload = json.loads(err)
         assert set(payload) == {"error", "message"}
         assert out == ""
+
+
+# The reference report writer: json.dumps with indent=2, and the report
+# flattened to field,value rows through csv.writer.  cli._emit writes the
+# same bytes column-wise.
+def _reference_flatten(prefix, obj, rows):
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            _reference_flatten(f"{prefix}.{k}" if prefix else str(k), v, rows)
+    elif isinstance(obj, (list, tuple)):
+        for i, v in enumerate(obj):
+            _reference_flatten(f"{prefix}[{i}]", v, rows)
+    else:
+        rows.append((prefix, obj))
+
+
+def _reference_text(report, fmt):
+    if fmt == "json":
+        return json.dumps(report, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["field", "value"])
+    rows = []
+    _reference_flatten("", report, rows)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def _emitted_text(report, fmt):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit(report, argparse.Namespace(format=fmt, out=None))
+    return out.getvalue()
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+_SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 1e-5, 0.1, 1e308, math.nan,
+                   math.inf, -math.inf]
+_floats = st.one_of(st.floats(), st.sampled_from(_SPECIAL_FLOATS))
+_strings = st.one_of(st.text(max_size=6),
+                     st.sampled_from(['a"b', "a,b", "a\nb", "a\rb", " a ",
+                                      "é", "日本", "%s", "%d%%", ""]))
+_leaf_values = st.one_of(
+    _floats, _floats.map(np.float64), _strings, st.booleans(), st.none(),
+    st.integers(-10, 10), st.integers(-2 ** 80, 2 ** 80),
+    st.just(np.int64(7)))  # not JSON: json.dumps raises TypeError
+_keys = st.one_of(_strings, st.integers(-3, 3), st.booleans(), st.none(),
+                  st.sampled_from([1.5, math.inf, math.nan]),
+                  st.just((1, 2)))  # not a JSON key: TypeError
+
+
+@st.composite
+def _record_lists(draw, values):
+    """Dicts that share their keys in one order, one of them perturbed."""
+    keys = draw(st.lists(_keys, max_size=4))
+    records = [{k: draw(values) for k in keys}
+               for _ in range(draw(st.integers(0, 5)))]
+    if records and keys and draw(st.booleans()):
+        i = draw(st.integers(0, len(records) - 1))
+        change = draw(st.sampled_from(["reorder", "extra", "drop", "nest"]))
+        rec = records[i]
+        if change == "reorder":
+            records[i] = dict(reversed(list(rec.items())))
+        elif change == "extra":
+            rec[draw(_keys)] = draw(values)
+        elif change == "drop":
+            del rec[next(iter(rec))]
+        else:
+            rec[next(iter(rec))] = draw(st.lists(values, max_size=2))
+    return records
+
+
+def _containers(children):
+    lists = st.lists(children, max_size=4)
+    return st.one_of(lists, lists.map(tuple),
+                     st.dictionaries(_keys, children, max_size=4),
+                     _record_lists(children),
+                     st.lists(_floats, max_size=6))
+
+
+_reports = st.recursive(_leaf_values, _containers, max_leaves=30)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(_reports)
+@example({"per_mode": [{"lambda": v, "j_hat": v, "count": 2}
+                       for v in _SPECIAL_FLOATS],
+          "floats": _SPECIAL_FLOATS, "np": [np.float64(v) for v in
+                                            _SPECIAL_FLOATS]})
+@example({"a,b": [{"x": 1.0}, {"x": 2.0}], 'q"': [1.0], "n\nl": [{"%": 1}],
+          "%d": [{"%s": 0.5, "y": 1}, {"%s": 1.5, "y": 2}], "empty": [],
+          "one": [{"k": 1.0}], "none": {}, "big": [2 ** 64, -2 ** 70]})
+def test_report_writer_matches_the_reference(report):
+    # The JSON and CSV texts are byte for byte the reference's, or both
+    # raise the same exception type.
+    for fmt in ("json", "csv"):
+        assert (_outcome(_emitted_text, report, fmt)
+                == _outcome(_reference_text, report, fmt)), fmt
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_torus_report_matches_the_reference_writer(fmt):
+    argv = ["analyze", "--algo", "hb", "--torus", "2,24", "--format", fmt]
+    args = build_parser().parse_args(argv)
+    s = _resolve_spectrum(args)
+    cfg = _resolve_config(args, s)
+    report = {"config": _config_echo(args, cfg),
+              **variance_amplification(cfg, s).to_dict()}
+    code, out = _run_stdout(argv)
+    assert code == 0
+    assert out == _reference_text(report, fmt)
