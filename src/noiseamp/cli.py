@@ -7,13 +7,16 @@ Subcommands::
     bounds     spectrum-free variance bounds and ratio identities
     certify    LMI variance certificates for GD / NA on general problems
     tune       constrained variance minimization under a rate cap
-    consensus  noise amplification of averaging over a torus network
+    consensus  J-bar of averaging over a torus (--params table2|explicit)
     simulate   seeded Monte Carlo estimate of J
     sweep      network-size scaling of J-bar/n with slope and regime
 
-Exit codes: 0 on success, 2 on usage errors, 3 on domain errors (unstable
-iteration, infeasible cap, oversized lattice, diverged trajectory, a float
-overflow, ...).
+A report's "config" echoes the settings that changed its numbers, and
+nothing else.
+
+Exit codes: 0 on success, 2 on usage errors (including an --out that
+cannot be written), 3 on domain errors (unstable iteration, infeasible
+cap, oversized lattice, diverged trajectory, a float overflow, ...).
 Domain errors emit a single JSON object {"error": ..., "message": ...} on
 stderr.  Reports are JSON by default; --format csv flattens the same numeric
 content into header-bearing comma-separated rows.  The JSON is the layout of
@@ -37,7 +40,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .consensus import (TorusSpec, consensus_variance, scaling_sweep,
+from .consensus import (ConsensusRecord, TorusSpec, scaling_sweep,
                         torus_spectrum)
 from .dynamics import Algo, AlgoConfig, SigmaMode
 from .errors import NoiseAmpError
@@ -50,80 +53,68 @@ from .variance import (hb_gd_ratio, na_gd_ratio_bounds,
                        variance_amplification, variance_bounds)
 
 
-class UsageError(Exception):
-    """Bad flag combination or malformed value (exit code 2)."""
-
-
-def _parse_spectrum(text: str) -> Spectrum:
-    try:
-        vals = [float(v) for v in text.replace(",", " ").split()]
-    except ValueError:
-        raise UsageError(f"could not parse spectrum {text!r}")
-    return make_spectrum(vals)
+_SIGMA_MODES = {"fixed": SigmaMode.FIXED,
+                "equals-alpha": SigmaMode.EQUALS_ALPHA}
 
 
 def _parse_torus(text: str) -> TorusSpec:
     parts = text.replace(",", " ").split()
     if len(parts) != 2:
-        raise UsageError("--torus expects 'd,n0'")
+        raise ValueError("--torus expects 'd,n0'")
     try:
         d, n0 = int(parts[0]), int(parts[1])
     except ValueError:
-        raise UsageError(f"could not parse torus {text!r}")
-    try:
-        return TorusSpec(d=d, n0=n0)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+        raise ValueError(f"could not parse torus {text!r}")
+    return TorusSpec(d=d, n0=n0)
 
 
 def _resolve_spectrum(args) -> Spectrum:
     sources = [args.spectrum is not None,
                args.kappa is not None or args.n is not None,
-               getattr(args, "torus", None) is not None]
+               args.torus is not None]
     if sum(sources) != 1:
-        raise UsageError(
+        raise ValueError(
             "give exactly one problem source: --spectrum, --kappa with --n, "
             "or --torus")
     if args.spectrum is not None:
-        return _parse_spectrum(args.spectrum)
-    if getattr(args, "torus", None) is not None:
+        try:
+            vals = [float(v) for v in args.spectrum.replace(",", " ").split()]
+        except ValueError:
+            raise ValueError(f"could not parse spectrum {args.spectrum!r}")
+        return make_spectrum(vals)
+    if args.torus is not None:
         return torus_spectrum(_parse_torus(args.torus))
     if args.kappa is None or args.n is None:
-        raise UsageError("--kappa and --n must be given together")
+        raise ValueError("--kappa and --n must be given together")
     kappa, n = args.kappa, args.n
     if not 1.0 <= kappa < math.inf:
-        raise UsageError("--kappa must be finite and >= 1")
+        raise ValueError("--kappa must be finite and >= 1")
     if n < 1:
-        raise UsageError("--n must be >= 1")
-    if n == 1:
-        if kappa != 1.0:
-            raise UsageError("--n 1 requires --kappa 1")
-        return make_spectrum([1.0])
+        raise ValueError("--n must be >= 1")
+    if n == 1 and kappa != 1.0:
+        raise ValueError("--n 1 requires --kappa 1")
     return make_spectrum(np.linspace(1.0, kappa, n))
 
 
 def _resolve_config(args, s: Spectrum) -> AlgoConfig:
+    """The --algo, --params, --alpha/--beta and noise flags on spectrum s."""
     algo = Algo(args.algo)
-    sigma_mode = (SigmaMode.EQUALS_ALPHA if args.sigma_mode == "equals-alpha"
-                  else SigmaMode.FIXED)
     if args.params == "explicit":
         if args.alpha is None:
-            raise UsageError("--params explicit requires --alpha")
+            raise ValueError("--params explicit requires --alpha")
         alpha = args.alpha
         beta = args.beta if args.beta is not None else 0.0
     else:
         if args.alpha is not None or args.beta is not None:
-            raise UsageError(
+            raise ValueError(
                 "--alpha/--beta only combine with --params explicit")
         picker = (conventional_params if args.params == "table1"
                   else optimal_quadratic_params)
         tuned = picker(algo, s.m, s.L)
         alpha, beta = tuned.alpha, tuned.beta
-    try:
-        return AlgoConfig(algo=algo, alpha=alpha, beta=beta,
-                          sigma=args.sigma, sigma_mode=sigma_mode)
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    mode = getattr(args, "sigma_mode", "fixed")  # consensus has no flag
+    return AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=args.sigma,
+                      sigma_mode=_SIGMA_MODES[mode])
 
 
 # The report writer.  JSON is json.dumps(report, indent=2)'s text and CSV
@@ -296,19 +287,27 @@ def _emit(report: dict[str, Any], args, table: tuple[list[str], list[list]] | No
             _write_csv("", report, writer, buf)
         text = buf.getvalue()
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out {args.out}: "
+                             f"{exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _config_echo(args, cfg: AlgoConfig | None = None) -> dict[str, Any]:
+def _config_echo(args, cfg: AlgoConfig | None = None,
+                 **settings: Any) -> dict[str, Any]:
+    """The command, the flags below that it was given, then ``settings``
+    (other inputs its numbers depend on) and the resolved ``cfg``."""
     echo: dict[str, Any] = {"command": args.command}
     for name in ("spectrum", "kappa", "n", "torus", "params", "steps",
-                 "replicates", "seed", "cap_constant", "objective", "delta",
-                 "d", "n0", "refine"):
-        if hasattr(args, name) and getattr(args, name) is not None:
+                 "replicates", "seed", "cap_constant", "objective", "d",
+                 "n0", "refine"):
+        if getattr(args, name, None) is not None:
             echo[name] = getattr(args, name)
+    echo.update(settings)
     if cfg is not None:
         echo.update({"algo": cfg.algo.value, "alpha": cfg.alpha,
                      "beta": cfg.beta, "sigma": cfg.sigma,
@@ -316,16 +315,15 @@ def _config_echo(args, cfg: AlgoConfig | None = None) -> dict[str, Any]:
     return echo
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args):
     s = _resolve_spectrum(args)
     cfg = _resolve_config(args, s)
     rep = variance_amplification(cfg, s)
     report = {"config": _config_echo(args, cfg), **rep.to_dict()}
     _emit(report, args)
-    return 0
 
 
-def _cmd_bounds(args) -> int:
+def _cmd_bounds(args):
     algo = Algo(args.algo)
     lower, upper = variance_bounds(algo, args.kappa, args.n)
     report: dict[str, Any] = {
@@ -342,21 +340,18 @@ def _cmd_bounds(args) -> int:
     if algo in (Algo.GD, Algo.NA):
         report["certified_reference"] = q_bounds(algo, args.kappa, args.n)
     _emit(report, args)
-    return 0
 
 
-def _cmd_certify(args) -> int:
+def _cmd_certify(args):
     algo = Algo(args.algo)
     if args.refine < 0:
-        raise UsageError("--refine must be >= 0")
+        raise ValueError("--refine must be >= 0")
     if args.kappa < 1.0:
-        raise UsageError("--kappa must be >= 1")
+        raise ValueError("--kappa must be >= 1")
     if algo == Algo.GD:
         prob, cert = gd_certificate(args.L / args.kappa, args.L, n=args.n)
-    elif algo == Algo.NA:
-        prob, cert = na_certificate(args.kappa, args.L, n=args.n)
     else:
-        raise UsageError("certificates are available for gd and na")
+        prob, cert = na_certificate(args.kappa, args.L, n=args.n)
     if args.refine:
         cert = refine_bound(prob, cert, budget=args.refine)
     report = {"config": _config_echo(args),
@@ -365,54 +360,45 @@ def _cmd_certify(args) -> int:
               "n": prob.n, **cert.to_dict(),
               "reference": q_bounds(algo, prob.kappa, prob.n)}
     _emit(report, args)
-    return 0
 
 
-def _cmd_tune(args) -> int:
+def _cmd_tune(args):
     s = _resolve_spectrum(args)
-    algo = Algo(args.algo)
-    sigma_mode = (SigmaMode.EQUALS_ALPHA if args.sigma_mode == "equals-alpha"
-                  else SigmaMode.FIXED)
-    result = tune_constrained(algo, s, cap_constant=args.cap_constant,
+    sigma_mode = _SIGMA_MODES[args.sigma_mode]
+    result = tune_constrained(Algo(args.algo), s,
+                              cap_constant=args.cap_constant,
                               sigma=args.sigma, sigma_mode=sigma_mode)
-    report = {"config": _config_echo(args), **result.to_dict()}
-    _emit(report, args)
-    return 0
+    echo = _config_echo(args, sigma=args.sigma, sigma_mode=sigma_mode.value)
+    _emit({"config": echo, **result.to_dict()}, args)
 
 
-def _cmd_consensus(args) -> int:
+def _cmd_consensus(args):
+    # The spectrum is built once: it sets the table2 tuning and J-bar.
     t = _parse_torus(args.torus)
-    algo = Algo(args.algo)
-    cfg = None
-    if args.params == "explicit":
-        if args.alpha is None:
-            raise UsageError("--params explicit requires --alpha")
-        cfg = AlgoConfig(algo=algo, alpha=args.alpha,
-                         beta=args.beta if args.beta is not None else 0.0,
-                         sigma=args.sigma)
-    elif args.params == "table1":
-        raise UsageError("consensus runs use table2 or explicit parameters")
-    rec = consensus_variance(algo, t, cfg=cfg, sigma=args.sigma)
-    report = {"config": _config_echo(args), **rec.to_dict()}
+    s = torus_spectrum(t)
+    rep = variance_amplification(_resolve_config(args, s), s)
+    report = {"config": _config_echo(args, rep.cfg),
+              **ConsensusRecord.from_report(t, rep).to_dict()}
     _emit(report, args)
-    return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args):
     if args.replicates < 1:
-        raise UsageError("--replicates must be >= 1")
+        raise ValueError("--replicates must be >= 1")
     s = _resolve_spectrum(args)
     cfg = _resolve_config(args, s)
     if args.objective == "pseudo-huber":
         obj = PseudoHuber(s.m, s.L, s.n, delta=args.delta)
+        echo = _config_echo(args, cfg, delta=args.delta)
     else:
         obj = Quadratic(s)
+        echo = _config_echo(args, cfg)
     if args.replicates > 1:
         res = ensemble_variance(cfg, obj, args.steps, args.replicates,
                                 args.seed)
     else:
         res = simulate(cfg, obj, args.steps, args.seed)
-    report = {"config": _config_echo(args, cfg), **res.to_dict()}
+    report = {"config": echo, **res.to_dict()}
     if args.objective == "quadratic":
         report["j_exact"] = variance_amplification(cfg, s).j
     table = None
@@ -421,45 +407,57 @@ def _cmd_simulate(args) -> int:
                  [[t, float(v), float(e)] for t, (v, e) in
                   enumerate(zip(res.per_step, res.per_step_stderr))])
     _emit(report, args, table=table)
-    return 0
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args):
     algo = Algo(args.algo)
     try:
         n0_values = [int(v) for v in args.n0.replace(",", " ").split()]
     except ValueError:
-        raise UsageError(f"could not parse --n0 list {args.n0!r}")
+        raise ValueError(f"could not parse --n0 list {args.n0!r}")
     result = scaling_sweep(algo, args.d, n0_values, sigma=args.sigma)
     report = result.to_dict()
-    report["config"] = _config_echo(args)
+    report["config"] = _config_echo(args, sigma=args.sigma)
     rows = report["rows"]
     table = (list(rows[0]), [list(r.values()) for r in rows])
     _emit(report, args, table=table)
-    return 0
 
 
-def _add_common(p: argparse.ArgumentParser, problem: bool = True,
-                config: bool = True):
+# Flag groups, each declared once and added by every command that takes it.
+
+_PRESETS = {"table1": "guaranteed tuning",
+            "table2": "quadratic-optimal tuning",
+            "explicit": "--alpha/--beta"}
+
+
+def _add_algo(p: argparse.ArgumentParser, choices=("gd", "hb", "na")):
+    p.add_argument("--algo", choices=list(choices), required=True)
+
+
+def _add_problem(p: argparse.ArgumentParser):
+    p.add_argument("--spectrum", help="comma-separated eigenvalues")
+    p.add_argument("--kappa", type=float, help="condition number (with --n)")
+    p.add_argument("--n", type=int, help="problem dimension (with --kappa)")
+    p.add_argument("--torus", help="torus network 'd,n0'")
+
+
+def _add_params(p: argparse.ArgumentParser, presets=tuple(_PRESETS)):
+    p.add_argument("--params", choices=list(presets), default="table2",
+                   help=", ".join(f"{k}: {_PRESETS[k]}" for k in presets))
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--beta", type=float)
+
+
+def _add_noise(p: argparse.ArgumentParser, sigma_mode: bool = True):
+    p.add_argument("--sigma", type=float, default=1.0)
+    if sigma_mode:
+        p.add_argument("--sigma-mode", choices=list(_SIGMA_MODES),
+                       default="fixed", dest="sigma_mode")
+
+
+def _add_output(p: argparse.ArgumentParser):
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None, help="write the report to a file")
-    if problem:
-        p.add_argument("--spectrum", help="comma-separated eigenvalues")
-        p.add_argument("--kappa", type=float,
-                       help="condition number (with --n)")
-        p.add_argument("--n", type=int, help="problem dimension (with --kappa)")
-        p.add_argument("--torus", help="torus network 'd,n0'")
-    if config:
-        p.add_argument("--algo", choices=["gd", "hb", "na"], required=True)
-        p.add_argument("--params", choices=["table1", "table2", "explicit"],
-                       default="table2",
-                       help="table1: guaranteed tuning, table2: "
-                            "quadratic-optimal tuning, explicit: --alpha/--beta")
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--beta", type=float)
-        p.add_argument("--sigma", type=float, default=1.0)
-        p.add_argument("--sigma-mode", choices=["fixed", "equals-alpha"],
-                       default="fixed", dest="sigma_mode")
 
 
 @functools.cache
@@ -471,53 +469,53 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("analyze", help="exact J on a spectrum")
-    _add_common(p)
+    _add_output(p)
+    _add_problem(p)
+    _add_algo(p)
+    _add_params(p)
+    _add_noise(p)
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser("bounds", help="spectrum-free variance bounds")
-    p.add_argument("--algo", choices=["gd", "hb", "na"], required=True)
+    _add_algo(p)
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--n", type=int, required=True)
-    _add_common(p, problem=False, config=False)
+    _add_output(p)
     p.set_defaults(fn=_cmd_bounds)
 
     p = sub.add_parser("certify", help="LMI variance certificate")
-    p.add_argument("--algo", choices=["gd", "na"], required=True)
+    _add_algo(p, ("gd", "na"))
     p.add_argument("--kappa", type=float, required=True)
     p.add_argument("--L", type=float, default=1.0)
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--refine", type=int, default=0,
                    help="coordinate-descent budget to tighten the bound")
-    _add_common(p, problem=False, config=False)
+    _add_output(p)
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("tune", help="minimize J under a rate cap")
-    p.add_argument("--algo", choices=["gd", "hb"], required=True)
-    p.add_argument("--spectrum")
-    p.add_argument("--kappa", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--torus")
+    _add_algo(p, ("gd", "hb"))
+    _add_problem(p)
     p.add_argument("--cap-constant", type=float, default=1.0,
                    dest="cap_constant")
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--sigma-mode", choices=["fixed", "equals-alpha"],
-                   default="fixed", dest="sigma_mode")
-    _add_common(p, problem=False, config=False)
+    _add_noise(p)
+    _add_output(p)
     p.set_defaults(fn=_cmd_tune)
 
     p = sub.add_parser("consensus", help="averaging over a torus network")
-    p.add_argument("--algo", choices=["gd", "hb", "na"], required=True)
+    _add_algo(p)
     p.add_argument("--torus", required=True, help="'d,n0'")
-    p.add_argument("--params", choices=["table1", "table2", "explicit"],
-                   default="table2")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--sigma", type=float, default=1.0)
-    _add_common(p, problem=False, config=False)
+    _add_params(p, ("table2", "explicit"))
+    _add_noise(p, sigma_mode=False)
+    _add_output(p)
     p.set_defaults(fn=_cmd_consensus)
 
     p = sub.add_parser("simulate", help="Monte Carlo estimate of J")
-    _add_common(p)
+    _add_output(p)
+    _add_problem(p)
+    _add_algo(p)
+    _add_params(p)
+    _add_noise(p)
     p.add_argument("--steps", type=int, default=100_000)
     p.add_argument("--replicates", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
@@ -527,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="network-size scaling of J-bar/n")
-    p.add_argument("--algo", choices=["gd", "hb", "na"], required=True)
+    _add_algo(p)
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--n0", required=True,
                    help="comma-separated lattice sizes, e.g. '8,16,32'")
-    p.add_argument("--sigma", type=float, default=1.0)
-    _add_common(p, problem=False, config=False)
+    _add_noise(p, sigma_mode=False)
+    _add_output(p)
     p.set_defaults(fn=_cmd_sweep)
 
     return parser
@@ -545,11 +543,9 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+        args.fn(args)
+        return 0
+    except ValueError as exc:  # a usage error, --out included
         sys.stderr.write(f"error: {exc}\n")
         return 2
     except (NoiseAmpError, OverflowError) as exc:

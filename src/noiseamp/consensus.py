@@ -43,7 +43,7 @@ from .dynamics import Algo, AlgoConfig, modal_spectral_radius
 from .errors import SizeOverflow
 from .spectrum import Spectrum
 from .tuning import optimal_quadratic_params
-from .variance import variance_amplification
+from .variance import VarianceReport, variance_amplification
 
 MAX_NETWORK_SIZE = 10_000_000
 
@@ -121,6 +121,16 @@ class ConsensusRecord:
     def jbar_over_n(self) -> float:
         return self.jbar / self.n
 
+    @classmethod
+    def from_report(cls, t: TorusSpec,
+                    rep: VarianceReport) -> ConsensusRecord:
+        """The record of ``rep``, a variance report on ``t``'s spectrum."""
+        s, cfg = rep.spectrum, rep.cfg
+        rho_m, rho_l = modal_spectral_radius(cfg, np.array([s.m, s.L]))
+        return cls(algo=cfg.algo, d=t.d, n0=t.n0, n=t.n, kappa=s.kappa,
+                   rho=rep.rho, rho_at="L" if rho_l > rho_m else "m",
+                   jbar=rep.j)
+
     def to_dict(self) -> dict[str, Any]:
         return {"algo": self.algo.value, "d": self.d, "n0": self.n0,
                 "n": self.n, "kappa": self.kappa, "rho": self.rho,
@@ -134,20 +144,17 @@ def consensus_variance(algo: Algo, t: TorusSpec,
     """J-bar of noisy distributed averaging over the torus.
 
     By default the method runs at its quadratic-optimal tuning for the
-    nonzero extreme eigenvalues; pass ``cfg`` to override.  The zero mode is
-    excluded (deviation-from-average variance).  Raises :class:`Unstable`
-    if the method diverges on some nonzero mode.
+    nonzero extreme eigenvalues; pass ``cfg`` to override (the record then
+    names ``cfg.algo``).  The zero mode is excluded (deviation-from-average
+    variance).  Raises :class:`Unstable` if the method diverges on some
+    nonzero mode.
     """
     s = torus_spectrum(t)
     if cfg is None:
         params = optimal_quadratic_params(algo, s.m, s.L)
         cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                          sigma=sigma)
-    rep = variance_amplification(cfg, s)
-    rho_m, rho_l = modal_spectral_radius(cfg, np.array([s.m, s.L]))
-    return ConsensusRecord(algo=algo, d=t.d, n0=t.n0, n=t.n, kappa=s.kappa,
-                           rho=rep.rho, rho_at="L" if rho_l > rho_m else "m",
-                           jbar=rep.j)
+    return ConsensusRecord.from_report(t, variance_amplification(cfg, s))
 
 
 def reciprocal_sum(t: TorusSpec) -> dict[str, float]:

@@ -128,7 +128,6 @@ class ConfigRows(NamedTuple):
 class ModalSystem:
     """State-space matrices (A, B, C) of one decoupled mode."""
 
-    algo: Algo
     lam: float
     a_hat: np.ndarray  # 1x1 for GD, 2x2 companion for HB/NA
     b_hat: np.ndarray
@@ -160,7 +159,7 @@ def modal_system(cfg: AlgoConfig, lam: float) -> ModalSystem:
         raise ValueError(f"modal eigenvalue must be positive, got {lam!r}")
     a, b = companion_coefficients(cfg, lam)
     k = 2 - cfg.order
-    return ModalSystem(algo=cfg.algo, lam=float(lam),
+    return ModalSystem(lam=float(lam),
                        a_hat=np.array([[0.0, 1.0], [a, b]])[k:, k:],
                        b_hat=np.eye(cfg.order)[:, -1:],
                        c_hat=np.eye(1, cfg.order))

@@ -61,10 +61,6 @@ class TunedParams:
     beta: float
     rho: float
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"algo": self.algo.value, "alpha": self.alpha,
-                "beta": self.beta, "rho": self.rho}
-
 
 def conventional_params(algo: Algo, m: float, L: float) -> TunedParams:
     """Tunings with convergence guarantees for general strongly convex f.
@@ -150,16 +146,15 @@ def _check_ml(m: float, L: float):
         raise ValueError("need 0 < m <= L")
 
 
-def _golden_rows(fn, lo: np.ndarray, hi: np.ndarray,
-                 tol: float = GOLDEN_TOL):
+def _golden_rows(fn, lo: np.ndarray, hi: np.ndarray):
     """Scale-free golden-section searches on [lo[i], hi[i]], in lockstep.
 
     Each row makes the probes, comparisons and stopping test of a scalar
     golden-section search on its own interval, with the same floats; the
     rows share each round's evaluation ``fn(alpha, rows)`` of the probes
     ``alpha`` of the rows still open (indices ``rows``).  A row stops once
-    its bracket is within ``tol`` of its scale.  Returns the final brackets
-    (a, b) and the number of evaluations made.
+    its bracket is within ``GOLDEN_TOL`` of its scale.  Returns the final
+    brackets (a, b) and the number of evaluations made.
     """
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
@@ -172,7 +167,7 @@ def _golden_rows(fn, lo: np.ndarray, hi: np.ndarray,
     width = b - a
     while True:
         # Brackets sit in [0, inf), where abs() changes nothing.
-        open_ = width > tol * (a + b)
+        open_ = width > GOLDEN_TOL * (a + b)
         if np.count_nonzero(open_) < open_.size:
             final_a[rows], final_b[rows] = a, b
             rows, a, b, c, d, fc, fd, width = (

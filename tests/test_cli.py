@@ -260,6 +260,32 @@ def test_tune_command(capsys):
     assert json.loads(err)["error"] == "InfeasibleCap"
 
 
+def test_tune_echoes_its_noise_settings(capsys):
+    code, out, _ = _run(capsys, "tune", "--algo", "gd", "--spectrum",
+                        "1,5,10", "--sigma", "2", "--sigma-mode",
+                        "equals-alpha")
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "command": "tune", "spectrum": "1,5,10", "cap_constant": 1.0,
+        "sigma": 2.0, "sigma_mode": "equals_alpha"}
+
+
+def test_simulate_echoes_delta_only_for_pseudo_huber(capsys):
+    argv = ("simulate", "--algo", "hb", "--spectrum", "1,4", "--steps",
+            "100", "--sigma", "0.5")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert "delta" not in config
+    # The keys that bench/checks.py rebuilds the AlgoConfig from.
+    assert {"algo", "alpha", "beta", "sigma", "sigma_mode"} <= set(config)
+    assert config["sigma"] == 0.5
+    code, out, _ = _run(capsys, *argv, "--objective", "pseudo-huber",
+                        "--delta", "0.25")
+    assert code == 0
+    assert json.loads(out)["config"]["delta"] == 0.25
+
+
 def test_consensus_command(capsys):
     code, out, _ = _run(capsys, "consensus", "--algo", "gd",
                         "--torus", "1,4")
@@ -277,6 +303,59 @@ def test_consensus_unstable_explicit_params(capsys):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "Unstable"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--alpha", "0.1", "--beta", "0.5"),
+     "--alpha/--beta only combine with --params explicit"),
+    (("--params", "table2", "--beta", "0.5"),
+     "--alpha/--beta only combine with --params explicit"),
+    (("--params", "explicit", "--beta", "0.5"),
+     "--params explicit requires --alpha"),
+    (("--params", "table1"), "invalid choice: 'table1'"),
+])
+def test_consensus_parameter_flags_behave_like_analyze(capsys, argv,
+                                                       message):
+    code, out, err = _run(capsys, "consensus", "--algo", "hb", "--torus",
+                          "2,8", *argv)
+    assert code == 2 and out == "" and message in err
+    if "table1" not in argv:  # analyze also takes table1
+        assert _run(capsys, "analyze", "--algo", "hb", "--torus", "2,8",
+                    *argv) == (code, out, err)
+
+
+def test_consensus_echoes_the_config_analyze_resolves(capsys):
+    # Both commands resolve --algo, --params and the noise flags on the
+    # same torus spectrum, and consensus's J-bar is analyze's J.
+    for params in ((), ("--params", "explicit", "--alpha", "0.2",
+                        "--beta", "0.3")):
+        argv = ("--algo", "hb", "--torus", "2,8", "--sigma", "2", *params)
+        code, out, _ = _run(capsys, "consensus", *argv)
+        assert code == 0
+        consensus = json.loads(out)
+        code, out, _ = _run(capsys, "analyze", *argv)
+        analyze = json.loads(out)
+        assert consensus["config"] == {**analyze["config"],
+                                       "command": "consensus"}
+        assert consensus["config"]["sigma"] == 2.0
+        assert consensus["config"]["sigma_mode"] == "fixed"
+        assert consensus["jbar"] == analyze["J"]
+
+
+def test_consensus_builds_the_torus_spectrum_once(capsys, monkeypatch):
+    import noiseamp.cli
+    import noiseamp.consensus
+    calls = []
+    original = noiseamp.consensus.torus_spectrum
+
+    def counted(t):
+        calls.append(t)
+        return original(t)
+
+    monkeypatch.setattr(noiseamp.cli, "torus_spectrum", counted)
+    monkeypatch.setattr(noiseamp.consensus, "torus_spectrum", counted)
+    code, _, _ = _run(capsys, "consensus", "--algo", "na", "--torus", "2,16")
+    assert code == 0 and len(calls) == 1
 
 
 def test_simulate_command(capsys):
@@ -333,12 +412,32 @@ def test_sweep_command(capsys):
     assert first["rho_at"] == report["rows"][0]["rho_at"]
 
 
+def test_sweep_echoes_sigma(capsys):
+    code, out, _ = _run(capsys, "sweep", "--algo", "gd", "--d", "1",
+                        "--n0", "8,16,32,64", "--sigma", "0.5")
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "command": "sweep", "d": 1, "n0": "8,16,32,64", "sigma": 0.5}
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = _run(capsys, "bounds", "--algo", "gd", "--kappa", "4",
                         "--n", "2", "--out", str(path))
     assert code == 0 and out == ""
     assert json.loads(path.read_text())["n"] == 2
+
+
+@pytest.mark.parametrize("target", ["missing-dir/report.json", "."])
+def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys,
+                                                     target):
+    # A missing directory and a path that is a directory: one error line,
+    # no traceback and no report on stdout.
+    code, out, err = _run(capsys, "bounds", "--algo", "gd", "--kappa", "4",
+                          "--n", "2", "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write --out ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -515,6 +614,69 @@ def test_fuzzed_argv_exits_cleanly(argv):
         payload = json.loads(err)
         assert set(payload) == {"error", "message"}
         assert out == ""
+
+
+# Every subcommand's options: option string -> (dest, default, type,
+# choices, required), in parser order.
+_OUTPUT = {"--format": ("format", "json", None, ["json", "csv"], False),
+           "--out": ("out", None, None, None, False)}
+_SOURCE = {"--spectrum": ("spectrum", None, None, None, False),
+           "--kappa": ("kappa", None, float, None, False),
+           "--n": ("n", None, int, None, False),
+           "--torus": ("torus", None, None, None, False)}
+_ALGO = {"--algo": ("algo", None, None, ["gd", "hb", "na"], True)}
+_STEP = {"--alpha": ("alpha", None, float, None, False),
+         "--beta": ("beta", None, float, None, False)}
+_SIGMA = {"--sigma": ("sigma", 1.0, float, None, False)}
+_SIGMA_MODE = {"--sigma-mode": ("sigma_mode", "fixed", None,
+                                ["fixed", "equals-alpha"], False)}
+_PRESETS = {"--params": ("params", "table2", None,
+                         ["table1", "table2", "explicit"], False)}
+_SURFACE = {
+    "analyze": {**_OUTPUT, **_SOURCE, **_ALGO, **_PRESETS, **_STEP,
+                **_SIGMA, **_SIGMA_MODE},
+    "bounds": {**_ALGO, "--kappa": ("kappa", None, float, None, True),
+               "--n": ("n", None, int, None, True), **_OUTPUT},
+    "certify": {"--algo": ("algo", None, None, ["gd", "na"], True),
+                "--kappa": ("kappa", None, float, None, True),
+                "--L": ("L", 1.0, float, None, False),
+                "--n": ("n", 1, int, None, False),
+                "--refine": ("refine", 0, int, None, False), **_OUTPUT},
+    "tune": {"--algo": ("algo", None, None, ["gd", "hb"], True), **_SOURCE,
+             "--cap-constant": ("cap_constant", 1.0, float, None, False),
+             **_SIGMA, **_SIGMA_MODE, **_OUTPUT},
+    "consensus": {**_ALGO, "--torus": ("torus", None, None, None, True),
+                  "--params": ("params", "table2", None,
+                               ["table2", "explicit"], False),
+                  **_STEP, **_SIGMA, **_OUTPUT},
+    "simulate": {**_OUTPUT, **_SOURCE, **_ALGO, **_PRESETS, **_STEP,
+                 **_SIGMA, **_SIGMA_MODE,
+                 "--steps": ("steps", 100_000, int, None, False),
+                 "--replicates": ("replicates", 1, int, None, False),
+                 "--seed": ("seed", 0, int, None, False),
+                 "--objective": ("objective", "quadratic", None,
+                                 ["quadratic", "pseudo-huber"], False),
+                 "--delta": ("delta", 1.0, float, None, False)},
+    "sweep": {**_ALGO, "--d": ("d", None, int, None, True),
+              "--n0": ("n0", None, None, None, True), **_SIGMA, **_OUTPUT},
+}
+
+
+def test_parser_surface_is_pinned():
+    # Adding, dropping or retyping a flag, or changing a default, fails
+    # here; so does a flag that the fuzzer's table does not exercise.
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_SURFACE)
+    for command, parser in sub.choices.items():
+        options = [a for a in parser._actions
+                   if not isinstance(a, argparse._HelpAction)]
+        assert [(a.option_strings, a.dest, a.default, a.type, a.choices,
+                 a.required) for a in options] == [
+            ([flag], *spec) for flag, spec in _SURFACE[command].items()
+        ], command
+        required, optional = _COMMANDS[command]
+        assert set(_SURFACE[command]) == {*required, *optional, "--out"}
 
 
 # The reference report writer: json.dumps with indent=2, and the report
