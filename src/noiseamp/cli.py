@@ -302,7 +302,7 @@ def _config_echo(args, cfg: AlgoConfig | None = None,
     """The command, the flags below that it was given, then ``settings``
     (other inputs its numbers depend on) and the resolved ``cfg``."""
     echo: dict[str, Any] = {"command": args.command}
-    for name in ("spectrum", "kappa", "n", "torus", "params", "steps",
+    for name in ("spectrum", "kappa", "L", "n", "torus", "params", "steps",
                  "replicates", "seed", "cap_constant", "objective", "d",
                  "n0", "refine"):
         if getattr(args, name, None) is not None:

@@ -260,6 +260,17 @@ def test_tune_command(capsys):
     assert json.loads(err)["error"] == "InfeasibleCap"
 
 
+def test_certify_echoes_L(capsys):
+    # --L sets m = L / kappa and so every number of the report.
+    code, out, _ = _run(capsys, "certify", "--algo", "gd", "--kappa", "10",
+                        "--L", "5")
+    assert code == 0
+    report = json.loads(out)
+    assert report["config"] == {"command": "certify", "kappa": 10.0,
+                                "L": 5.0, "n": 1, "refine": 0}
+    assert report["m"] == 0.5
+
+
 def test_tune_echoes_its_noise_settings(capsys):
     code, out, _ = _run(capsys, "tune", "--algo", "gd", "--spectrum",
                         "1,5,10", "--sigma", "2", "--sigma-mode",

@@ -1,8 +1,10 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from scipy import stats
 from scipy.signal import lfilter
 
 from noiseamp import (Algo, AlgoConfig, NonFinite, PseudoHuber, Quadratic,
@@ -11,6 +13,10 @@ from noiseamp import (Algo, AlgoConfig, NonFinite, PseudoHuber, Quadratic,
                       simulate, standard_normals, variance_amplification)
 from noiseamp import montecarlo
 from noiseamp.dynamics import companion_coefficients
+
+# sha256 of standard_normals(7, 0, 2**20) as little-endian float64 bytes.
+NORMALS_DIGEST = ("a31f001e3a9498cae0d23a5890a34015"
+                  "e975e18811dcecf46093cf4f94459e12")
 
 
 def test_normals_reproducible_and_keyed():
@@ -25,26 +31,184 @@ def test_normals_reproducible_and_keyed():
     np.testing.assert_array_equal(a[:10], standard_normals(42, 0, 10))
 
 
-@pytest.mark.parametrize("pairs", [3, montecarlo.NOISE_BLOCK_PAIRS])
+@pytest.mark.parametrize("block", [3, montecarlo.NOISE_BLOCK])
 @pytest.mark.parametrize("start", [0, 1, 6, 7])
-def test_normals_at_an_offset_equal_the_long_draw(monkeypatch, pairs, start):
-    # Draws are generated `pairs` Box-Muller pairs at a time; counts that
-    # cross one or more blocks, from odd and even offsets, must reproduce
-    # the matching slice of one long draw bit for bit.
-    monkeypatch.setattr(montecarlo, "NOISE_BLOCK_PAIRS", pairs)
-    for count in (1, 2, 2 * pairs - 1, 2 * pairs + 1, 4 * pairs + 2):
+def test_normals_at_an_offset_equal_the_long_draw(monkeypatch, block, start):
+    # Draws are generated `block` at a time; counts that cross one or more
+    # blocks, from odd and even offsets, must reproduce the matching slice
+    # of one long draw bit for bit.
+    monkeypatch.setattr(montecarlo, "NOISE_BLOCK", block)
+    for count in (1, 2, 2 * block - 1, 2 * block + 1, 4 * block + 2):
         long = standard_normals(9, 2, start + count)
         part = standard_normals(9, 2, count, start)
         assert part.shape == (count,)
         assert part.tobytes() == long[start:].tobytes()
 
 
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _scalar_exp(v):
+    return float(montecarlo._exp(np.array([v]))[0])
+
+
+def _scalar_log(v):
+    return float(montecarlo._log(np.array([v]))[0])
+
+
+def _reference_draw(key, c):
+    """Draw c of the stream ``key`` on Python ints and floats, one attempt
+    at a time.  Returns (value, attempts after the first, tail draw?)."""
+    xs, fs, r = montecarlo._X, montecarlo._F, montecarlo._R
+
+    def out(base, k):
+        return montecarlo._mix((base + k * _GOLDEN) & _MASK)
+
+    def unit(z):                        # top 52 bits as a float in [1, 2)
+        return 1.0 + (z >> 12) * 2.0 ** -52
+
+    def propose(z):
+        i = z & 255
+        return i, (2.0 * unit(z) - 3.0) * xs[i]
+
+    i, x = propose(out(key, c))
+    if abs(x) < xs[i + 1]:
+        return x, 0, False
+    tail = i == 0
+    for a in itertools.count():
+        sub = montecarlo._mix(key ^ ((c * _GOLDEN + a) & _MASK))
+        if i:
+            y = fs[i] + (unit(out(sub, 1)) - 1.0) * (fs[i + 1] - fs[i])
+            if y < _scalar_exp(-0.5 * x * x):
+                return x, a, tail
+            i, x = propose(out(sub, 3))
+            if abs(x) < xs[i + 1]:
+                return x, a + 1, tail
+            tail = tail or i == 0
+        else:
+            s = _scalar_log(2.0 - unit(out(sub, 1))) / -r
+            if -2.0 * _scalar_log(2.0 - unit(out(sub, 2))) > s * s:
+                return math.copysign(r + s, x), a, tail
+
+
+def _slow_draws(seed, replicate, count):
+    """Indices of the draws that miss the fast test in the first ``count``
+    draws of (seed, replicate)."""
+    seen = []
+    finish = montecarlo._finish
+
+    def spy(keys, draws, layer, x):
+        seen.append(draws.copy())
+        return finish(keys, draws, layer, x)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(montecarlo, "_finish", spy)
+        standard_normals(seed, replicate, count)
+    return [int(c) for c in np.concatenate(seen)]
+
+
+def test_normals_match_the_scalar_reference():
+    # Every draw, fast or slow, equals the one-at-a-time reference, and
+    # the draws cover wedge rejections, the tail and tail retries.
+    z = standard_normals(7, [0, 3], 1 << 20)
+    for row, rep in zip(z, (0, 3)):
+        key = montecarlo._stream_key(7, rep)
+        for c in range(2000):
+            assert _reference_draw(key, c)[0] == row[c]
+    key = montecarlo._stream_key(7, 0)
+    slow = {c: _reference_draw(key, c) for c in _slow_draws(7, 0, 1 << 20)}
+    assert 0.010 < len(slow) / (1 << 20) < 0.020
+    for c, (value, _, _) in slow.items():
+        assert value == z[0, c]
+    kinds = {(attempts > 0, tail) for _, attempts, tail in slow.values()}
+    assert kinds == {(False, False), (True, False), (False, True),
+                     (True, True)}
+
+
+def test_normals_at_an_offset_across_rejections(monkeypatch):
+    # Slow draws (first attempt accepted or not, wedge or tail) generated
+    # alone, first or last in a short call and in blocks of 3 equal the
+    # long draw.
+    key = montecarlo._stream_key(9, 2)
+    long = standard_normals(9, 2, 1 << 20)
+    picks = {}
+    for c in (c for c in _slow_draws(9, 2, 1 << 20) if c >= 4):
+        _, attempts, tail = _reference_draw(key, c)
+        picks.setdefault((min(attempts, 2), tail), []).append(c)
+    assert {(0, False), (1, False), (2, False), (0, True),
+            (1, True)} <= set(picks)
+    monkeypatch.setattr(montecarlo, "NOISE_BLOCK", 3)
+    for draws in picks.values():
+        for c in draws[:5]:
+            for start, count in ((c, 1), (c - 4, 5), (c, 7), (c - 1, 3)):
+                part = standard_normals(9, 2, count, start)
+                assert part.tobytes() == long[start:start + count].tobytes()
+
+
 def test_normals_frozen_reference():
     # Pinned values guard the generator against accidental changes.
     np.testing.assert_allclose(
         standard_normals(42, 0, 4),
-        [-0.261072457116615, -1.4176846696795498,
-         0.10497935973445952, 0.7767199860611191], rtol=0, atol=0)
+        [-2.4833245450392245, -0.3500242132594137,
+         0.9725776079191844, 0.7818537481620336], rtol=0, atol=0)
+
+
+def test_normals_digest_is_pinned():
+    # The stream is built from integer ops, + - * /, exact rounding and
+    # table lookups only, so this digest holds under every SIMD kernel.
+    digest = hashlib.sha256(standard_normals(7, 0, 1 << 20).tobytes())
+    assert digest.hexdigest() == NORMALS_DIGEST
+
+
+def test_normals_moments_and_ks_on_1e7_draws():
+    # Five standard errors on each moment and tail count; KS against N(0, 1).
+    n, chunk = 10 ** 7, 1 << 20
+    z = standard_normals(5, 0, n)
+    sums = np.zeros(4)
+    for lo in range(0, n, chunk):
+        sums += [np.sum(z[lo:lo + chunk] ** k) for k in (1, 2, 3, 4)]
+    for got, want, var in zip(sums / n, (0.0, 1.0, 0.0, 3.0),
+                              (1.0, 2.0, 15.0, 96.0)):
+        assert abs(got - want) <= 5.0 * math.sqrt(var / n)
+    for edge in (montecarlo._R, 4.5):
+        p = 2.0 * stats.norm.sf(edge)
+        count = int(np.count_nonzero(np.abs(z) > edge))
+        assert abs(count - n * p) <= 5.0 * math.sqrt(n * p)
+    z.sort()
+    d = 0.0
+    for lo in range(0, n, chunk):
+        cdf = stats.norm.cdf(z[lo:lo + chunk])
+        rank = np.arange(lo, lo + cdf.size, dtype=float)
+        d = max(d, float(np.max(cdf - rank / n)),
+                float(np.max((rank + 1) / n - cdf)))
+    assert stats.kstwo.sf(d, n) > 1e-3
+
+
+def test_exact_exp_and_log_are_within_an_ulp():
+    x = -np.linspace(0.0, 0.5 * montecarlo._X[0] ** 2, 20001)
+    want = np.array([math.exp(v) for v in x])
+    assert np.max(np.abs(montecarlo._exp(x) - want) / want) <= 2.3e-16
+    u = np.concatenate([np.linspace(2.0 ** -52, 1.0, 20001),
+                        np.geomspace(2.0 ** -52, 1.0, 2001)])
+    want = np.array([math.log(v) for v in u])
+    got = montecarlo._log(u)
+    assert np.all(np.abs(got - want) <= 2.3e-16 * np.maximum(np.abs(want),
+                                                              1e-300))
+    assert montecarlo._log(np.array([1.0]))[0] == 0.0
+
+
+def test_ziggurat_layers_have_equal_areas():
+    xs, fs = montecarlo._X, montecarlo._F
+    assert xs.size == fs.size == 257 and xs[256] == 0.0 and fs[256] == 1.0
+    assert np.all(np.diff(xs) < 0.0)
+    for x, f in zip(xs, fs):
+        assert f == pytest.approx(math.exp(-0.5 * x * x), rel=2.3e-16)
+    r = xs[1]
+    area = r * fs[1] + math.sqrt(math.pi / 2.0) * math.erfc(r / math.sqrt(2.0))
+    assert xs[0] * fs[1] == pytest.approx(area, rel=1e-14)
+    for i in range(1, 256):
+        assert xs[i] * (fs[i + 1] - fs[i]) == pytest.approx(area, rel=1e-12)
 
 
 def test_normals_moments():
@@ -330,6 +494,72 @@ def test_ensemble_small():
     assert res.per_step[0] == 0.0
     assert res.replicates == 2
     assert len(res.j_hat_replicates) == 2
+
+
+def _serial_ensemble(cfg, obj, steps, replicates, seed):
+    """(j_hats, per_step, per_step_stderr) from one simulate per replicate."""
+    runs = [simulate(cfg, obj, steps, seed, replicate=r, track_per_step=True)
+            for r in range(replicates)]
+    tracks = np.array([res.per_step for res in runs])
+    return (tuple(res.j_hat for res in runs), tracks.mean(axis=0),
+            tracks.std(axis=0, ddof=1) / math.sqrt(replicates))
+
+
+@pytest.mark.parametrize("replicates", [4, 12])
+@pytest.mark.parametrize("algo, alpha, beta", _CHUNK_CASES)
+def test_lockstep_ensemble_equals_serial_replicates(monkeypatch, replicates,
+                                                    algo, alpha, beta):
+    # n = 3: 4 replicates step 12 scalar lanes, 12 replicates step 36 > 28
+    # coordinates as one vector lane.  Blocks of 64 steps over all
+    # replicates put several block edges inside the 150 steps.
+    monkeypatch.setattr(montecarlo, "FIRST_BLOCK_STEPS", 4)
+    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 64)
+    assert (replicates * 3 <= montecarlo.SCALAR_MAX_DIM) == (replicates == 4)
+    cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta, sigma=0.9)
+    for obj in _CHUNK_OBJECTIVES:
+        ens = ensemble_variance(cfg, obj, 150, replicates, seed=12)
+        j_hats, mean, stderr = _serial_ensemble(cfg, obj, 150, replicates, 12)
+        assert ens.j_hat_replicates == j_hats
+        assert ens.per_step.tobytes() == mean.tobytes()
+        assert ens.per_step_stderr.tobytes() == stderr.tobytes()
+
+
+def test_lockstep_lane_choice_counts_replicates():
+    # SCALAR_MAX_DIM bounds replicates x coordinates, not coordinates.
+    used = set()
+
+    class Traced(PseudoHuber):
+        def gradient(self, x):
+            used.add("gradient")
+            return super().gradient(x)
+
+        def coordinate_gradient(self, j):
+            used.add("coordinate_gradient")
+            return super().coordinate_gradient(j)
+
+    cfg = AlgoConfig(algo=Algo.NA, alpha=0.2, beta=0.5, sigma=0.9)
+    limit = montecarlo.SCALAR_MAX_DIM
+    for replicates, lane in ((limit // 2, "coordinate_gradient"),
+                             (limit // 2 + 1, "gradient")):
+        used.clear()
+        ensemble_variance(cfg, Traced(1.0, 3.0, 2), 40, replicates, seed=3)
+        assert used == {lane}
+
+
+def test_diverging_ensemble_reports_the_earliest_step():
+    # Past the stability edge every replicate diverges, each at its own
+    # step; the lockstep ensemble names the earliest of them.
+    cfg = AlgoConfig(algo=Algo.HB, alpha=2.0 * 1.5 * 1.02, beta=0.5)
+    for obj in (Quadratic(make_spectrum([1.0, 1.0])),
+                PseudoHuber(1.0, 1.0, 2)):
+        steps = []
+        for r in range(6):
+            with pytest.raises(NonFinite) as err:
+                simulate(cfg, obj, 3000, seed=2, replicate=r)
+            steps.append(err.value.step)
+        assert len(set(steps)) > 1
+        with pytest.raises(NonFinite, match=f"at step {min(steps)}$"):
+            ensemble_variance(cfg, obj, 3000, 6, seed=2)
 
 
 def test_ensemble_tracks_covariance_recursion():
