@@ -14,9 +14,9 @@ give a signed uniform, so the two never share bits (Doornik, 2005).  About
 98.5% of draws pass the fast test |x| < x_{i+1}; the rest finish on
 sub-streams keyed by (stream, c, attempt), so each draw depends only on
 its index and any slice of a stream can be drawn on its own.  The layer
-tables are committed as ``float.hex`` literals; the wedge and tail tests
-use exp and log built from + - * /, floor, frexp and ldexp, as are the
-uniforms from integer and bit operations.  Each of these is exactly
+tables are committed as ``float.hex`` literals, the uniforms come from
+integer and bit operations, and the wedge and tail tests use exp and log
+built from + - * /, floor, frexp and ldexp.  Each of these is exactly
 rounded or exact in IEEE arithmetic, so a stream is the same bits on every
 platform and under every SIMD kernel numpy picks.
 
@@ -351,7 +351,8 @@ def _filter_stepper(cfg: AlgoConfig, obj: Quadratic, replicates: int):
     """Block advance on a quadratic: one linear filter per mode.
 
     Mode j filters sigma w through 1 / (1 - b_j z^-1 - a_j z^-2), one row
-    per replicate; its filter states are carried from block to block.
+    per replicate; its filter states are carried from block to block.  The
+    iterates overwrite the noise block.
     """
     a, b = companion_coefficients(cfg, obj.lams)
     num = [cfg.effective_sigma]
@@ -359,11 +360,10 @@ def _filter_stepper(cfg: AlgoConfig, obj: Quadratic, replicates: int):
     states = [np.zeros((replicates, cfg.order)) for _ in range(obj.dim)]
 
     def advance(w: np.ndarray) -> np.ndarray:
-        x = np.empty_like(w)
         for j, den in enumerate(dens):
-            x[:, :, j], states[j] = lfilter(num, den, w[:, :, j], axis=1,
+            w[:, :, j], states[j] = lfilter(num, den, w[:, :, j], axis=1,
                                             zi=states[j])
-        return x
+        return w
 
     return advance
 
@@ -375,7 +375,8 @@ def _separable_stepper(cfg: AlgoConfig, obj, replicates: int):
     Each lane steps x+ = x + beta d - alpha grad(x + gamma d) + kick over
     the block: one lane per (replicate, coordinate) on Python floats when
     there are at most ``SCALAR_MAX_DIM`` of them, else one lane holding
-    every replicate's vector, a row each.
+    every replicate's vector, a row each.  The iterates overwrite the noise
+    block.
     """
     for name in ("coordinate_gradient", "gradient"):
         if not callable(getattr(obj, name, None)):
@@ -394,9 +395,8 @@ def _separable_stepper(cfg: AlgoConfig, obj, replicates: int):
         lanes = [[(slice(None),), obj.gradient, zero, zero]]
 
     def advance(w: np.ndarray) -> np.ndarray:
-        x = np.empty_like(w)
-        # Step-major views: a lane's kicks and iterates run along axis 0.
-        w_steps, x_steps = w.transpose(1, 0, 2), x.transpose(1, 0, 2)
+        # A step-major view: a lane's kicks and iterates run along axis 0.
+        w_steps = w.transpose(1, 0, 2)
         for lane in lanes:
             cols, grad, prev, cur = lane
             kicks = sigma * w_steps[cols]
@@ -409,9 +409,9 @@ def _separable_stepper(cfg: AlgoConfig, obj, replicates: int):
                     prev, cur = cur, (cur + beta * d
                                       - alpha * grad(cur + gamma * d) + kick)
                     rows.append(cur)
-            x_steps[cols] = rows
+            w_steps[cols] = rows
             lane[2:] = prev, cur
-        return x
+        return w
 
     return advance
 
