@@ -165,11 +165,11 @@ def _finish(keys: np.ndarray, draws: np.ndarray, layer: np.ndarray,
     the fast test.
 
     Attempt a of draw c reads outputs 1 to 3 of the splitmix64 sub-stream
-    keyed by mix(stream key ^ (c * golden + a)).  A wedge point is kept when it lies under
-    the density; otherwise output 3 is a fresh proposal, kept if it passes
-    the fast test and tried at attempt a + 1 if not.  A tail draw repeats
-    Marsaglia's tail method with outputs 1 and 2, keeping its sign, until
-    it is accepted.
+    keyed by mix(stream key ^ (c * golden + a)).  A wedge point is kept
+    when it lies under the density; otherwise output 3 is a fresh
+    proposal, kept if it passes the fast test and tried at attempt a + 1
+    if not.  A tail draw repeats Marsaglia's tail method with outputs 1
+    and 2, keeping its sign, until it is accepted.
     """
     value = np.empty(x.size)
     pos = np.arange(x.size)
