@@ -40,10 +40,10 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from .consensus import (ConsensusRecord, TorusSpec, scaling_sweep,
-                        torus_spectrum)
+from .consensus import (MAX_NETWORK_SIZE, ConsensusRecord, TorusSpec,
+                        scaling_sweep, torus_spectrum)
 from .dynamics import Algo, AlgoConfig, SigmaMode
-from .errors import NoiseAmpError
+from .errors import NoiseAmpError, SizeOverflow
 from .lmi import gd_certificate, na_certificate, q_bounds, refine_bound
 from .montecarlo import PseudoHuber, Quadratic, ensemble_variance, simulate
 from .spectrum import Spectrum, make_spectrum
@@ -93,6 +93,9 @@ def _resolve_spectrum(args) -> Spectrum:
         raise ValueError("--n must be >= 1")
     if n == 1 and kappa != 1.0:
         raise ValueError("--n 1 requires --kappa 1")
+    if n > MAX_NETWORK_SIZE:  # the cap on a torus's eigenvalues too
+        raise SizeOverflow(f"--n {n} exceeds the supported size "
+                           f"{MAX_NETWORK_SIZE}")
     return make_spectrum(np.linspace(1.0, kappa, n))
 
 
@@ -400,7 +403,11 @@ def _cmd_simulate(args):
         res = simulate(cfg, obj, args.steps, args.seed)
     report = {"config": echo, **res.to_dict()}
     if args.objective == "quadratic":
-        report["j_exact"] = variance_amplification(cfg, s).j
+        j_exact = variance_amplification(cfg, s).j
+        report["j_exact"] = j_exact
+        # j_hat's distance from j_exact in standard errors, if it has one.
+        report["j_hat_z"] = (None if not res.j_hat_stderr else
+                             (res.j_hat - j_exact) / res.j_hat_stderr)
     table = None
     if args.format == "csv" and res.per_step is not None:
         table = (["step", "mean_sq_error", "stderr"],

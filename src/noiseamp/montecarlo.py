@@ -39,7 +39,14 @@ a scalar recursion on Python floats; above it, all lanes step once per
 iterate through numpy, whose per-call cost is then spread over enough
 lanes.  Memory is O(BLOCK_STEPS * n) for the noise and iterates plus 8
 bytes per step and replicate for the trace that ``j_hat`` and
-``per_step`` are read from.
+``per_step`` are read from; a run whose trace or largest noise block would
+hold more than ``MAX_FLOATS`` floats is refused before anything is
+allocated.
+
+``scipy.signal.lfilter`` is imported on the first quadratic run, not with
+this module: no other part of the package uses scipy, so importing
+:mod:`noiseamp` loads numpy alone, and the first quadratic run in a
+process pays scipy's import (about 0.9 s on a 2-CPU x86 VM).
 """
 
 from __future__ import annotations
@@ -49,10 +56,9 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .dynamics import AlgoConfig, check_step_size, companion_coefficients
-from .errors import NonFinite
+from .errors import NonFinite, SizeOverflow
 from .spectrum import Spectrum
 from ._ziggurat_tables import F_HEX, X_HEX
 
@@ -65,6 +71,7 @@ FIRST_BLOCK_STEPS = 1 << 8    # first block of a non-quadratic run
 NOISE_BLOCK = 1 << 14         # draws per pass in standard_normals
 BATCHES = 100                 # batches of the batch-means standard error
 SCALAR_MAX_DIM = 28           # lanes where scalar and vector steps cost alike
+MAX_FLOATS = 1 << 27          # floats in the trace or a noise block (1 GiB)
 
 # Ziggurat layer edges x_0 .. x_256 and densities f(x_i) = exp(-x_i^2 / 2).
 _X = np.array([float.fromhex(v) for v in X_HEX.split()])
@@ -354,6 +361,8 @@ def _filter_stepper(cfg: AlgoConfig, obj: Quadratic, replicates: int):
     per replicate; its filter states are carried from block to block.  The
     iterates overwrite the noise block.
     """
+    from scipy.signal import lfilter  # here: the package's one scipy use
+
     a, b = companion_coefficients(cfg, obj.lams)
     num = [cfg.effective_sigma]
     dens = [[1.0, -b[j], -a[j]][:cfg.order + 1] for j in range(obj.dim)]
@@ -426,18 +435,27 @@ def _squared_norms(cfg: AlgoConfig, obj, steps: int, seed: int,
     least one step each); a non-quadratic run starts at
     ``FIRST_BLOCK_STEPS`` and doubles.  Raises :class:`NonFinite` at the
     earliest iterate of any replicate whose norm exceeds
-    ``DIVERGENCE_NORM`` or is not finite.
+    ``DIVERGENCE_NORM`` or is not finite, and :class:`SizeOverflow`
+    before any allocation if the trace or a block would hold more than
+    ``MAX_FLOATS`` floats.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     count = len(replicates)
+    n, order = obj.dim, cfg.order
+    most = max(1, BLOCK_STEPS // count)
+    for what, size in (("trace", count * (steps + order)),
+                       ("noise block", count * min(steps, most) * n)):
+        if size > MAX_FLOATS:
+            raise SizeOverflow(
+                f"a run of {count} replicates x {steps} steps on {n} "
+                f"coordinates needs a {what} of {size} floats, above the "
+                f"supported {MAX_FLOATS}")
     if isinstance(obj, Quadratic):
         check_step_size(cfg, obj.spectrum.L)
         advance, size = _filter_stepper(cfg, obj, count), BLOCK_STEPS
     else:
         advance, size = _separable_stepper(cfg, obj, count), FIRST_BLOCK_STEPS
-    n, order = obj.dim, cfg.order
-    most = max(1, BLOCK_STEPS // count)
     size = min(size, most)
     # x^0 (and x^1 for two-step methods) start at 0; the last `steps`
     # entries of a row are the noise-driven iterates.
@@ -466,6 +484,7 @@ def simulate(cfg: AlgoConfig, obj, steps: int, seed: int,
     :func:`ensemble_variance`.  Raises :class:`NonFinite` at the first
     iterate whose norm exceeds ``DIVERGENCE_NORM`` or is not finite,
     :class:`Unstable` before drawing noise for a step no quadratic allows,
+    :class:`SizeOverflow` before allocating a run too large to hold,
     and :class:`TypeError` for a non-quadratic objective without
     ``coordinate_gradient`` or ``gradient``.
     """

@@ -391,6 +391,64 @@ def test_simulate_ensemble_csv(capsys):
     assert len(rows) == 52  # header + steps + 1 iterate rows
 
 
+@pytest.mark.parametrize("problem", [
+    ("--algo", "na", "--spectrum", "1,10"),
+    ("--algo", "na", "--spectrum", "1,10", "--replicates", "4"),
+    ("--algo", "gd", "--kappa", "5", "--n", "3"),
+])
+def test_simulate_reports_the_z_score_of_j_hat(capsys, problem):
+    argv = ("simulate", *problem, "--steps", "5000", "--seed", "4")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["j_hat_z"] == ((rep["j_hat"] - rep["j_exact"])
+                              / rep["j_hat_stderr"])
+    if "--replicates" not in problem:  # an ensemble's CSV is its per_step
+        code, out, _ = _run(capsys, *argv, "--format", "csv")
+        rows = dict(list(csv.reader(io.StringIO(out)))[1:])
+        assert float(rows["j_hat_z"]) == rep["j_hat_z"]
+
+
+@pytest.mark.parametrize("extra", [("--steps", "99"),
+                                   ("--steps", "500", "--sigma", "0")])
+def test_simulate_z_score_is_null_without_a_standard_error(capsys, extra):
+    code, out, _ = _run(capsys, "simulate", "--algo", "hb", "--spectrum",
+                        "1,10", *extra)
+    rep = json.loads(out)
+    assert code == 0 and not rep["j_hat_stderr"]
+    assert rep["j_hat_z"] is None
+    code, out, _ = _run(capsys, "simulate", "--algo", "hb", "--spectrum",
+                        "1,10", *extra, "--format", "csv")
+    assert ["j_hat_z", ""] in list(csv.reader(io.StringIO(out)))
+
+
+def test_pseudo_huber_simulate_has_no_z_score(capsys):
+    code, out, _ = _run(capsys, "simulate", "--algo", "hb", "--spectrum",
+                        "1,10", "--steps", "500", "--objective",
+                        "pseudo-huber")
+    assert code == 0 and "j_hat_z" not in json.loads(out)
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps",
+     "10000000000000"),
+    ("simulate", "--algo", "gd", "--kappa", "10", "--n", "1000000000000",
+     "--steps", "10"),
+    ("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "10",
+     "--replicates", "1000000000000"),
+    ("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "10",
+     "--replicates", "1000000000000", "--objective", "pseudo-huber"),
+    ("analyze", "--algo", "gd", "--kappa", "10", "--n", "1000000000000"),
+    ("tune", "--algo", "hb", "--kappa", "10", "--n", "10000001"),
+])
+def test_oversized_requests_are_domain_errors(capsys, argv):
+    # Each is refused before its arrays are allocated (they would take
+    # terabytes), as one JSON error and exit 3.
+    code, out, err = _run(capsys, *argv)
+    assert code == 3 and out == ""
+    assert json.loads(err)["error"] == "SizeOverflow"
+
+
 @pytest.mark.parametrize("n0", ["8,8,8,8", "8,16,16,32,64"])
 def test_sweep_repeated_sizes_are_a_usage_error(capsys, n0):
     # A repeated size adds no point to the fit (numpy warned that it was

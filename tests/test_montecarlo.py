@@ -8,7 +8,8 @@ from scipy import stats
 from scipy.signal import lfilter
 
 from noiseamp import (Algo, AlgoConfig, NonFinite, PseudoHuber, Quadratic,
-                      SigmaMode, ensemble_variance, make_spectrum,
+                      SigmaMode, SizeOverflow, ensemble_variance,
+                      make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
                       simulate, standard_normals, variance_amplification)
 from noiseamp import montecarlo
@@ -559,6 +560,45 @@ def test_diverging_ensemble_reports_the_earliest_step():
         assert len(set(steps)) > 1
         with pytest.raises(NonFinite, match=f"at step {min(steps)}$"):
             ensemble_variance(cfg, obj, 3000, 6, seed=2)
+
+
+def _objectives(n):
+    return (Quadratic(make_spectrum(np.linspace(1.0, 2.0, n))),
+            PseudoHuber(1.0, 2.0, n))
+
+
+@pytest.mark.parametrize("n, steps, replicates, what", [
+    (2, 10 ** 13, 1, "trace"),
+    (2, 10, 10 ** 12, "trace"),
+    (10_000, montecarlo.BLOCK_STEPS, 1, "noise block"),
+    (10, 1, 1 << 24, "noise block"),
+])
+def test_oversized_runs_are_refused_before_allocating(n, steps, replicates,
+                                                      what):
+    # Sizes that could never be allocated: only a refusal that comes first
+    # lets these return at once.
+    cfg = AlgoConfig(algo=Algo.GD, alpha=0.5)
+    for obj in _objectives(n):
+        with pytest.raises(SizeOverflow, match=f"needs a {what} of"):
+            if replicates == 1:
+                simulate(cfg, obj, steps, seed=0)
+            else:
+                ensemble_variance(cfg, obj, steps, replicates, seed=0)
+
+
+@pytest.mark.parametrize("n, steps, refused", [
+    (1, 99, False), (1, 100, True),    # the trace: steps + 1 floats
+    (3, 100, False), (3, 101, True),   # the noise block: 3 steps floats
+])
+def test_size_limit_is_inclusive(monkeypatch, n, steps, refused):
+    monkeypatch.setattr(montecarlo, "MAX_FLOATS", 300 if n == 3 else 100)
+    cfg = AlgoConfig(algo=Algo.GD, alpha=0.5)
+    for obj in _objectives(n):
+        if refused:
+            with pytest.raises(SizeOverflow):
+                simulate(cfg, obj, steps, seed=0)
+        else:
+            assert simulate(cfg, obj, steps, seed=0).steps == steps
 
 
 def test_ensemble_tracks_covariance_recursion():
