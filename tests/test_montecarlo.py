@@ -586,12 +586,12 @@ def test_oversized_runs_are_refused_before_allocating(n, steps, replicates,
                 ensemble_variance(cfg, obj, steps, replicates, seed=0)
 
 
-@pytest.mark.parametrize("n, steps, refused", [
-    (1, 99, False), (1, 100, True),    # the trace: steps + 1 floats
-    (3, 100, False), (3, 101, True),   # the noise block: 3 steps floats
+@pytest.mark.parametrize("limit, n, steps, refused", [
+    (100, 1, 99, False), (100, 1, 100, True),   # the trace: steps + 1
+    (300, 3, 100, False), (300, 3, 101, True),  # the noise block: 3 steps
 ])
-def test_size_limit_is_inclusive(monkeypatch, n, steps, refused):
-    monkeypatch.setattr(montecarlo, "MAX_FLOATS", 300 if n == 3 else 100)
+def test_size_limit_is_inclusive(monkeypatch, limit, n, steps, refused):
+    monkeypatch.setattr(montecarlo, "MAX_FLOATS", limit)
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.5)
     for obj in _objectives(n):
         if refused:
