@@ -12,17 +12,20 @@ Subcommands::
     sweep      network-size scaling of J-bar/n with slope and regime
 
 A report's "config" echoes the settings that changed its numbers, and
-nothing else.
+nothing else: under --sigma-mode equals-alpha the noise scale is alpha, so
+--sigma is left out.
 
 Exit codes: 0 on success, 2 on usage errors (including an --out that
 cannot be written), 3 on domain errors (unstable iteration, infeasible
 cap, oversized lattice, diverged trajectory, a float overflow, ...).
 Domain errors emit a single JSON object {"error": ..., "message": ...} on
 stderr.  Reports are JSON by default; --format csv flattens the same numeric
-content into header-bearing comma-separated rows.  The JSON is the layout of
-json.dumps(report, indent=2), byte for byte, written a column at a time:
-the largest report, analyze --torus 2,324 (36,855 modes, 3.7 MB), takes
-about 0.1 s to write on a 2-CPU x86 VM, most of it in float repr.
+content into header-bearing comma-separated rows.  The JSON is
+json.dumps(report, indent=2), byte for byte.  The writer formats lists of
+numbers or strs, and of records of them, a column at a time and hands the
+few other values to json.dumps: the largest report, analyze --torus 2,324
+(36,855 modes, 3.7 MB), takes about 0.1 s to write on a 2-CPU x86 VM,
+most of it in float repr.
 """
 
 from __future__ import annotations
@@ -125,52 +128,25 @@ def _resolve_config(args, s: Spectrum) -> AlgoConfig:
 # for byte.  Both walks take a list of leaves, or of dicts that share their
 # keys in one order (``per_mode``, ``rows``; see ``_records``), a column at
 # a time: there json's pure-Python indent encoder and a csv.writer row per
-# leaf cost far more than the float reprs themselves.
+# leaf cost far more than the float reprs themselves.  The JSON walk also
+# descends dicts with str keys and writes plain finite floats, ints and
+# strs itself.  Anything else (a bool, None, a non-finite float, a mixed or
+# empty list, a dict with other keys) is json.dumps's own text, each line
+# re-indented to its depth: exact, as JSON text holds no raw newline.
 
 
-def _json_scalar(v: Any) -> str:
-    """A leaf as json.dumps writes it; TypeError for a type it rejects."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if v != v:
-            return "NaN"
-        if v in (math.inf, -math.inf):
-            return "Infinity" if v > 0 else "-Infinity"
-        return float.__repr__(v)
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON "
-                    f"serializable")
-
-
-def _json_key(key: Any) -> str:
-    if not isinstance(key, str):
-        if not (key is None or isinstance(key, (int, float))):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = _json_scalar(key)
-    return encode_basestring_ascii(key)
-
-
-def _json_column(values: list) -> Iterable[str] | None:
-    """The JSON texts of a list of leaves; None if it holds a container."""
+def _json_column(values: list | tuple) -> Iterable[str] | None:
+    """The JSON texts of plain finite floats, of ints or of strs; else None."""
     kinds = set(map(type, values))
-    if any(issubclass(k, (dict, list, tuple)) for k in kinds):
-        return None
     if kinds == {float}:
         total = sum(values)
         if total - total == 0.0:  # every value is finite
             return map(float.__repr__, values)
     elif kinds == {int}:
         return map(int.__repr__, values)
-    return map(_json_scalar, values)
+    elif kinds == {str}:
+        return map(encode_basestring_ascii, values)
+    return None
 
 
 def _csv_column(values: list) -> Iterable[str] | None:
@@ -193,45 +169,46 @@ def _records(seq: list | tuple) -> tuple[list, list[list]] | None:
     return keys, [list(map(itemgetter(k), seq)) for k in keys]
 
 
+def _json_items(seq: list | tuple, inner: str) -> Iterable[str] | None:
+    """The element texts of a column, or of records of columns with str
+    keys, at depth ``inner``; None for any other list."""
+    items = _json_column(seq)
+    if items is None and (records := _records(seq)) is not None:
+        keys, columns = records
+        columns = [_json_column(c) for c in columns]
+        if None not in columns and all(isinstance(k, str) for k in keys):
+            template = "{\n" + ",\n".join(
+                f"{inner}  {encode_basestring_ascii(k)}: ".replace("%", "%%")
+                + "%s" for k in keys) + f"\n{inner}}}"
+            items = map(template.__mod__, zip(*columns))
+    return items
+
+
 def _write_json(obj: Any, indent: str, out: list[str]):
     """Append ``obj`` in json.dumps's indent=2 layout at depth ``indent``."""
-    if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
+    kind = type(obj)
+    if kind is float and obj - obj == 0.0:  # finite
+        out.append(float.__repr__(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif (isinstance(obj, dict) and obj
+          and all(isinstance(k, str) for k in obj)):
         inner = indent + "  "
         sep = "{\n"
         for key, value in obj.items():
-            out.append(f"{sep}{inner}{_json_key(key)}: ")
+            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
             _write_json(value, inner, out)
             sep = ",\n"
         out.append(f"\n{indent}}}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
+    elif (isinstance(obj, (list, tuple))
+          and (items := _json_items(obj, indent + "  ")) is not None):
         inner = indent + "  "
-        items = _json_column(obj)
-        if items is None and (records := _records(obj)) is not None:
-            keys, columns = records
-            columns = [_json_column(c) for c in columns]
-            if None not in columns:
-                template = "{\n" + ",\n".join(
-                    f"{inner}  {_json_key(k)}: ".replace("%", "%%") + "%s"
-                    for k in keys) + f"\n{inner}}}"
-                items = map(template.__mod__, zip(*columns))
-        if items is not None:
-            out.append(f"[\n{inner}" + f",\n{inner}".join(items)
-                       + f"\n{indent}]")
-            return
-        sep = "[\n"
-        for value in obj:
-            out.append(sep + inner)
-            _write_json(value, inner, out)
-            sep = ",\n"
-        out.append(f"\n{indent}]")
+        out.append(f"[\n{inner}" + f",\n{inner}".join(items)
+                   + f"\n{indent}]")
     else:
-        out.append(_json_scalar(obj))
+        out.append(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
 
 
 def _csv_lines(prefix: str, seq: list | tuple) -> str | None:
@@ -315,6 +292,8 @@ def _config_echo(args, cfg: AlgoConfig | None = None,
         echo.update({"algo": cfg.algo.value, "alpha": cfg.alpha,
                      "beta": cfg.beta, "sigma": cfg.sigma,
                      "sigma_mode": cfg.sigma_mode.value})
+    if echo.get("sigma_mode") == SigmaMode.EQUALS_ALPHA.value:
+        del echo["sigma"]  # the noise scale is alpha; --sigma does nothing
     return echo
 
 
@@ -349,7 +328,7 @@ def _cmd_certify(args):
     algo = Algo(args.algo)
     if args.refine < 0:
         raise ValueError("--refine must be >= 0")
-    if args.kappa < 1.0:
+    if not args.kappa >= 1.0:  # NaN too
         raise ValueError("--kappa must be >= 1")
     if algo == Algo.GD:
         prob, cert = gd_certificate(args.L / args.kappa, args.L, n=args.n)

@@ -272,9 +272,9 @@ def na_certificate(kappa: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiC
     s(k) = 8k^2 - 6k^1.5 - 2k + 3 sqrt(k) - 1; it stays within a factor
     4.08 of the best structured-X bound for all kappa.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:  # NaN too
         raise ValueError("kappa must be >= 1")
-    if L <= 0.0:
+    if not L > 0.0:
         raise ValueError("L must be positive")
     r = math.sqrt(kappa)
     alpha = 1.0 / L
@@ -298,7 +298,7 @@ def q_bounds(algo: Algo, kappa: float, n: int) -> float:
     GD: n kappa^2 / (2 kappa - 1); NA: n kappa^2 (2 kappa - 2 sqrt(kappa)
     + 1) / (2 sqrt(kappa) - 1)^3.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:  # NaN too
         raise ValueError("kappa must be >= 1")
     if algo == Algo.GD:
         return n * kappa * kappa / (2.0 * kappa - 1.0)

@@ -283,7 +283,7 @@ class PseudoHuber:
     def __init__(self, m: float, L: float, n: int, delta: float = 1.0):
         if not (0.0 < m <= L):
             raise ValueError("need 0 < m <= L")
-        if n < 1 or delta <= 0.0:
+        if n < 1 or not delta > 0.0:  # NaN too
             raise ValueError("need n >= 1 and delta > 0")
         self.m = float(m)
         self.L = float(L)
@@ -359,14 +359,16 @@ def _filter_stepper(cfg: AlgoConfig, obj: Quadratic, replicates: int):
 
     Mode j filters sigma w through 1 / (1 - b_j z^-1 - a_j z^-2), one row
     per replicate; its filter states are carried from block to block.  The
-    iterates overwrite the noise block.
+    iterates overwrite the noise block.  The denominators are one (modes x
+    order+1) array and the states one (modes x replicates x order) array,
+    so the stepper holds 8 (order + 1 + replicates x order) bytes per mode.
     """
     from scipy.signal import lfilter  # here: the package's one scipy use
 
     a, b = companion_coefficients(cfg, obj.lams)
     num = [cfg.effective_sigma]
-    dens = [[1.0, -b[j], -a[j]][:cfg.order + 1] for j in range(obj.dim)]
-    states = [np.zeros((replicates, cfg.order)) for _ in range(obj.dim)]
+    dens = np.stack([np.ones_like(b), -b, -a][:cfg.order + 1], axis=1)
+    states = np.zeros((obj.dim, replicates, cfg.order))
 
     def advance(w: np.ndarray) -> np.ndarray:
         for j, den in enumerate(dens):

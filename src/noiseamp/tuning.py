@@ -248,7 +248,7 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     """
     if algo not in _SEARCH:
         raise ValueError("constrained tuning is implemented for GD and HB")
-    if cap_constant <= 0.0:
+    if not cap_constant > 0.0:  # NaN too
         raise ValueError("cap_constant must be positive")
     scale, momenta = _SEARCH[algo]
     kappa = s.kappa
@@ -360,7 +360,7 @@ def acceleration_floor(algo: Algo, kappa: float, cap_constant: float = 1.0,
     """
     if algo not in (Algo.HB, Algo.NA):
         raise ValueError("the acceleration floor concerns HB and NA")
-    if kappa <= 1.0:
+    if not kappa > 1.0:  # NaN too
         raise ValueError("kappa must exceed 1")
     s = make_spectrum([1.0, kappa])
     cap = 1.0 - cap_constant / math.sqrt(kappa)

@@ -157,7 +157,7 @@ def hb_gd_ratio(kappa: float) -> float:
     Equals (sqrt(kappa)+1)^4 / (8 sqrt(kappa) (kappa+1)) = 1/(1 - beta^2)
     for the optimal heavy-ball momentum; it is independent of the spectrum.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:  # NaN too
         raise ValueError("kappa must be >= 1")
     rk = math.sqrt(kappa)
     return (rk + 1.0) ** 4 / (8.0 * rk * (kappa + 1.0))
@@ -171,7 +171,7 @@ def extreme_modal_values(algo: Algo, kappa: float) -> dict[str, float]:
     beta = (sqrt(3k+1)-2)/(sqrt(3k+1)+2).  Both have J_hat(1/alpha) = 1 and
     attain their extremes over [m, L] at the endpoints.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:  # NaN too
         raise ValueError("kappa must be >= 1")
     if algo == Algo.GD:
         edge = (kappa + 1.0) ** 2 / (4.0 * kappa)
@@ -213,7 +213,7 @@ def variance_bounds(algo: Algo, kappa: float, n: int) -> tuple[float, float]:
     A single eigenvalue has kappa = 1; n = 1 with kappa != 1 is a
     ValueError.
     """
-    if kappa < 1.0:
+    if not kappa >= 1.0:  # NaN too
         raise ValueError("kappa must be >= 1")
     if n < 1:
         raise DimensionTooSmall("need n >= 1")

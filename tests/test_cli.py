@@ -12,6 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noiseamp import Algo, AlgoConfig, make_spectrum, variance_amplification
+from noiseamp import cli
 from noiseamp.cli import (_config_echo, _emit, _resolve_config,
                           _resolve_spectrum, build_parser, run)
 
@@ -151,6 +152,33 @@ def test_exit_code_domain_error_json(capsys):
     assert "message" in payload
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("bounds", "--algo", "gd", "--kappa", "nan", "--n", "3"),
+     "kappa must be >= 1"),
+    (("bounds", "--algo", "hb", "--kappa", "nan", "--n", "3"),
+     "kappa must be >= 1"),
+    (("bounds", "--algo", "na", "--kappa", "nan", "--n", "3"),
+     "kappa must be >= 1"),
+    (("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "10",
+      "--objective", "pseudo-huber", "--delta", "nan"), "delta > 0"),
+    (("tune", "--algo", "gd", "--spectrum", "1,4", "--cap-constant", "nan"),
+     "cap_constant must be positive"),
+    (("tune", "--algo", "hb", "--spectrum", "1,4", "--cap-constant", "nan"),
+     "cap_constant must be positive"),
+    (("certify", "--algo", "gd", "--kappa", "nan"), "--kappa must be >= 1"),
+    (("certify", "--algo", "na", "--kappa", "nan"), "--kappa must be >= 1"),
+    (("certify", "--algo", "na", "--kappa", "4", "--L", "nan"),
+     "L must be positive"),
+])
+def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
+                                                       message):
+    # NaN fails every comparison, so each check is written to pass only
+    # for a valid value, and a NaN flag fails where it is checked.
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and message in err
+
+
 def test_bounds_command(capsys):
     code, out, _ = _run(capsys, "bounds", "--algo", "hb",
                         "--kappa", "100", "--n", "5")
@@ -278,7 +306,32 @@ def test_tune_echoes_its_noise_settings(capsys):
     assert code == 0
     assert json.loads(out)["config"] == {
         "command": "tune", "spectrum": "1,5,10", "cap_constant": 1.0,
-        "sigma": 2.0, "sigma_mode": "equals_alpha"}
+        "sigma_mode": "equals_alpha"}
+    code, out, _ = _run(capsys, "tune", "--algo", "gd", "--spectrum",
+                        "1,5,10", "--sigma", "2")
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "command": "tune", "spectrum": "1,5,10", "cap_constant": 1.0,
+        "sigma": 2.0, "sigma_mode": "fixed"}
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--algo", "gd", "--spectrum", "1,4"),
+    ("simulate", "--algo", "hb", "--spectrum", "1,4", "--steps", "100"),
+    ("tune", "--algo", "hb", "--spectrum", "1,4"),
+])
+def test_sigma_is_not_echoed_where_it_does_nothing(capsys, argv):
+    # Under --sigma-mode equals-alpha the noise scale is alpha: --sigma
+    # changes no number, so the report, config included, is the same.
+    reports = []
+    for sigma in ((), ("--sigma", "5")):
+        code, out, _ = _run(capsys, *argv, "--sigma-mode", "equals-alpha",
+                            *sigma)
+        assert code == 0
+        reports.append(json.loads(out))
+    assert reports[0] == reports[1]
+    assert "sigma" not in reports[0]["config"]
+    assert reports[0]["config"]["sigma_mode"] == "equals_alpha"
 
 
 def test_simulate_echoes_delta_only_for_pseudo_huber(capsys):
@@ -864,3 +917,44 @@ def test_torus_report_matches_the_reference_writer(fmt):
     code, out = _run_stdout(argv)
     assert code == 0
     assert out == _reference_text(report, fmt)
+
+
+def _leaves_only_json_writes(obj, leaves):
+    """The bool, None and non-finite float leaves of a report, in order."""
+    if isinstance(obj, dict):
+        for v in obj.values():
+            _leaves_only_json_writes(v, leaves)
+    elif isinstance(obj, list):
+        for v in obj:
+            _leaves_only_json_writes(v, leaves)
+    elif obj is None or isinstance(obj, bool) or (
+            isinstance(obj, float) and not math.isfinite(obj)):
+        leaves.append(obj)
+    return leaves
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--algo", "hb", "--torus", "2,64"),
+    ("sweep", "--algo", "na", "--d", "2", "--n0", "8,16,24,32"),
+    ("simulate", "--algo", "hb", "--spectrum", "1,4,9", "--steps", "200",
+     "--replicates", "3"),
+    ("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "50",
+     "--sigma", "0"),  # j_hat_z is null
+    ("certify", "--algo", "na", "--kappa", "10"),  # valid is true
+])
+def test_real_reports_stay_on_the_column_path(capsys, monkeypatch, argv):
+    # The writer hands json.dumps the leaves that it alone writes and no
+    # list: per-mode tables, sweep rows (with their str columns) and
+    # per-step traces are written a column at a time.
+    passed = []
+    dumps = json.dumps
+
+    def spy(obj, *args, **kwargs):
+        passed.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", spy)
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    assert not [o for o in passed if isinstance(o, (list, tuple)) and o]
+    assert passed == _leaves_only_json_writes(json.loads(out), [])

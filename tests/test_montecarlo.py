@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from scipy import stats
 from scipy.signal import lfilter
 
 from noiseamp import (Algo, AlgoConfig, NonFinite, PseudoHuber, Quadratic,
-                      SigmaMode, SizeOverflow, ensemble_variance,
+                      SigmaMode, SizeOverflow, TorusSpec, ensemble_variance,
                       make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
-                      simulate, standard_normals, variance_amplification)
+                      simulate, standard_normals, torus_spectrum,
+                      variance_amplification)
 from noiseamp import montecarlo
 from noiseamp.dynamics import companion_coefficients
 
@@ -432,6 +434,28 @@ def test_filter_path_matches_explicit_recursion(monkeypatch):
         np.testing.assert_allclose(fast.per_step, slow.per_step,
                                    rtol=1e-8, atol=1e-10)
 
+
+
+@pytest.mark.parametrize("algo", [Algo.GD, Algo.HB])
+def test_filter_state_is_a_few_floats_per_mode(algo):
+    # A torus run filters one mode per eigenvalue, counted with
+    # multiplicity, so its per-mode state must stay a few floats: the
+    # coefficients and filter states are two arrays, 8 (2 order + 1)
+    # bytes per mode for one replicate.
+    s = torus_spectrum(TorusSpec(d=2, n0=64))
+    obj = Quadratic(s)
+    tuned = optimal_quadratic_params(algo, s.m, s.L)
+    cfg = AlgoConfig(algo=algo, alpha=tuned.alpha, beta=tuned.beta)
+    w = np.zeros((1, 4, obj.dim))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        advance = montecarlo._filter_stepper(cfg, obj, 1)
+        advance(w)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 64 * obj.dim
 
 def test_j_hat_stderr_by_hand():
     cfg = AlgoConfig(algo=Algo.HB, alpha=0.3, beta=0.4)
