@@ -330,6 +330,8 @@ def _cmd_certify(args):
         raise ValueError("--refine must be >= 0")
     if not args.kappa >= 1.0:  # NaN too
         raise ValueError("--kappa must be >= 1")
+    if not 0.0 < args.L < math.inf:  # NaN too
+        raise ValueError("--L must be positive and finite")
     if algo == Algo.GD:
         prob, cert = gd_certificate(args.L / args.kappa, args.L, n=args.n)
     else:
@@ -480,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("tune", help="minimize J under a rate cap")
-    _add_algo(p, ("gd", "hb"))
+    _add_algo(p)
     _add_problem(p)
     p.add_argument("--cap-constant", type=float, default=1.0,
                    dest="cap_constant")

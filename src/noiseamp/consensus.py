@@ -32,7 +32,7 @@ which can round apart by an ulp, so J-bar agrees to about 1e-16 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import reduce
 from typing import Any, Sequence
@@ -132,28 +132,22 @@ class ConsensusRecord:
                    jbar=rep.j)
 
     def to_dict(self) -> dict[str, Any]:
-        return {"algo": self.algo.value, "d": self.d, "n0": self.n0,
-                "n": self.n, "kappa": self.kappa, "rho": self.rho,
-                "rho_at": self.rho_at, "jbar": self.jbar,
+        return {**asdict(self), "algo": self.algo.value,
                 "jbar_over_n": self.jbar_over_n}
 
 
 def consensus_variance(algo: Algo, t: TorusSpec,
-                       cfg: AlgoConfig | None = None,
                        sigma: float = 1.0) -> ConsensusRecord:
     """J-bar of noisy distributed averaging over the torus.
 
-    By default the method runs at its quadratic-optimal tuning for the
-    nonzero extreme eigenvalues; pass ``cfg`` to override (the record then
-    names ``cfg.algo``).  The zero mode is excluded (deviation-from-average
-    variance).  Raises :class:`Unstable` if the method diverges on some
-    nonzero mode.
+    The method runs at its quadratic-optimal tuning for the nonzero extreme
+    eigenvalues (other tunings: :meth:`ConsensusRecord.from_report`).  The
+    zero mode is excluded (deviation-from-average variance).
     """
     s = torus_spectrum(t)
-    if cfg is None:
-        params = optimal_quadratic_params(algo, s.m, s.L)
-        cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
-                         sigma=sigma)
+    params = optimal_quadratic_params(algo, s.m, s.L)
+    cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
+                     sigma=sigma)
     return ConsensusRecord.from_report(t, variance_amplification(cfg, s))
 
 

@@ -21,7 +21,7 @@ coordinate-descent refiner.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -115,15 +115,7 @@ class LmiCertificate:
     valid: bool = False
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "x1": self.x1, "x0": self.x0, "x2": self.x2,
-            "lambda1": self.lambda1, "lambda2": self.lambda2,
-            "bound": self.bound,
-            "residual_max_eig": self.residual_max_eig,
-            "x_min_eig": self.x_min_eig,
-            "psd_tol": self.psd_tol,
-            "valid": self.valid,
-        }
+        return asdict(self)
 
 
 def _lmi_entries(p: LmiProblem, cert: LmiCertificate) -> tuple[float, ...]:
@@ -230,8 +222,9 @@ def gd_certificate(m: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiCerti
     """Closed-form certificate for gradient descent at alpha = 1/L.
 
     X = kappa^2/(2 kappa - 1) I and lambda1 = (1 - alpha m) /
-    (m (2 - alpha m)(L - m)) make the LMI residual exactly
-    diag(0, -1/(m^2 (2 kappa - 1))), certifying J <= n kappa^2/(2 kappa - 1).
+    (m (2 - alpha m)(L - m)) = 1 / (m (2 L - m)) make the LMI residual
+    exactly diag(0, -1/(m^2 (2 kappa - 1))), certifying
+    J <= n kappa^2/(2 kappa - 1).  The simplified form holds at L = m too.
     """
     if not (0.0 < m <= L):
         raise ValueError("need 0 < m <= L")
@@ -240,10 +233,7 @@ def gd_certificate(m: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiCerti
     x1 = kappa * kappa / (2.0 * kappa - 1.0)
     if not math.isfinite(x1):
         raise KappaTooLarge(f"the GD certificate overflows at kappa={kappa!r}")
-    if L > m:
-        lam1 = (1.0 - alpha * m) / (m * (2.0 - alpha * m) * (L - m))
-    else:
-        lam1 = 0.0
+    lam1 = 1.0 / (m * (2.0 * L - m))
     p = LmiProblem(algo=Algo.GD, m=m, L=L, alpha=alpha, beta=0.0, n=n)
     cert = LmiCertificate(x1=x1, x0=0.0, x2=0.0, lambda1=lam1, lambda2=0.0)
     return p, evaluate_certificate(p, cert)

@@ -19,20 +19,19 @@ with extreme eigenvalues m and L:
                                                       rho = (sqrt(3k+1)-2)/sqrt(3k+1)
 
 On top of these, the module minimizes J subject to a cap r on the
-convergence rate, with one search for GD and HB.  At momentum beta the
-mode polynomial z^2 - b z - a has a = -beta, b = 1 + beta - alpha lambda,
-and the Schur-Cohn conditions of :func:`convergence_rate`, read at
-lambda = m and L, make the feasible step sizes a closed-form interval.
-Golden-section minimizes J on it for every slice of a momentum grid at
-once, the slices advancing in lockstep; GD is the beta = 0 slice.  The
-module also quantifies the heavy-ball rate/variance trade-off floor and
-measures the variance floor that any accelerated tuning must pay.
+convergence rate, with one search for GD, HB and NA: at each momentum the
+Schur-Cohn conditions of :func:`convergence_rate`, read at lambda = m and
+L, make the feasible step sizes a closed-form interval, and golden-section
+minimizes J on it for every slice of a momentum grid at once, the slices
+advancing in lockstep.  The same search measures the variance floor that
+any accelerated tuning must pay; the module also quantifies the heavy-ball
+rate/variance trade-off floor.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
@@ -104,7 +103,7 @@ def optimal_quadratic_params(algo: Algo, m: float, L: float) -> TunedParams:
 
 def _momentum(beta: float, kappa: float) -> float:
     """A tuned momentum; :class:`KappaTooLarge` once it rounds to 1."""
-    if beta >= 1.0:
+    if not beta < 1.0:  # NaN too: an overflowing kappa
         raise KappaTooLarge(
             f"the tuned momentum rounds to 1 at kappa={kappa!r}")
     return beta
@@ -133,12 +132,8 @@ class TuningResult:
     alpha_at_edge: bool
 
     def to_dict(self) -> dict[str, Any]:
-        return {"algo": self.algo.value, "alpha": self.alpha,
-                "beta": self.beta, "J": self.j, "rho": self.rho,
-                "rate_cap": self.rate_cap, "slices": self.slices,
-                "feasible_slices": self.feasible_slices,
-                "evaluations": self.evaluations,
-                "alpha_at_edge": self.alpha_at_edge}
+        out = {**asdict(self), "algo": self.algo.value}
+        return {("J" if k == "j" else k): v for k, v in out.items()}
 
 
 def _check_ml(m: float, L: float):
@@ -186,24 +181,33 @@ def _golden_rows(fn, lo: np.ndarray, hi: np.ndarray):
         evaluations += rows.size
 
 
-def _step_interval(beta: float, r: float, m: float,
+def _step_interval(beta: float, gamma: float, r: float, m: float,
                    L: float) -> tuple[float, float] | None:
-    """Step sizes alpha meeting rho <= r at momentum beta (gamma = 0).
+    """Step sizes alpha meeting rho <= r at momentum beta, look-ahead gamma.
 
-    The mode polynomial z^2 - b z - a has a = -beta and b = 1 + beta - mu.
-    By the Schur-Cohn conditions of :func:`convergence_rate` its roots lie
-    in |z| <= r exactly when beta <= r^2 and |1 + beta - mu| <= h with
-    h = r + beta / r.  Reading the rate at mu = alpha m and mu = alpha L
-    gives alpha in [max(1 + beta - h, 0) / m, (1 + beta + h) / L].  Returns
-    None for an empty slice.  At beta = 0 the edges are GD's
-    (1 - r) / m and (1 + r) / L, bit for bit.
+    The roots of z^2 - b z - a, a = gamma mu - beta and b = 1 + beta -
+    (1 + gamma) mu, lie in |z| <= r exactly when |a| <= r^2 and
+    |b| <= r - a / r (:func:`convergence_rate`): four inequalities
+    p mu >= q, each bounding mu below (p > 0) or above (p < 0) or holding
+    for all mu or none (p = 0).  For b's upper bound p = 1 + gamma -
+    gamma / r changes sign at gamma = r / (1 - r).  Read at mu = alpha m
+    and alpha L, [mu_lo, mu_hi] gives alpha in [mu_lo / m, mu_hi / L];
+    None for an empty slice.  At gamma = 0 these are heavy ball's edges
+    and at beta = 0 GD's, (1 - r) / m and (1 + r) / L, bit for bit.
     """
     h = r + beta / r
-    lo = max(1.0 + beta - h, 0.0) / m
-    hi = (1.0 + beta + h) / L
-    if beta > r * r or lo > hi:
-        return None
-    return lo, hi
+    lo, hi = 0.0, math.inf
+    for p, q in ((-gamma, -(r * r + beta)), (gamma, beta - r * r),
+                 (1.0 + gamma - gamma / r, 1.0 + beta - h),
+                 (-(1.0 + gamma + gamma / r), -(1.0 + beta + h))):
+        if p > 0.0:
+            lo = max(q / p, lo)
+        elif p < 0.0:
+            hi = min(q / p, hi)
+        elif q > 0.0:
+            return None
+    lo, hi = lo / m, hi / L
+    return None if lo > hi else (lo, hi)
 
 
 def _momentum_grid(r: float) -> list[float]:
@@ -221,11 +225,40 @@ def _momentum_grid(r: float) -> list[float]:
     return grid.tolist()
 
 
+def _nesterov_band(r: float, m: float, L: float) -> list[float]:
+    """Nesterov momenta (gamma = beta) across the band where rho <= r holds.
+
+    The band is narrow (0.790 to 0.821 at kappa = 100, c = 1) and reaches
+    above r^2.  It holds the rate-optimal momentum if it is not empty;
+    bisection from there finds both ends to the float.  J is least, and
+    steep, at the lower end, so the ``BETA_GRID_POINTS`` slices are
+    Chebyshev-Lobatto points, which crowd the ends.
+    """
+    def inside(beta: float) -> bool:
+        return _step_interval(beta, beta, r, m, L) is not None
+
+    anchor = optimal_quadratic_params(Algo.NA, m, L).beta
+    if not inside(anchor):
+        return []
+    ends = []
+    for end in (0.0, math.nextafter(1.0, 0.0)):
+        if not inside(end):  # bisect between the anchor (inside) and end
+            a = anchor
+            while (mid := 0.5 * (a + end)) not in (a, end):
+                a, end = (mid, end) if inside(mid) else (a, mid)
+            end = a
+        ends.append(end)
+    lo, hi = ends
+    nodes = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, BETA_GRID_POINTS))
+    return np.unique(lo + (hi - lo) * nodes).tolist()
+
+
 # Per-preset data of the constrained search: the rate class the cap scales
-# with (rho <= 1 - c / scale(kappa)) and the momentum slices searched.  GD
-# is heavy ball's beta = 0 slice.
-_SEARCH = {Algo.GD: (lambda kappa: kappa, lambda r: [0.0]),
-           Algo.HB: (math.sqrt, _momentum_grid)}
+# with (rho <= 1 - c / scale(kappa)) and the momentum slices searched for
+# the cap r on [m, L].  GD is heavy ball's beta = 0 slice.
+_SEARCH = {Algo.GD: (lambda kappa: kappa, lambda r, m, L: [0.0]),
+           Algo.HB: (math.sqrt, lambda r, m, L: _momentum_grid(r)),
+           Algo.NA: (math.sqrt, _nesterov_band)}
 
 
 def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
@@ -234,20 +267,18 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     """Minimize J subject to a convergence-rate cap.
 
     The cap scales with the best achievable rate class of the method:
-    GD must satisfy rho <= 1 - c/kappa, HB rho <= 1 - c/sqrt(kappa)
-    (c = ``cap_constant``).  One search serves both: for each momentum
-    slice (GD has only beta = 0; HB grids beta log-spaced in 1 - beta) the
-    feasible step sizes form the closed-form interval of
-    :func:`_step_interval`, and golden-section minimizes J on it.  A step
-    whose computed rate exceeds the cap, or that is unstable, scores +inf,
-    so the reported rho meets the cap as computed.  Ties prefer smaller
-    beta, then smaller alpha.  Raises :class:`InfeasibleCap` when no
-    parameters meet the cap, :class:`KappaTooLarge` when the cap lies
-    above the instability threshold and :class:`VarianceOverflow` when J
-    leaves double range at a step searched that meets the cap.
+    GD must satisfy rho <= 1 - c/kappa, HB and NA rho <= 1 - c/sqrt(kappa)
+    (c = ``cap_constant``).  For each momentum slice (GD: beta = 0; HB: a
+    grid log-spaced in 1 - beta; NA: :func:`_nesterov_band`) the feasible
+    steps form the interval of :func:`_step_interval` at the preset's
+    look-ahead, and golden-section minimizes J on it.  A step whose
+    computed rate exceeds the cap, or that is unstable, scores +inf, so
+    the reported rho meets the cap as computed.  Ties prefer smaller beta,
+    then smaller alpha.  Raises :class:`InfeasibleCap` when no parameters
+    meet the cap, :class:`KappaTooLarge` when the cap lies above the
+    instability threshold and :class:`VarianceOverflow` when J leaves
+    double range at a step searched that meets the cap.
     """
-    if algo not in _SEARCH:
-        raise ValueError("constrained tuning is implemented for GD and HB")
     if not cap_constant > 0.0:  # NaN too
         raise ValueError("cap_constant must be positive")
     scale, momenta = _SEARCH[algo]
@@ -262,8 +293,10 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     infeasible = InfeasibleCap(
         f"no {algo.value} parameters reach rho <= {cap!r} on "
         f"kappa={kappa!r}")
-    slices = [(beta, *edges) for beta in momenta(cap)
-              if (edges := _step_interval(beta, cap, s.m, s.L)) is not None]
+    look_ahead = ConfigRows(algo, None, 1.0).gamma  # per unit beta: 0 or 1
+    slices = [(beta, *edges) for beta in momenta(cap, s.m, s.L)
+              if (edges := _step_interval(beta, look_ahead * beta, cap,
+                                          s.m, s.L))]
     if not slices:
         raise infeasible
     betas, lo, hi = np.array(slices).T.copy()
@@ -349,40 +382,18 @@ def na_jhat_m_lower_bound(kappa: float, beta: float) -> float:
     return kappa * kappa / (24.0 * (1.0 - beta) * kappa + 32.0 * beta)
 
 
-def acceleration_floor(algo: Algo, kappa: float, cap_constant: float = 1.0,
-                       samples: int = 2000, seed: int = 0) -> dict[str, float]:
-    """Measure the variance floor paid by accelerated tunings, sigma = 1.
+def acceleration_floor(algo: Algo, kappa: float,
+                       cap_constant: float = 1.0) -> dict[str, Any]:
+    """The variance floor paid by accelerated tunings, sigma = 1.
 
-    Samples stable (alpha, beta) pairs achieving the accelerated rate
-    rho <= 1 - c/sqrt(kappa) on the two-point spectrum {m=1, L=kappa} and
-    records the smallest observed J / kappa^{3/2}.  Any accelerated tuning
-    keeps this ratio bounded away from zero uniformly in kappa.
+    The least J under the accelerated cap rho <= 1 - c/sqrt(kappa) on the
+    spectrum {1, kappa}: ``min_ratio`` = J / kappa^{3/2}, then the
+    :func:`tune_constrained` report.  Any accelerated tuning keeps this
+    ratio bounded away from zero uniformly in kappa.
     """
     if algo not in (Algo.HB, Algo.NA):
         raise ValueError("the acceleration floor concerns HB and NA")
     if not kappa > 1.0:  # NaN too
         raise ValueError("kappa must exceed 1")
-    s = make_spectrum([1.0, kappa])
-    cap = 1.0 - cap_constant / math.sqrt(kappa)
-    if cap <= 0.0:
-        raise InfeasibleCap(f"rate cap {cap!r} is non-positive")
-    rng = np.random.default_rng(seed)
-    best = math.inf
-    feasible = 0
-    for _ in range(samples):
-        beta = float(rng.uniform(0.0, 1.0))
-        alpha = float(rng.uniform(0.0, 2.0 * (1.0 + beta) / kappa))
-        try:
-            cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta)
-        except ValueError:
-            continue
-        rho = convergence_rate(cfg, s)
-        if rho > cap:
-            continue
-        feasible += 1
-        j = variance_amplification(cfg, s).j
-        best = min(best, j / kappa ** 1.5)
-    if feasible == 0:
-        raise InfeasibleCap(
-            f"no sampled parameters met the accelerated cap at kappa={kappa!r}")
-    return {"min_ratio": best, "feasible": float(feasible), "cap": cap}
+    res = tune_constrained(algo, make_spectrum([1.0, kappa]), cap_constant)
+    return {"min_ratio": res.j / kappa ** 1.5, **res.to_dict()}

@@ -214,7 +214,7 @@ def test_criterion_09_acceleration_floor_and_gd_half_factor():
     ok = True
     ratios = []
     for kappa in (1e2, 1e3, 1e4):
-        out = acceleration_floor(Algo.HB, kappa, samples=3000, seed=9)
+        out = acceleration_floor(Algo.HB, kappa)
         ratios.append(out["min_ratio"])
     for a, b in zip(ratios, ratios[1:]):
         ok &= (max(a, b) / min(a, b)) <= 10.0

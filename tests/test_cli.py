@@ -169,6 +169,12 @@ def test_exit_code_domain_error_json(capsys):
     (("certify", "--algo", "na", "--kappa", "nan"), "--kappa must be >= 1"),
     (("certify", "--algo", "na", "--kappa", "4", "--L", "nan"),
      "L must be positive"),
+    (("certify", "--algo", "gd", "--kappa", "4", "--L", "nan"),
+     "--L must be positive and finite"),
+    (("certify", "--algo", "gd", "--kappa", "10", "--L", "inf"),
+     "--L must be positive and finite"),
+    (("certify", "--algo", "na", "--kappa", "10", "--L", "inf"),
+     "--L must be positive and finite"),
 ])
 def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
                                                        message):
@@ -286,6 +292,27 @@ def test_tune_command(capsys):
                         "--spectrum", "1,10", "--cap-constant", "10")
     assert code == 3
     assert json.loads(err)["error"] == "InfeasibleCap"
+
+
+def test_tune_na_meets_its_cap(capsys):
+    code, out, err = _run(capsys, "tune", "--algo", "na", "--kappa", "1e3",
+                          "--n", "3")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["algo"] == "na"
+    assert report["rate_cap"] == 1.0 - 1.0 / math.sqrt(1e3)
+    assert report["rho"] <= report["rate_cap"]
+    assert 0 < report["feasible_slices"] <= report["slices"]
+
+
+@pytest.mark.parametrize("extra", [(), ("--refine", "50")])
+def test_gd_certificate_at_kappa_one_is_valid(capsys, extra):
+    code, out, _ = _run(capsys, "certify", "--algo", "gd", "--kappa", "1",
+                        *extra)
+    assert code == 0
+    report = json.loads(out)
+    assert report["valid"] is True
+    assert report["bound"] == report["reference"] == 1.0
 
 
 def test_certify_echoes_L(capsys):
@@ -574,6 +601,19 @@ def test_out_that_cannot_be_written_is_a_usage_error(tmp_path, capsys,
     ("tune", "--algo", "gd", "--kappa", "1e15", "--n", "3"),
     ("tune", "--algo", "hb", "--kappa", "1e29", "--n", "3"),
     ("tune", "--algo", "hb", "--kappa", "1e300", "--n", "3"),
+    ("tune", "--algo", "na", "--kappa", "1e29", "--n", "3"),
+    # kappa = 1e300 / 1e-300 overflows to inf and the tuned momentum is NaN.
+    ("analyze", "--algo", "hb", "--spectrum", "1e300,1e-300"),
+    ("analyze", "--algo", "na", "--spectrum", "1e300,1e-300"),
+    ("analyze", "--algo", "na", "--spectrum", "1e300,1e-300", "--params",
+     "table1"),
+    ("simulate", "--algo", "hb", "--spectrum", "1e300,1e-300", "--steps",
+     "10"),
+    ("simulate", "--algo", "na", "--spectrum", "1e300,1e-300", "--steps",
+     "10"),
+    ("simulate", "--algo", "na", "--spectrum", "1e300,1e-300", "--params",
+     "table1", "--steps", "10"),
+    ("tune", "--algo", "na", "--spectrum", "1e300,1e-300"),
 ])
 def test_huge_kappa_is_a_domain_error(capsys, argv):
     code, out, err = _run(capsys, *argv)
@@ -583,7 +623,7 @@ def test_huge_kappa_is_a_domain_error(capsys, argv):
 
 
 @pytest.mark.parametrize("algo, kappa", [("gd", "1e14"), ("hb", "1e10"),
-                                         ("hb", "1e27")])
+                                         ("hb", "1e27"), ("na", "1e10")])
 def test_huge_kappa_tune_meets_its_cap(capsys, algo, kappa):
     # At 1e14 GD's cap equals the instability threshold; at 1e10 HB needs
     # momenta closer to 1 than 1 - 1e-4.
@@ -764,7 +804,7 @@ _SURFACE = {
                 "--L": ("L", 1.0, float, None, False),
                 "--n": ("n", 1, int, None, False),
                 "--refine": ("refine", 0, int, None, False), **_OUTPUT},
-    "tune": {"--algo": ("algo", None, None, ["gd", "hb"], True), **_SOURCE,
+    "tune": {**_ALGO, **_SOURCE,
              "--cap-constant": ("cap_constant", 1.0, float, None, False),
              **_SIGMA, **_SIGMA_MODE, **_OUTPUT},
     "consensus": {**_ALGO, "--torus": ("torus", None, None, None, True),

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiseamp import (Algo, AlgoConfig, Quadratic, Regime, SizeOverflow,
-                      TorusSpec, Unstable, consensus_variance,
+from noiseamp import (Algo, AlgoConfig, ConsensusRecord, Quadratic, Regime,
+                      SizeOverflow, TorusSpec, Unstable, consensus_variance,
                       convergence_rate, hb_gd_ratio, make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
                       reciprocal_sum, scaling_sweep, torus_eigenvalues,
@@ -80,10 +80,17 @@ def test_hb_gd_ratio_on_torus():
     assert h.jbar / g.jbar == pytest.approx(hb_gd_ratio(g.kappa), rel=1e-12)
 
 
+def _explicit_record(t, cfg):
+    """The record of ``cfg`` on ``t``, built as the CLI's --params explicit
+    builds it."""
+    return ConsensusRecord.from_report(
+        t, variance_amplification(cfg, torus_spectrum(t)))
+
+
 def test_explicit_config_override():
     t = TorusSpec(d=1, n0=8)
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.2)
-    rec = consensus_variance(Algo.GD, t, cfg=cfg)
+    rec = _explicit_record(t, cfg)
     lams = _nonzero_lattice(t)
     expected = math.fsum(1.0 / (0.2 * l * (2.0 - 0.2 * l)) for l in lams)
     assert rec.jbar == pytest.approx(expected, rel=1e-12)
@@ -93,7 +100,7 @@ def test_explicit_unstable_config_raises():
     # GD on a 2-d torus with even n0 has L = 8: alpha = 1.5 gives rho = 11.
     cfg = AlgoConfig(algo=Algo.GD, alpha=1.5)
     with pytest.raises(Unstable) as exc:
-        consensus_variance(Algo.GD, TorusSpec(d=2, n0=8), cfg=cfg)
+        _explicit_record(TorusSpec(d=2, n0=8), cfg)
     assert exc.value.lam == pytest.approx(8.0)
     assert exc.value.rho == pytest.approx(11.0)
 
@@ -214,12 +221,10 @@ def test_rho_at_names_the_extreme_that_sets_rho():
     # 2-d torus, n0 = 8: m = 2 - sqrt(2), L = 8.  GD's radius is
     # max(1 - alpha m, alpha L - 1).
     t = TorusSpec(d=2, n0=8)
-    small = consensus_variance(Algo.GD, t,
-                               AlgoConfig(algo=Algo.GD, alpha=0.05))
+    small = _explicit_record(t, AlgoConfig(algo=Algo.GD, alpha=0.05))
     assert small.rho_at == "m"
     assert small.rho == pytest.approx(1.0 - 0.05 * (2.0 - math.sqrt(2.0)))
-    large = consensus_variance(Algo.GD, t,
-                               AlgoConfig(algo=Algo.GD, alpha=0.24))
+    large = _explicit_record(t, AlgoConfig(algo=Algo.GD, alpha=0.24))
     assert large.rho_at == "L"
     assert large.rho == pytest.approx(0.24 * 8.0 - 1.0)
     assert large.to_dict()["rho_at"] == "L"

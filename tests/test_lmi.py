@@ -104,12 +104,15 @@ def test_gd_certificate_exact_residual():
 
 
 def test_gd_certificate_residual_formula():
-    # residual is diag(0, -1/(m^2 (2 kappa - 1))) at alpha = 1/L
-    for m, kappa in [(1.0, 2.0), (0.5, 10.0), (2.0, 1000.0)]:
+    # residual is diag(0, -1/(m^2 (2 kappa - 1))) at alpha = 1/L, with
+    # kappa = 1 (L = m) included
+    for m, kappa in [(1.0, 2.0), (0.5, 10.0), (2.0, 1000.0),
+                     (1.0, 1.0), (0.25, 1.0), (3.0, 1.0), (1e-3, 1.0)]:
         prob, cert = gd_certificate(m, m * kappa)
         lhs = assemble_lmi(prob, cert)
         expected = np.diag([0.0, -1.0 / (m * m * (2.0 * kappa - 1.0))])
         np.testing.assert_allclose(lhs, expected, rtol=1e-12, atol=1e-14)
+        assert cert.valid
         assert cert.bound == pytest.approx(
             kappa * kappa / (2.0 * kappa - 1.0), rel=1e-13)
 

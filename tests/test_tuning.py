@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooLarge,
                       torus_spectrum, tune_constrained,
                       variance_amplification)
 from noiseamp.dynamics import INSTABILITY_THRESHOLD
-from noiseamp.tuning import GOLDEN_TOL, _SEARCH, _step_interval
+from noiseamp.tuning import (GOLDEN_TOL, _SEARCH, _nesterov_band,
+                             _step_interval)
 
 
 def test_conventional_params_values():
@@ -86,6 +88,22 @@ def test_tune_constrained_hb():
         tune_constrained(Algo.HB, s, cap_constant=20.0)
 
 
+@pytest.mark.parametrize("kappa", [1.5, 25.0, 1e3, 1e6])
+def test_tune_constrained_na(kappa):
+    s = make_spectrum([1.0, kappa])
+    res = tune_constrained(Algo.NA, s, cap_constant=1.0)
+    assert res.rho <= res.rate_cap == 1.0 - 1.0 / math.sqrt(kappa)
+    # The rate-optimal tuning, 1 - 2 / sqrt(3 kappa + 1), meets c = 1, so
+    # the tuned J cannot be worse than it.
+    p = optimal_quadratic_params(Algo.NA, 1.0, kappa)
+    j_opt = variance_amplification(
+        AlgoConfig(algo=Algo.NA, alpha=p.alpha, beta=p.beta), s).j
+    assert res.j <= j_opt * (1 + 1e-9)
+    # c = 1.2 lies beyond the optimal rate's 2 / sqrt(3).
+    with pytest.raises(InfeasibleCap):
+        tune_constrained(Algo.NA, s, cap_constant=1.2)
+
+
 # Relative margin around the slice edges, safe for r in [0.05, 0.99] and
 # beta not within 1% of r^2.  Crossing the margin moves the rate at an edge
 # by at least 1e-4 * EDGE_MARGIN (there mu >= (1 - r)^2), and away from a
@@ -106,7 +124,7 @@ def test_step_interval_matches_a_rate_scan(kappa, m, r, beta):
         cfg = AlgoConfig(algo=Algo.HB, alpha=float(alpha), beta=beta)
         return convergence_rate(cfg, s) <= r
 
-    edges = _step_interval(beta, r, s.m, s.L)
+    edges = _step_interval(beta, 0.0, r, s.m, s.L)
     scan = np.linspace(0.0, 2.0 * (1.0 + beta) / s.L, 401)[1:]
     if edges is None:
         assert not any(map(feasible, scan))
@@ -120,11 +138,99 @@ def test_step_interval_matches_a_rate_scan(kappa, m, r, beta):
                    if 0.0 < a and not below < a < above)
 
 
+def _rate(alpha, beta, gamma, lams):
+    """The largest root modulus of the two-step family at any look-ahead."""
+    cfg = SimpleNamespace(alpha=alpha, beta=beta, gamma=gamma)
+    return float(modal_spectral_radius(cfg, np.asarray(lams)).max())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(0.0, 0.99), st.sampled_from(["zero", "beta", "free"]),
+       st.floats(0.0, 1.5), st.floats(0.05, 0.99), st.floats(1e-3, 1e3),
+       st.floats(1.0, 1e4))
+def test_step_interval_holds_the_rate_at_any_look_ahead(beta, look_ahead,
+                                                        free, r, m, kappa):
+    # Every alpha in the interval keeps rho <= r at m and at L, and alpha
+    # just outside it does not, whatever the sign of b's coefficient
+    # 1 + gamma - gamma / r.
+    gamma = {"zero": 0.0, "beta": beta, "free": free}[look_ahead]
+    lams = [m, kappa * m]
+    edges = _step_interval(beta, gamma, r, *lams)
+    scan = np.linspace(0.0, 4.0 / lams[1], 401)[1:]
+    if edges is None:
+        assert all(_rate(a, beta, gamma, lams) > r for a in scan)
+        return
+    lo, hi = edges
+    first, last = lo * (1.0 + EDGE_MARGIN), hi * (1.0 - EDGE_MARGIN)
+    assume(first < last)  # room for points inside
+    inside = [first, last, *scan[(first <= scan) & (scan <= last)]]
+    assert all(_rate(a, beta, gamma, lams) <= r for a in inside)
+    outside = [hi * (1.0 + EDGE_MARGIN)] + ([lo * (1.0 - EDGE_MARGIN)]
+                                            if lo > 0.0 else [])
+    assert all(_rate(a, beta, gamma, lams) > r for a in outside)
+
+
+def _heavy_ball_interval(beta, r, m, L):
+    """The gamma = 0 step interval in its original closed form."""
+    h = r + beta / r
+    lo = max(1.0 + beta - h, 0.0) / m
+    hi = (1.0 + beta + h) / L
+    if beta > r * r or lo > hi:
+        return None
+    return lo, hi
+
+
+def test_zero_look_ahead_keeps_the_heavy_ball_interval_bit_for_bit():
+    def bits(edges):
+        return None if edges is None else tuple(map(float.hex, edges))
+
+    rs = [0.05, 0.3, 0.5, 0.9, 1.0 - 0.5 / 7.0, 0.99, 1.0 - 1e-8]
+    for r in rs:
+        momenta = np.concatenate([np.linspace(0.0, 1.0, 97, endpoint=False),
+                                  r * r * (1.0 + np.linspace(-1e-3, 1e-3, 9))])
+        for beta in momenta.tolist():
+            for m, L in [(1.0, 1.0), (0.3, 2.1), (1e-3, 7.0), (2.0, 2e6)]:
+                assert (bits(_step_interval(beta, 0.0, r, m, L))
+                        == bits(_heavy_ball_interval(beta, r, m, L)))
+
+
 def test_gd_edges_are_the_zero_momentum_slice():
     # At beta = 0, h = r + beta / r keeps GD's edges bit for bit.
     r = 1.0 - 0.5 / 7.0
-    assert _step_interval(0.0, r, 0.3, 2.1) == ((1.0 - r) / 0.3,
-                                                 (1.0 + r) / 2.1)
+    assert _step_interval(0.0, 0.0, r, 0.3, 2.1) == ((1.0 - r) / 0.3,
+                                                      (1.0 + r) / 2.1)
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e3, 1e4])
+def test_nesterov_band_spans_every_feasible_momentum(kappa):
+    r = 1.0 - 1.0 / math.sqrt(kappa)
+    band = _nesterov_band(r, 1.0, kappa)
+    assert band == sorted(band) and len(band) > 100
+    # The band reaches above r^2, where heavy ball has no slice.
+    assert band[0] < r * r < band[-1]
+    feasible = [b for b in np.linspace(0.0, 1.0, 20001)[:-1].tolist()
+                if _step_interval(b, b, r, 1.0, kappa) is not None]
+    assert band[0] <= feasible[0] and feasible[-1] <= band[-1]
+    # Its ends are the band's to the float.
+    for end, out in ((band[0], 0.0), (band[-1], 1.0)):
+        assert _step_interval(end, end, r, 1.0, kappa) is not None
+        beyond = math.nextafter(end, out)
+        assert _step_interval(beyond, beyond, r, 1.0, kappa) is None
+
+
+def test_nesterov_search_is_not_beaten_by_a_dense_band_scan(monkeypatch):
+    # The least J sits at the band's lower end, where J is steep in beta.
+    # The search's slices crowd the band's ends, so it stays within 0.1%
+    # of 2,001 evenly spaced slices.
+    s = make_spectrum([1.0, 100.0])
+    res = tune_constrained(Algo.NA, s)
+    band = _nesterov_band(res.rate_cap, s.m, s.L)
+    dense = np.linspace(band[0], band[-1], 2001).tolist()
+    monkeypatch.setitem(_SEARCH, Algo.NA,
+                        (math.sqrt, lambda r, m, L: dense))
+    scan = tune_constrained(Algo.NA, s)
+    assert res.j <= scan.j * (1.0 + 1e-3)
+    assert res.beta < band[0] + 1e-3 * (band[-1] - band[0])
 
 
 def test_gd_half_factor_of_optimal_rate_tuning():
@@ -183,17 +289,24 @@ def test_na_smallest_mode_floor():
 
 
 def test_acceleration_floor():
-    out = acceleration_floor(Algo.HB, 100.0, samples=500, seed=1)
+    out = acceleration_floor(Algo.HB, 100.0)
     assert out["min_ratio"] > 0.0
-    assert out["feasible"] >= 1
+    assert 0 < out["feasible_slices"] <= out["slices"] < out["evaluations"]
+    # NA's feasible momenta form a band about 1e-2 wide at kappa = 1e3.
+    for kappa in (1e3, 1e4):
+        out = acceleration_floor(Algo.NA, kappa)
+        res = tune_constrained(Algo.NA, make_spectrum([1.0, kappa]))
+        assert out["min_ratio"] == res.j / kappa ** 1.5 > 0.0
+        assert out["rate_cap"] == res.rate_cap
+        assert out["feasible_slices"] > 0
     with pytest.raises(InfeasibleCap):
-        acceleration_floor(Algo.NA, 4.0, cap_constant=10.0, samples=10)
+        acceleration_floor(Algo.NA, 4.0, cap_constant=10.0)
     with pytest.raises(ValueError):
         acceleration_floor(Algo.GD, 100.0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
-@given(st.sampled_from([Algo.GD, Algo.HB]),
+@given(st.sampled_from(list(Algo)),
        st.lists(st.floats(0.05, 10.0), min_size=2, max_size=10),
        st.floats(1e-8, 1e8))
 @example(Algo.HB, [1.0, 5.0, 25.0], 1e8)
@@ -251,8 +364,9 @@ def _reference_tune(algo, s, cap_constant=1.0, sigma=1.0,
         return rep.j if rep.rho <= cap else math.inf
 
     best = None
-    for beta in momenta(cap):
-        edges = _step_interval(beta, cap, s.m, s.L)
+    for beta in momenta(cap, s.m, s.L):
+        gamma = beta if algo == Algo.NA else 0.0
+        edges = _step_interval(beta, gamma, cap, s.m, s.L)
         if edges is None:
             continue
         alpha, j = _golden_min(lambda a: capped_j(a, beta), *edges)
@@ -291,6 +405,11 @@ def _outcome(search, *args, **kwargs):
 @example(Algo.GD, make_spectrum([1.0, 10.0]), 10.0, 1.0, SigmaMode.FIXED)
 @example(Algo.HB, make_spectrum([1.0, 25.0]), 20.0, 1.0,
          SigmaMode.EQUALS_ALPHA)
+# NA's 400 slices cost the slice-by-slice search about 1 s each time.
+@example(Algo.NA, make_spectrum([1.0, 100.0]), 1.0, 1.0, SigmaMode.FIXED)
+@example(Algo.NA, make_spectrum([1.0, 3.0, 10.0]), 0.5, 2.0,
+         SigmaMode.EQUALS_ALPHA)
+@example(Algo.NA, make_spectrum([1.0, 100.0]), 3.0, 1.0, SigmaMode.FIXED)
 def test_lockstep_search_matches_the_slice_by_slice_search(
         algo, s, cap_constant, sigma, sigma_mode):
     # Every slice takes the same probes and comparisons as its own scalar
