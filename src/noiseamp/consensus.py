@@ -14,13 +14,17 @@ log-log slope and growth-regime classification.
 
 :func:`torus_spectrum` lists the nonzero spectrum by eigenvalue multisets,
 not by the n0^d lattice points.  An eigenvalue depends only on the multiset
-of its d axis values, and an axis has k distinct float values (about n0/2,
-plus mirror pairs k, n0 - k that round apart by an ulp).  Each multiset
-i_1 <= ... <= i_d is one mode, counted with its lattice points: the product
-of its values' multiplicities times d! / prod(run length)!.  That is
-C(k + d - 1, d) modes in place of n0^d (848,045 in place of 8e6 for d = 3,
-n0 = 200).  Each mode adds its axis values left to right, as the
-full-lattice reference :func:`torus_eigenvalues` does.
+of its d axis values.  Mirror frequencies k and n0 - k have the same axis
+value, and both are evaluated at min(k, n0 - k), so they give the same
+float too (evaluated apart, most pairs round apart by an ulp).  An axis
+then has k = floor(n0 / 2) + 1 distinct values, each with its true
+multiplicity.  Each multiset i_1 <= ... <= i_d is one mode, counted with
+its lattice points: the product of its values' multiplicities times
+d! / prod(run length)!.  That is C(k + d - 1, d) - 1 nonzero modes in place
+of n0^d - 1 (176,850 in place of 8e6 for d = 3, n0 = 200).  Each mode adds
+its axis values left to right, as the full-lattice reference
+:func:`torus_eigenvalues` does, and both take their axis values from one
+helper.
 
 Exactness against the full lattice: kappa and rho (read at the extreme
 eigenvalues, which every ordering forms alike) are identical for every d,
@@ -70,9 +74,20 @@ class TorusSpec:
         return self.n0 ** self.d
 
 
+def _axis(n0: int) -> np.ndarray:
+    """The n0 axis eigenvalues 2 (1 - cos(2 pi k / n0)), k = 0 .. n0 - 1.
+
+    Each is evaluated at j = min(k, n0 - k), so mirror frequencies give the
+    same float.
+    """
+    k = np.arange(n0)
+    j = np.minimum(k, n0 - k)
+    return 2.0 * (1.0 - np.cos(2.0 * np.pi * j / n0))
+
+
 def torus_eigenvalues(t: TorusSpec) -> np.ndarray:
     """All n0^d Laplacian eigenvalues of the torus (unsorted lattice order)."""
-    axis = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(t.n0) / t.n0))
+    axis = _axis(t.n0)
     return reduce(lambda acc, _: np.add.outer(acc, axis).ravel(),
                   range(t.d - 1), axis)
 
@@ -84,8 +99,7 @@ def torus_spectrum(t: TorusSpec) -> Spectrum:
     values (the all-zero tuple dropped), unsorted, and ``counts`` the number
     of lattice points with that eigenvalue, so ``n == t.n - 1``.
     """
-    axis = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(t.n0) / t.n0))
-    vals, counts = np.unique(axis, return_counts=True)
+    vals, counts = np.unique(_axis(t.n0), return_counts=True)
     last = np.arange(vals.size)
     lams, weights = vals, counts
     run = np.ones_like(counts)  # how often the tuple's last value repeats

@@ -22,9 +22,11 @@ platform and under every SIMD kernel numpy picks.
 
 Replicates run in lockstep.  :func:`ensemble_variance` advances all R
 replicates a block of steps at a time: one noise call draws the block for
-every replicate, a quadratic filters each mode through
-1 / (1 - b z^-1 - a z^-2) with one ``lfilter`` over the R x T block,
-carrying the filter states between blocks, and any other objective steps
+every replicate, a quadratic filters the coordinates of each distinct
+eigenvalue through 1 / (1 - b z^-1 - a z^-2) with one ``lfilter`` over
+their R x T x count block, carrying the filter states between blocks
+(``lfilter`` filters each column of the block alone, so the bits are those
+of one call per coordinate), and any other objective steps
 R x n lanes.  :func:`simulate` is the R = 1 case, and every replicate of an
 ensemble equals its own :func:`simulate` bit for bit, as do blocked runs
 and one long run.  Blocks hold ``BLOCK_STEPS`` steps over all replicates.
@@ -355,25 +357,34 @@ def _batch_stderr(sq: np.ndarray) -> float | None:
 
 
 def _filter_stepper(cfg: AlgoConfig, obj: Quadratic, replicates: int):
-    """Block advance on a quadratic: one linear filter per mode.
+    """Block advance on a quadratic: one linear filter per distinct
+    eigenvalue.
 
-    Mode j filters sigma w through 1 / (1 - b_j z^-1 - a_j z^-2), one row
-    per replicate; its filter states are carried from block to block.  The
-    iterates overwrite the noise block.  The denominators are one (modes x
-    order+1) array and the states one (modes x replicates x order) array,
-    so the stepper holds 8 (order + 1 + replicates x order) bytes per mode.
+    A coordinate with eigenvalue lambda filters sigma w through
+    1 / (1 - b z^-1 - a z^-2), one row per replicate; its filter states are
+    carried from block to block.  ``obj.lams`` is sorted, so the coordinates
+    of one eigenvalue form a run, and one ``lfilter`` call filters the run's
+    (replicates x steps x run length) slice.  The iterates overwrite the
+    noise block.  The denominators are one (eigenvalues x order+1) array,
+    the run starts one array and the states one (replicates x order x
+    coordinates) array, so the stepper holds at most 8 (order + 2 +
+    replicates x order) bytes per coordinate.
     """
     from scipy.signal import lfilter  # here: the package's one scipy use
 
-    a, b = companion_coefficients(cfg, obj.lams)
+    lams = obj.lams
+    starts = np.flatnonzero(np.r_[True, lams[1:] != lams[:-1]])
+    a, b = companion_coefficients(cfg, lams[starts])
     num = [cfg.effective_sigma]
     dens = np.stack([np.ones_like(b), -b, -a][:cfg.order + 1], axis=1)
-    states = np.zeros((obj.dim, replicates, cfg.order))
+    bounds = np.append(starts, lams.size)
+    states = np.zeros((replicates, cfg.order, obj.dim))
 
     def advance(w: np.ndarray) -> np.ndarray:
-        for j, den in enumerate(dens):
-            w[:, :, j], states[j] = lfilter(num, den, w[:, :, j], axis=1,
-                                            zi=states[j])
+        edges = bounds.tolist()
+        for lo, hi, den in zip(edges, edges[1:], dens):
+            w[:, :, lo:hi], states[:, :, lo:hi] = lfilter(
+                num, den, w[:, :, lo:hi], axis=1, zi=states[:, :, lo:hi])
         return w
 
     return advance

@@ -60,9 +60,10 @@ def test_largest_eigenvalue_and_conditioning():
 
 
 def test_mirror_symmetry_of_spectrum():
-    # The map i -> n0 - i preserves each axis spectrum.
-    axis = 2.0 * (1.0 - np.cos(2.0 * np.pi * np.arange(7) / 7))
-    np.testing.assert_allclose(axis[1:], axis[1:][::-1], atol=1e-12)
+    # The map k -> n0 - k preserves each axis spectrum, bit for bit.
+    for n0 in range(3, 65):
+        eigs = torus_eigenvalues(TorusSpec(d=1, n0=n0))
+        assert eigs[1:].tobytes() == eigs[1:][::-1].tobytes()
 
 
 def test_ring_gd_reference_value():
@@ -172,6 +173,15 @@ def test_multiset_sums_match_full_lattice(algo, t):
     assert rep.j == rec.jbar
     if t.d <= 2:
         assert rep.j_prime == math.fsum(_modal_variance_raw(cfg, lams) * lams)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tori())
+def test_one_mode_per_multiset_of_distinct_axis_values(t):
+    # An axis has n0 // 2 + 1 distinct values, so the nonzero spectrum has
+    # one mode per multiset of d of them, less the all-zero one.
+    s = torus_spectrum(t)
+    assert s.values.size == math.comb(t.n0 // 2 + t.d, t.d) - 1
 
 
 def test_weighted_sum_is_exact():

@@ -457,6 +457,34 @@ def test_filter_state_is_a_few_floats_per_mode(algo):
         tracemalloc.stop()
     assert held < 64 * obj.dim
 
+
+@pytest.mark.parametrize("replicates", [1, 3])
+@pytest.mark.parametrize("algo", list(Algo))
+def test_grouped_filter_equals_per_coordinate_filtering(algo, replicates):
+    # One lfilter call per run of equal eigenvalues gives the bits of one
+    # call per coordinate, block after block.
+    s = torus_spectrum(TorusSpec(d=2, n0=16))
+    obj = Quadratic(s)
+    assert np.unique(obj.lams).size < obj.dim
+    tuned = optimal_quadratic_params(algo, s.m, s.L)
+    cfg = AlgoConfig(algo=algo, alpha=tuned.alpha, beta=tuned.beta,
+                     sigma=0.7)
+    a, b = companion_coefficients(cfg, obj.lams)
+    dens = np.stack([np.ones_like(b), -b, -a][:cfg.order + 1], axis=1)
+    states = np.zeros((obj.dim, replicates, cfg.order))
+    advance = montecarlo._filter_stepper(cfg, obj, replicates)
+    for block, steps in enumerate((5, 37)):
+        w = standard_normals(2, range(replicates), steps * obj.dim,
+                             block * 5 * obj.dim)
+        w = w.reshape(replicates, steps, obj.dim)
+        want = np.empty_like(w)
+        for j, den in enumerate(dens):
+            want[:, :, j], states[j] = lfilter([0.7], den, w[:, :, j],
+                                               axis=1, zi=states[j])
+        got = advance(w)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_j_hat_stderr_by_hand():
     cfg = AlgoConfig(algo=Algo.HB, alpha=0.3, beta=0.4)
     res = simulate(cfg, PseudoHuber(1.0, 4.0, 2), 1050, seed=6,
