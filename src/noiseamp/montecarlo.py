@@ -366,18 +366,17 @@ def _filter_stepper(cfg: AlgoConfig, obj: Quadratic, replicates: int):
     of one eigenvalue form a run, and one ``lfilter`` call filters the run's
     (replicates x steps x run length) slice.  The iterates overwrite the
     noise block.  The denominators are one (eigenvalues x order+1) array,
-    the run starts one array and the states one (replicates x order x
+    the run bounds one array and the states one (replicates x order x
     coordinates) array, so the stepper holds at most 8 (order + 2 +
     replicates x order) bytes per coordinate.
     """
     from scipy.signal import lfilter  # here: the package's one scipy use
 
     lams = obj.lams
-    starts = np.flatnonzero(np.r_[True, lams[1:] != lams[:-1]])
-    a, b = companion_coefficients(cfg, lams[starts])
+    bounds = np.flatnonzero(np.r_[True, lams[1:] != lams[:-1], True])
+    a, b = companion_coefficients(cfg, lams[bounds[:-1]])
     num = [cfg.effective_sigma]
     dens = np.stack([np.ones_like(b), -b, -a][:cfg.order + 1], axis=1)
-    bounds = np.append(starts, lams.size)
     states = np.zeros((replicates, cfg.order, obj.dim))
 
     def advance(w: np.ndarray) -> np.ndarray:
