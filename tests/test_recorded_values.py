@@ -13,8 +13,8 @@ tolerances, when the noise generator changed from Box-Muller to a
 ziggurat.  The GD and HB consensus values on the 64 x 64 torus were
 re-recorded once, with the same tolerance, when mirror axis frequencies k
 and n0 - k started to share one float (they rounded apart by an ulp), so
-the spectrum holds each eigenvalue once: J-bar moved by -1.15e-15 and
--1.27e-15 relative.
+the spectrum holds one mode per multiset of distinct axis values: J-bar
+moved by -1.15e-15 and -1.27e-15 relative.
 
 The tune results were re-recorded once golden-section search stopped at a
 bracket width relative to the bracket (it stopped at an absolute 1e-10
