@@ -8,27 +8,25 @@ averaging over torus networks, and seeded Monte Carlo validation.
 
 from .dynamics import (Algo, AlgoConfig, ModalSystem, SigmaMode,
                        convergence_rate, modal_spectral_radius, modal_system,
-                       nesterov_stable, propagate_covariance,
-                       solve_modal_lyapunov)
+                       nesterov_stable, propagate_covariance)
 from .errors import (DimensionTooSmall, EmptySpectrum, InfeasibleCap,
-                     KappaTooLarge, KappaTooSmall, NoGuarantee, NoiseAmpError,
-                     NonFinite, NonPositiveEigenvalue, NotContractive,
-                     ShapeMismatch, SizeOverflow, Unstable, UnstableMode)
+                     KappaTooLarge, NoGuarantee, NoiseAmpError, NonFinite,
+                     NonPositiveEigenvalue, ShapeMismatch, SizeOverflow,
+                     Unstable, UnstableMode)
 from .spectrum import Spectrum, make_spectrum
 from .variance import (VarianceReport, extreme_modal_values, hb_gd_ratio,
                        modal_variance, na_gd_ratio_bounds,
                        variance_amplification, variance_bounds,
                        variance_via_eigenvalues, variance_via_lyapunov)
 from .lmi import (LmiCertificate, LmiProblem, assemble_lmi,
-                  contraction_bound_gd, evaluate_certificate, gd_certificate,
-                  na_certificate, q_bounds, refine_bound)
+                  evaluate_certificate, gd_certificate, na_certificate,
+                  q_bounds, refine_bound)
 from .tuning import (TunedParams, TuningResult, acceleration_floor,
                      conventional_params, hb_tradeoff_margin,
-                     na_jhat_m_lower_bound, optimal_quadratic_params,
-                     tune_constrained)
+                     optimal_quadratic_params, tune_constrained)
 from .consensus import (ConsensusRecord, Regime, SweepResult, TorusSpec,
-                        consensus_variance, reciprocal_sum, scaling_sweep,
-                        torus_eigenvalues, torus_spectrum)
+                        consensus_variance, scaling_sweep, torus_eigenvalues,
+                        torus_spectrum)
 from .montecarlo import (PseudoHuber, Quadratic, SimResult, ensemble_variance,
                          simulate, standard_normals)
 

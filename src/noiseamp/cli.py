@@ -71,6 +71,15 @@ def _parse_torus(text: str) -> TorusSpec:
     return TorusSpec(d=d, n0=n0)
 
 
+def _check_kappa_n(kappa: float, n: int):
+    """Usage errors for a --kappa that is not finite and >= 1, or an --n
+    below 1."""
+    if not 1.0 <= kappa < math.inf:  # NaN too
+        raise ValueError("--kappa must be >= 1 and finite")
+    if n < 1:
+        raise ValueError("--n must be >= 1")
+
+
 def _resolve_spectrum(args) -> Spectrum:
     sources = [args.spectrum is not None,
                args.kappa is not None or args.n is not None,
@@ -90,10 +99,7 @@ def _resolve_spectrum(args) -> Spectrum:
     if args.kappa is None or args.n is None:
         raise ValueError("--kappa and --n must be given together")
     kappa, n = args.kappa, args.n
-    if not 1.0 <= kappa < math.inf:
-        raise ValueError("--kappa must be finite and >= 1")
-    if n < 1:
-        raise ValueError("--n must be >= 1")
+    _check_kappa_n(kappa, n)
     if n == 1 and kappa != 1.0:
         raise ValueError("--n 1 requires --kappa 1")
     if n > MAX_NETWORK_SIZE:  # the cap on a torus's eigenvalues too
@@ -307,6 +313,7 @@ def _cmd_analyze(args):
 
 def _cmd_bounds(args):
     algo = Algo(args.algo)
+    _check_kappa_n(args.kappa, args.n)
     lower, upper = variance_bounds(algo, args.kappa, args.n)
     report: dict[str, Any] = {
         "config": _config_echo(args),
@@ -328,8 +335,7 @@ def _cmd_certify(args):
     algo = Algo(args.algo)
     if args.refine < 0:
         raise ValueError("--refine must be >= 0")
-    if not args.kappa >= 1.0:  # NaN too
-        raise ValueError("--kappa must be >= 1")
+    _check_kappa_n(args.kappa, args.n)
     if not 0.0 < args.L < math.inf:  # NaN too
         raise ValueError("--L must be positive and finite")
     if algo == Algo.GD:

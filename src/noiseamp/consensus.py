@@ -7,10 +7,9 @@ per-mode closed forms over the nonzero Laplacian eigenvalues
     lambda_i = sum_{l=1..d} 2 (1 - cos(2 pi i_l / n0)),  i in Z_{n0}^d,
 
 with exactly one zero eigenvalue (the consensus direction, dropped).  The
-module evaluates J-bar = sum over nonzero modes, the harmonic sum of the
-spectrum with its growth law B(n0), and per-dimension scaling sweeps of
-J-bar / n versus the condition number kappa = Theta(n0^2), including the
-log-log slope and growth-regime classification.
+module evaluates J-bar = sum over nonzero modes and per-dimension scaling
+sweeps of J-bar / n versus the condition number kappa = Theta(n0^2),
+including the log-log slope and growth-regime classification.
 
 :func:`torus_spectrum` lists the nonzero spectrum by eigenvalue multisets,
 not by the n0^d lattice points.  An eigenvalue depends only on the multiset
@@ -35,7 +34,6 @@ which can round apart by an ulp, so J-bar agrees to about 1e-16 relative.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import reduce
@@ -163,21 +161,6 @@ def consensus_variance(algo: Algo, t: TorusSpec,
     cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                      sigma=sigma)
     return ConsensusRecord.from_report(t, variance_amplification(cfg, s))
-
-
-def reciprocal_sum(t: TorusSpec) -> dict[str, float]:
-    """Harmonic sum of the nonzero spectrum and its growth law B(n0).
-
-    B(n0) = (n0^d - n0^2) / (d - 2) for d != 2 and n0^d log(n0) for d = 2;
-    the ratio sum / B stays bounded above and below as n0 grows.
-    """
-    s = torus_spectrum(t)
-    total = s.sum(1.0 / s.values)
-    if t.d == 2:
-        growth = t.n0 ** t.d * math.log(t.n0)
-    else:
-        growth = (t.n0 ** t.d - t.n0 ** 2) / (t.d - 2)
-    return {"sum": total, "growth_law": growth, "ratio": total / growth}
 
 
 class Regime(str, Enum):

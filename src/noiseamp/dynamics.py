@@ -22,13 +22,13 @@ solves the modal discrete Lyapunov equations numerically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import Unstable, UnstableMode
+from .errors import Unstable
 from .spectrum import Spectrum
 
 # A mode counts as unstable once its spectral radius reaches this threshold;
@@ -257,29 +257,13 @@ def _modal_lyapunov(cfg: AlgoConfig, lams) -> np.ndarray:
                            rhs[..., None])[..., 0]
 
 
-def solve_modal_lyapunov(ms: ModalSystem, cfg: AlgoConfig) -> np.ndarray:
-    """Solution P of P = A P A^T + sigma^2 B B^T for one mode.
-
-    Solved numerically by :func:`_modal_lyapunov`; GD's scalar state is the
-    companion state's second component.  Raises :class:`UnstableMode` if
-    the mode is not stable.
-    """
-    rho = modal_spectral_radius(cfg, ms.lam)
-    if not rho < INSTABILITY_THRESHOLD:
-        raise UnstableMode(ms.lam, rho)
-    p00, p01, p11 = _modal_lyapunov(cfg, ms.lam)
-    k = 2 - ms.order
-    return np.array([[p00, p01], [p01, p11]])[k:, k:]
-
-
-def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
-                         weighted: bool = False) -> np.ndarray:
+def propagate_covariance(cfg: AlgoConfig, s: Spectrum,
+                         steps: int) -> np.ndarray:
     """Transient output variance trace(C P^t C^T) for t = 0 .. steps-1.
 
     Starts from P^0 = 0 and iterates P <- A P A^T + sigma^2 B B^T mode by
     mode (vectorized across modes) on the companion state; GD's iterate x^t
-    is its second component.  Each mode counts with its multiplicity and,
-    with ``weighted=True``, its eigenvalue (objective-suboptimality output).
+    is its second component.  Each mode counts with its multiplicity.
     Raises :class:`Unstable` if some mode diverges.
     """
     if steps < 1:
@@ -287,9 +271,7 @@ def propagate_covariance(cfg: AlgoConfig, s: Spectrum, steps: int,
     check_stable(cfg, s)
     lams = s.values
     sig2 = cfg.noise_power
-    w = lams if weighted else np.ones_like(lams)
-    if s.counts is not None:
-        w = w * s.counts
+    w = np.ones_like(lams) if s.counts is None else s.counts.astype(float)
     a, b = companion_coefficients(cfg, lams)
     current = 2 - cfg.order
     p00 = p01 = p11 = np.zeros_like(lams)

@@ -46,10 +46,6 @@ class Unstable(NoiseAmpError):
         )
 
 
-class NotContractive(NoiseAmpError):
-    """Gradient descent step is not a contraction for the given (m, L, alpha)."""
-
-
 class ShapeMismatch(NoiseAmpError):
     """Matrix/vector dimensions passed to a solver are inconsistent."""
 
@@ -64,10 +60,6 @@ class NoGuarantee(NoiseAmpError):
 
 class InfeasibleCap(NoiseAmpError):
     """No step-size/momentum pair satisfies the requested rate cap."""
-
-
-class KappaTooSmall(NoiseAmpError):
-    """A bound only holds above a minimum condition number."""
 
 
 class KappaTooLarge(NoiseAmpError):

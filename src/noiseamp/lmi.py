@@ -27,8 +27,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import Algo
-from .errors import (KappaTooLarge, NotContractive, ShapeMismatch,
-                     kappa_closed_form)
+from .errors import KappaTooLarge, ShapeMismatch, kappa_closed_form
 
 PSD_TOL_SCALE = 1e-8
 
@@ -200,24 +199,6 @@ def evaluate_certificate(p: LmiProblem, cert: LmiCertificate) -> LmiCertificate:
     return cert
 
 
-def contraction_bound_gd(m: float, L: float, alpha: float,
-                         sigma: float = 1.0, n: int = 1) -> float:
-    """Variance bound n sigma^2 / (1 - eta^2) from the contraction factor.
-
-    eta = max(|1 - alpha m|, |1 - alpha L|) must be < 1, otherwise
-    :class:`NotContractive` is raised.  At alpha = 1/L this equals
-    n sigma^2 kappa^2 / (2 kappa - 1).
-    """
-    if not (0.0 < m <= L):
-        raise ValueError("need 0 < m <= L")
-    eta = max(abs(1.0 - alpha * m), abs(1.0 - alpha * L))
-    if eta >= 1.0:
-        raise NotContractive(
-            f"gradient step with alpha={alpha!r} is not a contraction "
-            f"(eta={eta!r})")
-    return n * sigma * sigma / (1.0 - eta * eta)
-
-
 def gd_certificate(m: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiCertificate]:
     """Closed-form certificate for gradient descent at alpha = 1/L.
 
@@ -248,10 +229,7 @@ def _na_poly(kappa: float) -> dict[str, float]:
     x0_num = -2.0 * kappa ** 1.5 * (r - 1.0) ** 3 * (r + 1.0)
     x0 = x0_num / s
     x2 = kappa ** 1.5 * (2.0 * kappa ** 2 - 3.0 * kappa + 5.0 * r - 2.0) / s
-    bound_num = (4.0 * kappa ** 3.5 - 4.0 * kappa ** 3 - 3.0 * kappa ** 2.5
-                 + 9.0 * kappa ** 2 - 4.0 * kappa ** 1.5)
-    return {"s": s, "x1": x1, "x0": x0, "x0_num": x0_num, "x2": x2,
-            "bound_per_dim": bound_num / s}
+    return {"s": s, "x1": x1, "x0": x0, "x0_num": x0_num, "x2": x2}
 
 
 def na_certificate(kappa: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiCertificate]:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
                        SigmaMode, convergence_rate, modal_spectral_radius)
-from .errors import InfeasibleCap, KappaTooLarge, KappaTooSmall, NoGuarantee
+from .errors import InfeasibleCap, KappaTooLarge, NoGuarantee
 from .spectrum import Spectrum, make_spectrum
 from .variance import (_finite_sum, _modal_variance_raw,
                        variance_amplification)
@@ -366,20 +366,6 @@ def hb_tradeoff_margin(cfg: AlgoConfig, s: Spectrum) -> dict[str, float]:
         floor = (cfg.sigma * (kappa + 1.0) / 8.0) ** 2
     return {"product": product, "floor": floor,
             "margin": product - floor}
-
-
-def na_jhat_m_lower_bound(kappa: float, beta: float) -> float:
-    """Floor on the smallest-mode variance of Nesterov's method, sigma = 1.
-
-    For kappa > 2 and the rate-optimal step size at momentum beta,
-    J_hat(m) >= kappa^2 / (24 (1 - beta) kappa + 32 beta).  Raises
-    :class:`KappaTooSmall` for kappa <= 2.
-    """
-    if kappa <= 2.0:
-        raise KappaTooSmall("the floor holds for kappa > 2")
-    if not (0.0 <= beta < 1.0):
-        raise ValueError("beta must lie in [0, 1)")
-    return kappa * kappa / (24.0 * (1.0 - beta) * kappa + 32.0 * beta)
 
 
 def acceleration_floor(algo: Algo, kappa: float,

@@ -165,24 +165,24 @@ def hb_gd_ratio(kappa: float) -> float:
 
 @kappa_closed_form
 def extreme_modal_values(algo: Algo, kappa: float) -> dict[str, float]:
-    """Per-mode variance at lambda in {m, L, 1/alpha} for sigma = 1.
+    """Per-mode variance at lambda in {m, L} for sigma = 1.
 
     GD uses alpha = 2/(L+m) (quadratic-optimal); NA uses alpha = 4/(3L+m),
-    beta = (sqrt(3k+1)-2)/(sqrt(3k+1)+2).  Both have J_hat(1/alpha) = 1 and
-    attain their extremes over [m, L] at the endpoints.
+    beta = (sqrt(3k+1)-2)/(sqrt(3k+1)+2).  Both attain their extremes over
+    [m, L] at the endpoints.
     """
     if not kappa >= 1.0:  # NaN too
         raise ValueError("kappa must be >= 1")
     if algo == Algo.GD:
         edge = (kappa + 1.0) ** 2 / (4.0 * kappa)
-        return {"j_at_m": edge, "j_at_L": edge, "j_at_inv_alpha": 1.0}
+        return {"j_at_m": edge, "j_at_L": edge}
     if algo == Algo.NA:
         kb = 3.0 * kappa + 1.0
         rkb = math.sqrt(kb)
         j_m = kb * kb * (kb - 2.0 * rkb + 2.0) / (32.0 * (rkb - 1.0) ** 3)
         j_l = (9.0 * kb * kb * (kb + 2.0 * rkb - 2.0)
                / (32.0 * (kb - 1.0) * (kb - rkb + 1.0) * (2.0 * rkb - 1.0)))
-        return {"j_at_m": j_m, "j_at_L": j_l, "j_at_inv_alpha": 1.0}
+        return {"j_at_m": j_m, "j_at_L": j_l}
     raise ValueError("extreme modal values are available for GD and NA")
 
 

@@ -175,6 +175,25 @@ def test_exit_code_domain_error_json(capsys):
      "--L must be positive and finite"),
     (("certify", "--algo", "na", "--kappa", "10", "--L", "inf"),
      "--L must be positive and finite"),
+    # analyze, tune, bounds and certify check --kappa and --n alike.
+    (("certify", "--algo", "gd", "--kappa", "inf"), "--kappa must be >= 1"),
+    (("certify", "--algo", "na", "--kappa", "inf"), "--kappa must be >= 1"),
+    (("certify", "--algo", "gd", "--kappa", "4", "--n", "0"),
+     "--n must be >= 1"),
+    (("bounds", "--algo", "gd", "--kappa", "inf", "--n", "3"),
+     "--kappa must be >= 1"),
+    (("bounds", "--algo", "na", "--kappa", "0.5", "--n", "3"),
+     "--kappa must be >= 1"),
+    (("bounds", "--algo", "gd", "--kappa", "4", "--n", "0"),
+     "--n must be >= 1"),
+    (("bounds", "--algo", "hb", "--kappa", "4", "--n", "-3"),
+     "--n must be >= 1"),
+    (("analyze", "--algo", "gd", "--kappa", "inf", "--n", "3"),
+     "--kappa must be >= 1"),
+    (("tune", "--algo", "hb", "--kappa", "nan", "--n", "3"),
+     "--kappa must be >= 1"),
+    (("simulate", "--algo", "na", "--kappa", "4", "--n", "0"),
+     "--n must be >= 1"),
 ])
 def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
                                                        message):
@@ -183,6 +202,14 @@ def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+
+
+def test_bounds_na_in_one_dimension_is_a_domain_error(capsys):
+    # A valid --n that NA's bounds cannot use is not a usage error.
+    code, out, err = _run(capsys, "bounds", "--algo", "na", "--kappa", "4",
+                          "--n", "1")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "DimensionTooSmall"
 
 
 def test_bounds_command(capsys):

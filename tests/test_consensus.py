@@ -9,8 +9,8 @@ from noiseamp import (Algo, AlgoConfig, ConsensusRecord, Quadratic, Regime,
                       SizeOverflow, TorusSpec, Unstable, consensus_variance,
                       convergence_rate, hb_gd_ratio, make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
-                      reciprocal_sum, scaling_sweep, torus_eigenvalues,
-                      torus_spectrum, variance_amplification)
+                      scaling_sweep, torus_eigenvalues, torus_spectrum,
+                      variance_amplification)
 from noiseamp.spectrum import _weighted_sum
 from noiseamp.variance import _modal_variance_raw
 
@@ -113,17 +113,6 @@ def test_sigma_scaling():
         9.0 * base, rel=1e-12)
 
 
-def test_reciprocal_sum_growth_law():
-    # sum of 1/lambda tracks B(n0) with bounded ratio as n0 doubles.
-    for d in (1, 2, 3):
-        ratios = [reciprocal_sum(TorusSpec(d=d, n0=n0))["ratio"]
-                  for n0 in (16, 32, 64)]
-        assert max(ratios) / min(ratios) < 1.6
-    # d = 1 exact: sum 1/lambda = (n0^2 - 1) / 12 over the ring.
-    out = reciprocal_sum(TorusSpec(d=1, n0=64))
-    assert out["sum"] == pytest.approx((64.0 ** 2 - 1.0) / 12.0, rel=1e-10)
-
-
 def test_scaling_sweep_regimes():
     r = scaling_sweep(Algo.GD, 1, [32, 64, 128, 256])
     assert r.regime == Regime.POWER_LAW
@@ -156,16 +145,12 @@ def test_multiset_sums_match_full_lattice(algo, t):
     assert rec.kappa == L / m
     assert rec.rho == convergence_rate(cfg, make_spectrum(lams))
     jbar = math.fsum(_modal_variance_raw(cfg, lams))
-    recip = math.fsum(1.0 / lams)
-    got = reciprocal_sum(t)["sum"]
     if t.d <= 2:
         assert rec.jbar == jbar
-        assert got == recip
     else:
         # A multiset's axis values are added in one order; the lattice adds
         # them in every order, which can round apart by an ulp.
         assert rec.jbar == pytest.approx(jbar, rel=1e-14, abs=0.0)
-        assert got == pytest.approx(recip, rel=1e-14, abs=0.0)
     s = torus_spectrum(t)
     assert s.n == t.n - 1
     # analyze --torus and consensus share one path.

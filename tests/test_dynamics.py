@@ -6,9 +6,10 @@ import pytest
 
 from noiseamp import (Algo, AlgoConfig, SigmaMode, Unstable, UnstableMode,
                       convergence_rate, make_spectrum, modal_spectral_radius,
-                      modal_system, nesterov_stable, propagate_covariance,
-                      solve_modal_lyapunov)
-from noiseamp.dynamics import check_stable
+                      modal_system, modal_variance, nesterov_stable,
+                      propagate_covariance, variance_via_lyapunov)
+from noiseamp.dynamics import (_modal_lyapunov, check_stable,
+                               companion_coefficients)
 
 
 def test_config_validation():
@@ -103,40 +104,48 @@ def test_nesterov_stability_boundary():
 
 
 def test_lyapunov_solution_satisfies_equation():
+    # Each row (p00, p01, p11) of one batched solve is the symmetric P of
+    # P = A P A^T + sigma^2 B B^T in companion form, A = [[0, 1], [a, b]]
+    # and B = [0; 1]; GD is the case a = 0.
     rng = np.random.default_rng(5)
     for _ in range(500):
         algo = [Algo.GD, Algo.HB, Algo.NA][rng.integers(3)]
         beta = 0.0 if algo == Algo.GD else float(rng.uniform(0.0, 0.95))
         cfg = AlgoConfig(algo=algo, alpha=float(rng.uniform(0.01, 1.0)),
                          beta=beta, sigma=float(rng.uniform(0.1, 2.0)))
-        lam = float(rng.uniform(0.05, 1.9 / cfg.alpha))
-        if modal_spectral_radius(cfg, lam) >= 0.9999:
-            continue
-        ms = modal_system(cfg, lam)
-        p = solve_modal_lyapunov(ms, cfg)
-        res = ms.a_hat @ p @ ms.a_hat.T - p \
-            + cfg.sigma ** 2 * ms.b_hat @ ms.b_hat.T
-        assert np.abs(res).max() <= 1e-9 * max(1.0, np.abs(p).max())
+        lams = rng.uniform(0.05, 1.9 / cfg.alpha, size=3)
+        lams = lams[modal_spectral_radius(cfg, lams) < 0.9999]
+        for lam, (p00, p01, p11) in zip(lams, _modal_lyapunov(cfg, lams)):
+            a, b = companion_coefficients(cfg, lam)
+            A = np.array([[0.0, 1.0], [a, b]])
+            p = np.array([[p00, p01], [p01, p11]])
+            res = A @ p @ A.T - p + np.diag([0.0, cfg.sigma ** 2])
+            assert np.abs(res).max() <= 1e-9 * max(1.0, np.abs(p).max())
 
 
 def test_lyapunov_fixed_point_oracle():
-    # Nesterov at the quadratic-optimal tuning for kappa = 9, smallest mode:
-    # value frozen from an independent fixed-point iteration of
-    # P <- A P A^T + B B^T.
+    # The smallest mode at each quadratic-optimal tuning for kappa = 9.
+    # p00 is frozen from an independent fixed-point iteration of
+    # P <- A P A^T + B B^T (GD: 25/9, HB: 80/27).  Stationarity gives
+    # p11 = p00, and Yule-Walker p01 = b p00 / (1 - a).
     rb = math.sqrt(28.0)
-    cfg = AlgoConfig(algo=Algo.NA, alpha=4.0 / 28.0,
-                     beta=(rb - 2.0) / (rb + 2.0))
-    ms = modal_system(cfg, 1.0)
-    p = solve_modal_lyapunov(ms, cfg)
-    assert p[0, 0] == pytest.approx(6.0189391263549945, rel=1e-12)
-    assert p[0, 0] == pytest.approx(p[1, 1], rel=1e-14)
+    for cfg, p00 in (
+            (AlgoConfig(algo=Algo.GD, alpha=0.2), 25.0 / 9.0),
+            (AlgoConfig(algo=Algo.HB, alpha=0.25, beta=0.25), 80.0 / 27.0),
+            (AlgoConfig(algo=Algo.NA, alpha=4.0 / 28.0,
+                        beta=(rb - 2.0) / (rb + 2.0)), 6.0189391263549945)):
+        p = _modal_lyapunov(cfg, 1.0)
+        a, b = companion_coefficients(cfg, 1.0)
+        assert p[0] == pytest.approx(p00, rel=1e-12)
+        assert p[2] == pytest.approx(p[0], rel=1e-14)
+        assert p[1] == pytest.approx(b * p00 / (1.0 - a), rel=1e-12)
 
 
 def test_unstable_mode_raises():
     cfg = AlgoConfig(algo=Algo.GD, alpha=1.0)
-    ms = modal_system(cfg, 2.5)
-    with pytest.raises(UnstableMode):
-        solve_modal_lyapunov(ms, cfg)
+    with pytest.raises(UnstableMode) as exc:
+        modal_variance(cfg, 2.5)
+    assert exc.value.lam == 2.5
     with pytest.raises(Unstable) as exc:
         check_stable(cfg, make_spectrum([0.5, 2.5]))
     assert exc.value.lam == 2.5
@@ -146,6 +155,9 @@ def test_propagate_covariance_start():
     cfg = AlgoConfig(algo=Algo.GD, alpha=1.0)
     out = propagate_covariance(cfg, make_spectrum([1.0]), 3)
     np.testing.assert_allclose(out, [0.0, 1.0, 1.0])
+    # After one step every mode holds sigma^2.
+    cfg = AlgoConfig(algo=Algo.GD, alpha=0.1)
+    assert propagate_covariance(cfg, make_spectrum([1.0, 4.0]), 50)[1] == 2.0
 
 
 def test_propagate_covariance_converges_to_steady_state():
@@ -153,11 +165,7 @@ def test_propagate_covariance_converges_to_steady_state():
     for algo in (Algo.GD, Algo.HB, Algo.NA):
         beta = 0.0 if algo == Algo.GD else 0.4
         cfg = AlgoConfig(algo=algo, alpha=0.1, beta=beta, sigma=0.7)
-        steady = math.fsum(
-            float((modal_system(cfg, float(l)).c_hat
-                   @ solve_modal_lyapunov(modal_system(cfg, float(l)), cfg)
-                   @ modal_system(cfg, float(l)).c_hat.T)[0, 0])
-            for l in s.values)
+        steady = variance_via_lyapunov(cfg, s)
         out = propagate_covariance(cfg, s, 3000)
         assert out[-1] == pytest.approx(steady, rel=1e-8)
         assert np.all(np.diff(out) >= -1e-12)  # monotone ramp-up
@@ -170,12 +178,3 @@ def test_propagate_covariance_refuses_unstable_config():
         with pytest.raises(Unstable) as exc:
             propagate_covariance(cfg, make_spectrum([0.5, 2.5]), 5000)
     assert exc.value.lam == 2.5
-
-
-def test_propagate_covariance_weighted():
-    cfg = AlgoConfig(algo=Algo.GD, alpha=0.1)
-    s = make_spectrum([1.0, 4.0])
-    plain = propagate_covariance(cfg, s, 50)
-    weighted = propagate_covariance(cfg, s, 50, weighted=True)
-    assert weighted[1] == pytest.approx(5.0)  # lambda-weighted sigma^2 sum
-    assert plain[1] == pytest.approx(2.0)

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from noiseamp import (Algo, AlgoConfig, LmiCertificate, LmiProblem,
-                      NotContractive, PseudoHuber, ShapeMismatch,
-                      assemble_lmi, contraction_bound_gd,
+                      PseudoHuber, ShapeMismatch, assemble_lmi,
                       evaluate_certificate, gd_certificate, make_spectrum,
                       na_certificate, q_bounds, refine_bound,
                       variance_amplification)
@@ -149,16 +148,6 @@ def test_na_certificate_within_factor_of_reference():
         ref = q_bounds(Algo.NA, float(kappa), 2)
         assert cert.bound <= 4.08 * ref
         assert cert.bound >= ref * (1 - 1e-12)
-
-
-def test_contraction_bound():
-    assert contraction_bound_gd(1.0, 2.0, 0.5, n=3) == pytest.approx(
-        3.0 * 4.0 / 3.0, rel=1e-14)
-    for kappa in (2.0, 10.0):
-        got = contraction_bound_gd(1.0, kappa, 1.0 / kappa)
-        assert got == pytest.approx(kappa * kappa / (2 * kappa - 1), rel=1e-13)
-    with pytest.raises(NotContractive):
-        contraction_bound_gd(1.0, 2.0, 1.0)
 
 
 def test_refine_bound_improves_or_keeps():

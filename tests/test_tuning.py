@@ -7,11 +7,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooLarge,
-                      KappaTooSmall, NoGuarantee, SigmaMode, TorusSpec,
-                      Unstable, acceleration_floor, conventional_params,
+                      NoGuarantee, SigmaMode, TorusSpec, Unstable,
+                      acceleration_floor, conventional_params,
                       convergence_rate, hb_tradeoff_margin, make_spectrum,
-                      modal_spectral_radius, modal_variance,
-                      na_jhat_m_lower_bound, optimal_quadratic_params,
+                      modal_spectral_radius, optimal_quadratic_params,
                       torus_spectrum, tune_constrained,
                       variance_amplification)
 from noiseamp.dynamics import INSTABILITY_THRESHOLD
@@ -269,23 +268,6 @@ def test_hb_tradeoff_margin_nonnegative():
             count += 1
     with pytest.raises(ValueError):
         hb_tradeoff_margin(AlgoConfig(algo=Algo.GD, alpha=0.1), s)
-
-
-def test_na_smallest_mode_floor():
-    rng = np.random.default_rng(12)
-    count = 0
-    while count < 300:
-        kappa = float(rng.uniform(2.01, 1e4))
-        beta = float(rng.uniform(0.0, 1.0))
-        alpha = float(rng.uniform(1e-6, 2.0 / kappa))
-        cfg = AlgoConfig(algo=Algo.NA, alpha=alpha, beta=beta)
-        if max(np.atleast_1d(modal_spectral_radius(
-                cfg, np.array([1.0, kappa])))) >= 1 - 1e-12:
-            continue
-        assert modal_variance(cfg, 1.0) >= na_jhat_m_lower_bound(kappa, beta)
-        count += 1
-    with pytest.raises(KappaTooSmall):
-        na_jhat_m_lower_bound(2.0, 0.5)
 
 
 def test_acceleration_floor():

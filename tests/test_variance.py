@@ -112,7 +112,6 @@ def test_extreme_modal_values_gd():
     vals = extreme_modal_values(Algo.GD, 9.0)
     assert vals["j_at_m"] == pytest.approx(100.0 / 36.0, rel=1e-14)
     assert vals["j_at_L"] == vals["j_at_m"]
-    assert vals["j_at_inv_alpha"] == 1.0
     cfg = _table2_cfg(Algo.GD, 1.0, 9.0)
     assert modal_variance(cfg, 1.0) == pytest.approx(vals["j_at_m"], rel=1e-14)
     assert modal_variance(cfg, 1.0 / cfg.alpha) == pytest.approx(1.0, rel=1e-14)
