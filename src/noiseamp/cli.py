@@ -46,7 +46,7 @@ import numpy as np
 from .consensus import (MAX_NETWORK_SIZE, ConsensusRecord, TorusSpec,
                         scaling_sweep, torus_spectrum)
 from .dynamics import Algo, AlgoConfig, SigmaMode
-from .errors import NoiseAmpError, SizeOverflow
+from .errors import NoGuarantee, NoiseAmpError, SizeOverflow
 from .lmi import gd_certificate, na_certificate, q_bounds, refine_bound
 from .montecarlo import PseudoHuber, Quadratic, ensemble_variance, simulate
 from .spectrum import Spectrum, make_spectrum
@@ -343,6 +343,11 @@ def _cmd_certify(args):
     else:
         prob, cert = na_certificate(args.kappa, args.L, n=args.n)
     if args.refine:
+        if not cert.valid:
+            raise NoGuarantee(
+                f"the closed-form {algo.value} certificate fails its float "
+                f"check at kappa={prob.kappa!r}, so --refine has no valid "
+                f"start")
         cert = refine_bound(prob, cert, budget=args.refine)
     report = {"config": _config_echo(args),
               "algo": algo.value, "kappa": prob.kappa, "m": prob.m,

@@ -66,6 +66,22 @@ def _sym_eigenvalues(upper: tuple[float, ...]) -> tuple[float, ...]:
     return tuple(np.linalg.eigvalsh(mat).tolist())
 
 
+def _max_eigenvalues(rows: list[tuple[float, ...]]) -> list[float]:
+    """``_sym_eigenvalues(upper)[-1]``, bit for bit, of each row of ``rows``.
+
+    The rows have one size.  Finite 3x3 ones share one stacked LAPACK call,
+    which runs the same routine on each; non-finite ones give NaN.
+    """
+    if not rows or len(rows[0]) == 3:
+        return [_sym_eigenvalues(upper)[-1] for upper in rows]
+    entries = np.array(rows)
+    finite = np.isfinite(entries).all(axis=1)
+    top = np.full(len(rows), math.nan)
+    mats = entries[finite][:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
+    top[finite] = np.linalg.eigvalsh(mats)[:, -1]
+    return top.tolist()
+
+
 @dataclass(frozen=True)
 class LmiProblem:
     """Problem data for a variance-certificate LMI."""
@@ -117,11 +133,13 @@ class LmiCertificate:
         return asdict(self)
 
 
-def _lmi_entries(p: LmiProblem, cert: LmiCertificate) -> tuple[float, ...]:
+def _lmi_form(p: LmiProblem):
     """Upper triangle, row by row, of the reduced LMI left-hand side.
 
-    Around x* the method is xi+ = A xi + Bu u with u = Delta(Cy xi),
-    Delta(y) = grad f(y) - m y, and output Cz xi.  The LMI is
+    It is returned as a function of (x1, x0, x2, lambda1, lambda2), in
+    which each entry is affine.  Around x* the method is xi+ = A xi + Bu u
+    with u = Delta(Cy xi), Delta(y) = grad f(y) - m y, and output Cz xi.
+    The LMI is
 
         [[A^T X A - X + Cz^T Cz, A^T X Bu], [Bu^T X A, Bu^T X Bu]]
             + lambda1 S^T [[0, L - m], [L - m, -2]] S + lambda2 N,
@@ -130,18 +148,16 @@ def _lmi_entries(p: LmiProblem, cert: LmiCertificate) -> tuple[float, ...]:
     GD: A = q = 1 - alpha m, Bu = -alpha, Cz = Cy = 1, X = x1 (2x2 LMI).
     NA: A = [[0, 1], [c, d]] with c = -beta q, d = (1 + beta) q,
     Bu = (0, -alpha), Cz = (1, 0), Cy = (-beta, 1 + beta) and
-    X = [[x1, x0], [x0, x2]] (3x3 LMI).  Each entry is affine in
-    (x1, x0, x2, lambda1, lambda2).
+    X = [[x1, x0], [x0, x2]] (3x3 LMI).
     """
     m, L, alpha, beta = p.m, p.L, p.alpha, p.beta
-    x1, x0, x2 = cert.x1, cert.x0, cert.x2
-    lam1, lam2 = cert.lambda1, cert.lambda2
     span = L - m
     q = 1.0 - alpha * m
+    aa = alpha * alpha
     if p.algo == Algo.GD:
-        return (q * q * x1 - x1 + 1.0,
-                lam1 * span - alpha * q * x1,
-                alpha * alpha * x1 - 2.0 * lam1)
+        qq, aq = q * q, alpha * q
+        return lambda x1, x0, x2, lam1, lam2: (
+            qq * x1 - x1 + 1.0, lam1 * span - aq * x1, aa * x1 - 2.0 * lam1)
     c, d = -beta * q, (1.0 + beta) * q
     # N = n1^T [[L, 1], [1, 0]] n1 + n2^T [[-m, 1], [1, 0]] n2, where n1 has
     # rows r, t and n2 has rows u, t.
@@ -153,13 +169,28 @@ def _lmi_entries(p: LmiProblem, cert: LmiCertificate) -> tuple[float, ...]:
         return (L * r[i] * r[j] - m * u[i] * u[j]
                 + (r[i] + u[i]) * t[j] + t[i] * (r[j] + u[j]))
 
-    return (c * c * x2 - x1 + 1.0 + lam2 * mult(0, 0),
-            (c - 1.0) * x0 + c * d * x2 + lam2 * mult(0, 1),
-            -alpha * c * x2 - lam1 * span * beta + lam2 * mult(0, 2),
-            x1 + 2.0 * d * x0 + (d * d - 1.0) * x2 + lam2 * mult(1, 1),
-            -alpha * (x0 + d * x2) + lam1 * span * (1.0 + beta)
-            + lam2 * mult(1, 2),
-            alpha * alpha * x2 - 2.0 * lam1 + lam2 * mult(2, 2))
+    m00, m01, m02, m11, m12, m22 = (mult(i, j) for i, j in (
+        (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)))
+    # Factors of the problem alone, formed once.  Each is a left-to-right
+    # prefix of its product, so every entry rounds as if written out.
+    cc, cd, ac, c1 = c * c, c * d, -alpha * c, c - 1.0
+    d2, dd1, b1, na = 2.0 * d, d * d - 1.0, 1.0 + beta, -alpha
+    return lambda x1, x0, x2, lam1, lam2: (
+        cc * x2 - x1 + 1.0 + lam2 * m00,
+        c1 * x0 + cd * x2 + lam2 * m01,
+        ac * x2 - lam1 * span * beta + lam2 * m02,
+        x1 + d2 * x0 + dd1 * x2 + lam2 * m11,
+        na * (x0 + d * x2) + lam1 * span * b1 + lam2 * m12,
+        aa * x2 - 2.0 * lam1 + lam2 * m22)
+
+
+def _coords(cert: LmiCertificate) -> tuple[float, ...]:
+    return cert.x1, cert.x0, cert.x2, cert.lambda1, cert.lambda2
+
+
+def _lmi_entries(p: LmiProblem, cert: LmiCertificate) -> tuple[float, ...]:
+    """Upper triangle, row by row, of the candidate's reduced LMI."""
+    return _lmi_form(p)(*_coords(cert))
 
 
 def assemble_lmi(p: LmiProblem, cert: LmiCertificate) -> np.ndarray:
@@ -170,11 +201,21 @@ def assemble_lmi(p: LmiProblem, cert: LmiCertificate) -> np.ndarray:
     return _sym_matrix(_lmi_entries(p, cert))
 
 
-def certified_bound(p: LmiProblem, cert: LmiCertificate) -> float:
+def certified_bound(p: LmiProblem, coords: tuple[float, ...]) -> float:
     """J bound implied by the candidate for sigma = 1: n (L lam2 + x2-trace)."""
     # Bw^T X Bw is x1 for GD and picks the (2,2) entry x2 of X for NA.
-    trace_term = cert.x1 if p.algo == Algo.GD else cert.x2
-    return p.n * (p.L * cert.lambda2 + trace_term)
+    trace_term = coords[0] if p.algo == Algo.GD else coords[2]
+    return p.n * (p.L * coords[4] + trace_term)
+
+
+def _judge(p: LmiProblem, coords: tuple[float, ...],
+           upper: tuple[float, ...], res: float) -> tuple[float, float, bool]:
+    """psd_tol, x_min_eig and validity; ``res`` is the LMI's top eigenvalue."""
+    x1, x0, x2, lam1, lam2 = coords
+    tol = PSD_TOL_SCALE * max(1.0, max(map(abs, upper)))
+    xmin = x1 if p.algo == Algo.GD else _sym_eigenvalues((x1, x0, x2))[0]
+    return tol, xmin, (res <= tol and xmin >= -tol
+                       and lam1 >= -tol and lam2 >= -tol)
 
 
 def evaluate_certificate(p: LmiProblem, cert: LmiCertificate) -> LmiCertificate:
@@ -183,19 +224,12 @@ def evaluate_certificate(p: LmiProblem, cert: LmiCertificate) -> LmiCertificate:
     It is judged on the reduced entries: the n-dimensional LMI repeats each
     of their eigenvalues n times and has the same largest entry.
     """
-    upper = _lmi_entries(p, cert)
-    tol = PSD_TOL_SCALE * max(1.0, max(map(abs, upper)))
+    coords = _coords(cert)
+    upper = _lmi_form(p)(*coords)
     res = _sym_eigenvalues(upper)[-1]
-    if p.algo == Algo.GD:
-        xmin = cert.x1
-    else:
-        xmin = _sym_eigenvalues((cert.x1, cert.x0, cert.x2))[0]
-    cert.bound = certified_bound(p, cert)
+    cert.bound = certified_bound(p, coords)
     cert.residual_max_eig = res
-    cert.x_min_eig = xmin
-    cert.psd_tol = tol
-    cert.valid = (res <= tol and xmin >= -tol
-                  and cert.lambda1 >= -tol and cert.lambda2 >= -tol)
+    cert.psd_tol, cert.x_min_eig, cert.valid = _judge(p, coords, upper, res)
     return cert
 
 
@@ -286,30 +320,41 @@ def refine_bound(p: LmiProblem, cert: LmiCertificate,
     sizes halve after a full pass without improvement.  ``budget`` caps the
     number of LMI evaluations; the returned certificate is always valid and
     never worse than the input.
+
+    The trials left in a pass start from the same best, so those that lower
+    the bound share one stacked eigensolve before they are scanned in order.
+    Path, evaluation count and result are bit for bit those of one-by-one
+    evaluation.
     """
     base = evaluate_certificate(p, replace(cert))
     if not base.valid:
         raise ValueError("refine_bound needs a valid starting certificate")
-    names = ["x1", "lambda1"] if p.algo == Algo.GD else \
-        ["x1", "x0", "x2", "lambda1", "lambda2"]
-    steps = {k: 0.1 * max(abs(getattr(base, k)), 1.0) for k in names}
-    best = base
+    form = _lmi_form(p)
+    names = (0, 3) if p.algo == Algo.GD else (0, 1, 2, 3, 4)  # of _coords
+    best, bound = list(_coords(base)), base.bound
+    steps = {k: 0.1 * max(abs(best[k]), 1.0) for k in names}
     evals = 0
     while evals < budget and max(steps.values()) > 1e-14:
-        improved = False
-        for name in names:
-            for sgn in (1.0, -1.0):
-                if evals >= budget:
-                    break
-                trial = replace(best)
-                setattr(trial, name, getattr(best, name) + sgn * steps[name])
-                trial = evaluate_certificate(p, trial)
-                evals += 1
-                if trial.valid and trial.bound < best.bound:
-                    best = trial
-                    improved = True
-                    break
+        improved, start = False, 0
+        while start < len(names) and evals < budget:
+            # (name index to resume from if accepted, trial), in order.
+            trials = [(j + 1, best[:k] + [best[k] + sgn * steps[k]]
+                       + best[k + 1:])
+                      for j, k in enumerate(names) if j >= start
+                      for sgn in (1.0, -1.0)][:budget - evals]
+            # Only a trial that lowers the bound can be accepted.
+            cands = [(i, t) for i, (_, t) in enumerate(trials)
+                     if certified_bound(p, t) < bound]
+            rows = [form(*t) for _, t in cands]
+            hit = next((i for (i, t), upper, res in
+                        zip(cands, rows, _max_eigenvalues(rows))
+                        if _judge(p, t, upper, res)[2]), None)
+            if hit is None:
+                evals += len(trials)
+                break
+            evals += hit + 1
+            start, best = trials[hit]
+            bound, improved = certified_bound(p, best), True
         if not improved:
-            for name in names:
-                steps[name] *= 0.5
-    return best
+            steps = {k: 0.5 * v for k, v in steps.items()}
+    return evaluate_certificate(p, LmiCertificate(*best))

@@ -257,6 +257,20 @@ def test_certify_command(capsys):
     assert json.loads(out)["valid"] is True
 
 
+def test_refining_an_invalid_closed_form_is_a_domain_error(capsys):
+    # At kappa = 1e16 the closed-form NA certificate fails its float check:
+    # a report without --refine says so, and --refine has nothing to start
+    # from (exit 3), which is no usage error.
+    argv = ("certify", "--algo", "na", "--kappa", "1e16", "--n", "8")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0 and json.loads(out)["valid"] is False
+    code, out, err = _run(capsys, *argv, "--refine", "1")
+    assert code == 3 and out == ""
+    error = json.loads(err)
+    assert error["error"] == "NoGuarantee"
+    assert "kappa=1e+16" in error["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "10",
      "--replicates", "0"),

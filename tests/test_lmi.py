@@ -3,13 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, LmiCertificate, LmiProblem,
                       PseudoHuber, ShapeMismatch, assemble_lmi,
                       evaluate_certificate, gd_certificate, make_spectrum,
                       na_certificate, q_bounds, refine_bound,
                       variance_amplification)
-from noiseamp.lmi import _lmi_entries, _sym_eigenvalues
+from noiseamp.lmi import _lmi_entries, _max_eigenvalues, _sym_eigenvalues
 
 
 def test_sym_eigenvalues_match_reference_eigensolver():
@@ -33,6 +35,27 @@ def test_sym_eigenvalues_match_reference_eigensolver():
             ref = np.linalg.eigvalsh(sym)
             tol = 1e-12 * max(1.0, float(np.abs(sym).max()))
             np.testing.assert_allclose(mine, ref, rtol=0.0, atol=tol)
+
+
+def test_stacked_eigenvalues_match_one_by_one():
+    # The refiner's stacked eigensolve must give _sym_eigenvalues' bits.
+    rng = np.random.default_rng(5)
+    for k in (2, 3):
+        size = k * (k + 1) // 2
+        for _ in range(20):
+            # Entries of mixed sign spanning 1e-3 to 1e12.
+            rows = (rng.choice((-1.0, 1.0), size=(50, size))
+                    * 10.0 ** rng.uniform(-3.0, 12.0, size=(50, size)))
+            rows = [tuple(r) for r in rows.tolist()]
+            for i, bad in ((3, math.nan), (17, math.inf), (40, -math.inf)):
+                rows[i] = rows[i][:1] + (bad,) + rows[i][2:]
+            got = _max_eigenvalues(rows)
+            want = [_sym_eigenvalues(u)[-1] for u in rows]
+            assert len(got) == len(rows)
+            for g, w in zip(got, want):
+                assert g == w or (math.isnan(g) and math.isnan(w))
+            assert all(math.isnan(got[i]) for i in (3, 17, 40))
+    assert _max_eigenvalues([]) == []
 
 
 def test_sym_eigenvalues_reject_bad_input():
@@ -182,6 +205,56 @@ def test_refine_bound_matches_recorded_values(algo, kappa, budget, bound):
     refined = refine_bound(prob, cert, budget=budget)
     assert refined.valid
     assert refined.bound == pytest.approx(bound, rel=1e-9)
+
+
+def _sequential_refine(p, cert, budget):
+    """The refiner evaluated one trial at a time: the reference path."""
+    base = evaluate_certificate(p, replace(cert))
+    if not base.valid:
+        raise ValueError("refine_bound needs a valid starting certificate")
+    names = ["x1", "lambda1"] if p.algo == Algo.GD else \
+        ["x1", "x0", "x2", "lambda1", "lambda2"]
+    steps = {k: 0.1 * max(abs(getattr(base, k)), 1.0) for k in names}
+    best = base
+    evals = 0
+    while evals < budget and max(steps.values()) > 1e-14:
+        improved = False
+        for name in names:
+            for sgn in (1.0, -1.0):
+                if evals >= budget:
+                    break
+                trial = replace(best)
+                setattr(trial, name, getattr(best, name) + sgn * steps[name])
+                trial = evaluate_certificate(p, trial)
+                evals += 1
+                if trial.valid and trial.bound < best.bound:
+                    best = trial
+                    improved = True
+                    break
+        if not improved:
+            for name in names:
+                steps[name] *= 0.5
+    return best
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([Algo.GD, Algo.NA]),
+       st.floats(0.0, 15.0).map(lambda e: 10.0 ** e),
+       st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       st.integers(1, 30), st.integers(0, 3000))
+def test_refine_bound_takes_the_sequential_path(algo, kappa, L, n, budget):
+    if algo == Algo.GD:
+        prob, cert = gd_certificate(L / kappa, L, n=n)
+    else:
+        prob, cert = na_certificate(kappa, L, n=n)
+    try:
+        want = _sequential_refine(prob, cert, budget).to_dict()
+    except ValueError:
+        assume(False)
+    got = refine_bound(prob, cert, budget).to_dict()
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key] == value, key
 
 
 def test_refine_rejects_invalid_start():
