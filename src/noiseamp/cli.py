@@ -383,6 +383,8 @@ def _cmd_simulate(args):
     s = _resolve_spectrum(args)
     cfg = _resolve_config(args, s)
     if args.objective == "pseudo-huber":
+        if not 0.0 < args.delta < math.inf:  # NaN too
+            raise ValueError("--delta must be finite, with delta > 0")
         obj = PseudoHuber(s.m, s.L, s.n, delta=args.delta)
         echo = _config_echo(args, cfg, delta=args.delta)
     else:

@@ -87,6 +87,14 @@ def kappa_closed_form(fn):
     return wrapper
 
 
+class CertificateOverflow(NoiseAmpError):
+    """A closed-form certificate leaves double range at this kappa and L."""
+
+    def __init__(self, name: str, kappa: float, L: float):
+        super().__init__(f"the {name} certificate leaves double range at "
+                         f"kappa={kappa!r}, L={L!r}")
+
+
 class VarianceOverflow(NoiseAmpError):
     """J, J' or a mode's variance (sigma^2 times its unit-noise variance)
     leaves double range."""

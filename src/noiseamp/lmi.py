@@ -21,13 +21,14 @@ coordinate-descent refiner.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from typing import Any
 
 import numpy as np
 
 from .dynamics import Algo
-from .errors import KappaTooLarge, ShapeMismatch, kappa_closed_form
+from .errors import (CertificateOverflow, KappaTooLarge, ShapeMismatch,
+                     kappa_closed_form)
 
 PSD_TOL_SCALE = 1e-8
 
@@ -64,22 +65,6 @@ def _sym_eigenvalues(upper: tuple[float, ...]) -> tuple[float, ...]:
         # return finite values.
         return (math.nan,) * len(mat)
     return tuple(np.linalg.eigvalsh(mat).tolist())
-
-
-def _max_eigenvalues(rows: list[tuple[float, ...]]) -> list[float]:
-    """``_sym_eigenvalues(upper)[-1]``, bit for bit, of each row of ``rows``.
-
-    The rows have one size.  Finite 3x3 ones share one stacked LAPACK call,
-    which runs the same routine on each; non-finite ones give NaN.
-    """
-    if not rows or len(rows[0]) == 3:
-        return [_sym_eigenvalues(upper)[-1] for upper in rows]
-    entries = np.array(rows)
-    finite = np.isfinite(entries).all(axis=1)
-    top = np.full(len(rows), math.nan)
-    mats = entries[finite][:, [0, 1, 2, 1, 3, 4, 2, 4, 5]].reshape(-1, 3, 3)
-    top[finite] = np.linalg.eigvalsh(mats)[:, -1]
-    return top.tolist()
 
 
 @dataclass(frozen=True)
@@ -209,13 +194,14 @@ def certified_bound(p: LmiProblem, coords: tuple[float, ...]) -> float:
 
 
 def _judge(p: LmiProblem, coords: tuple[float, ...],
-           upper: tuple[float, ...], res: float) -> tuple[float, float, bool]:
-    """psd_tol, x_min_eig and validity; ``res`` is the LMI's top eigenvalue."""
+           upper: tuple[float, ...]) -> tuple[float, float, float, bool]:
+    """The LMI's top eigenvalue, psd_tol, x_min_eig and validity."""
     x1, x0, x2, lam1, lam2 = coords
+    res = _sym_eigenvalues(upper)[-1]
     tol = PSD_TOL_SCALE * max(1.0, max(map(abs, upper)))
     xmin = x1 if p.algo == Algo.GD else _sym_eigenvalues((x1, x0, x2))[0]
-    return tol, xmin, (res <= tol and xmin >= -tol
-                       and lam1 >= -tol and lam2 >= -tol)
+    return res, tol, xmin, (res <= tol and xmin >= -tol
+                            and lam1 >= -tol and lam2 >= -tol)
 
 
 def evaluate_certificate(p: LmiProblem, cert: LmiCertificate) -> LmiCertificate:
@@ -225,12 +211,26 @@ def evaluate_certificate(p: LmiProblem, cert: LmiCertificate) -> LmiCertificate:
     of their eigenvalues n times and has the same largest entry.
     """
     coords = _coords(cert)
-    upper = _lmi_form(p)(*coords)
-    res = _sym_eigenvalues(upper)[-1]
     cert.bound = certified_bound(p, coords)
-    cert.residual_max_eig = res
-    cert.psd_tol, cert.x_min_eig, cert.valid = _judge(p, coords, upper, res)
+    (cert.residual_max_eig, cert.psd_tol, cert.x_min_eig,
+     cert.valid) = _judge(p, coords, _lmi_form(p)(*coords))
     return cert
+
+
+def _closed_form(algo: Algo, kappa: float, L: float, n: int, m: float,
+                 alpha: float, beta: float,
+                 coords: tuple[float, ...]) -> tuple[LmiProblem, LmiCertificate]:
+    """The problem and the evaluated certificate at ``coords``.
+
+    Raises :class:`CertificateOverflow` where m underflows to 0 or alpha
+    or a field of the certificate is not finite.
+    """
+    if m > 0.0 and alpha < math.inf:
+        p = LmiProblem(algo=algo, m=m, L=L, alpha=alpha, beta=beta, n=n)
+        cert = evaluate_certificate(p, LmiCertificate(*coords))
+        if all(map(math.isfinite, astuple(cert))):
+            return p, cert
+    raise CertificateOverflow(algo.value.upper(), kappa, L)
 
 
 def gd_certificate(m: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiCertificate]:
@@ -240,18 +240,22 @@ def gd_certificate(m: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiCerti
     (m (2 - alpha m)(L - m)) = 1 / (m (2 L - m)) make the LMI residual
     exactly diag(0, -1/(m^2 (2 kappa - 1))), certifying
     J <= n kappa^2/(2 kappa - 1).  The simplified form holds at L = m too.
+    An m of 0 (kappa = L / m is infinite: L / kappa underflowed) or a
+    tiny L leaves double range.
     """
-    if not (0.0 < m <= L):
+    if not (0.0 <= m <= L and L > 0.0):  # NaN too
         raise ValueError("need 0 < m <= L")
     alpha = 1.0 / L
-    kappa = L / m
+    kappa = L / m if m else math.inf
+    try:
+        lam1 = 1.0 / (m * (2.0 * L - m))
+    except ZeroDivisionError:  # m (2 L - m) underflows to 0
+        raise CertificateOverflow("GD", kappa, L) from None
     x1 = kappa * kappa / (2.0 * kappa - 1.0)
     if not math.isfinite(x1):
         raise KappaTooLarge(f"the GD certificate overflows at kappa={kappa!r}")
-    lam1 = 1.0 / (m * (2.0 * L - m))
-    p = LmiProblem(algo=Algo.GD, m=m, L=L, alpha=alpha, beta=0.0, n=n)
-    cert = LmiCertificate(x1=x1, x0=0.0, x2=0.0, lambda1=lam1, lambda2=0.0)
-    return p, evaluate_certificate(p, cert)
+    return _closed_form(Algo.GD, kappa, L, n, m, alpha, 0.0,
+                        (x1, 0.0, 0.0, lam1, 0.0))
 
 
 def _na_poly(kappa: float) -> dict[str, float]:
@@ -285,12 +289,13 @@ def na_certificate(kappa: float, L: float, n: int = 1) -> tuple[LmiProblem, LmiC
         raise KappaTooLarge(f"the NA momentum rounds to 1 at kappa={kappa!r}")
     m = L / kappa
     poly = _na_poly(kappa)
-    lam1 = (kappa / L) ** 2 / (2.0 * kappa - 1.0)
+    try:
+        lam1 = (kappa / L) ** 2 / (2.0 * kappa - 1.0)
+    except OverflowError:  # kappa / L is huge
+        lam1 = math.inf
     lam2 = -poly["x0_num"] / (L * poly["s"])
-    p = LmiProblem(algo=Algo.NA, m=m, L=L, alpha=alpha, beta=beta, n=n)
-    cert = LmiCertificate(x1=poly["x1"], x0=poly["x0"], x2=poly["x2"],
-                          lambda1=lam1, lambda2=lam2)
-    return p, evaluate_certificate(p, cert)
+    return _closed_form(Algo.NA, kappa, L, n, m, alpha, beta,
+                        (poly["x1"], poly["x0"], poly["x2"], lam1, lam2))
 
 
 @kappa_closed_form
@@ -315,16 +320,12 @@ def refine_bound(p: LmiProblem, cert: LmiCertificate,
                  budget: int = 2000) -> LmiCertificate:
     """Derivative-free coordinate descent on (x1, x0, x2, lambda1, lambda2).
 
-    Starting from a valid certificate, tries +/- steps in each coordinate,
-    keeping only moves that stay valid and lower the certified bound.  Step
-    sizes halve after a full pass without improvement.  ``budget`` caps the
-    number of LMI evaluations; the returned certificate is always valid and
+    Starting from a valid certificate, each pass tries a + then a - step in
+    each coordinate in turn and keeps the first trial that stays valid and
+    lowers the certified bound.  A trial that does not lower the bound is
+    not judged.  Step sizes halve after a pass that keeps none.  ``budget``
+    caps the number of trials; the returned certificate is always valid and
     never worse than the input.
-
-    The trials left in a pass start from the same best, so those that lower
-    the bound share one stacked eigensolve before they are scanned in order.
-    Path, evaluation count and result are bit for bit those of one-by-one
-    evaluation.
     """
     base = evaluate_certificate(p, replace(cert))
     if not base.valid:
@@ -335,26 +336,17 @@ def refine_bound(p: LmiProblem, cert: LmiCertificate,
     steps = {k: 0.1 * max(abs(best[k]), 1.0) for k in names}
     evals = 0
     while evals < budget and max(steps.values()) > 1e-14:
-        improved, start = False, 0
-        while start < len(names) and evals < budget:
-            # (name index to resume from if accepted, trial), in order.
-            trials = [(j + 1, best[:k] + [best[k] + sgn * steps[k]]
-                       + best[k + 1:])
-                      for j, k in enumerate(names) if j >= start
-                      for sgn in (1.0, -1.0)][:budget - evals]
-            # Only a trial that lowers the bound can be accepted.
-            cands = [(i, t) for i, (_, t) in enumerate(trials)
-                     if certified_bound(p, t) < bound]
-            rows = [form(*t) for _, t in cands]
-            hit = next((i for (i, t), upper, res in
-                        zip(cands, rows, _max_eigenvalues(rows))
-                        if _judge(p, t, upper, res)[2]), None)
-            if hit is None:
-                evals += len(trials)
-                break
-            evals += hit + 1
-            start, best = trials[hit]
-            bound, improved = certified_bound(p, best), True
+        improved = False
+        for k in names:
+            for sgn in (1.0, -1.0):
+                if evals >= budget:
+                    break
+                evals += 1
+                trial = best[:k] + [best[k] + sgn * steps[k]] + best[k + 1:]
+                lower = certified_bound(p, trial)
+                if lower < bound and _judge(p, trial, form(*trial))[-1]:
+                    best, bound, improved = trial, lower, True
+                    break
         if not improved:
             steps = {k: 0.5 * v for k, v in steps.items()}
     return evaluate_certificate(p, LmiCertificate(*best))

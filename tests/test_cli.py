@@ -194,6 +194,9 @@ def test_exit_code_domain_error_json(capsys):
      "--kappa must be >= 1"),
     (("simulate", "--algo", "na", "--kappa", "4", "--n", "0"),
      "--n must be >= 1"),
+    (("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "10",
+      "--objective", "pseudo-huber", "--delta", "inf"),
+     "--delta must be finite"),
 ])
 def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
                                                        message):
@@ -661,6 +664,29 @@ def test_huge_kappa_is_a_domain_error(capsys, argv):
     assert code == 3
     assert out == ""
     assert json.loads(err)["error"] == "KappaTooLarge"
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in report")
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.sampled_from(["gd", "na"]),
+       st.floats(0.0, 15.0).map(lambda e: 10.0 ** e),
+       st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e))
+@example("gd", 4.0, 1e-310)   # m (2 L - m) underflows to 0
+@example("gd", 4.0, 1e-323)   # m = L / kappa underflows to 0
+@example("na", 1e10, 1e-300)  # lambda1, lambda2 and the bound overflow
+@example("na", 100.0, 1e-290)  # (kappa / L) ** 2 overflows
+def test_certify_at_any_L_is_strict_json_or_a_domain_error(algo, kappa, L):
+    for extra in ([], ["--refine", "20"]):
+        code, out, err = _run_all(["certify", "--algo", algo, "--kappa",
+                                   repr(kappa), "--L", repr(L), *extra])
+        if code == 0:
+            json.loads(out, parse_constant=_reject_constant)
+        else:
+            assert (code, out) == (3, ""), err
+            assert set(json.loads(err)) == {"error", "message"}
 
 
 @pytest.mark.parametrize("algo, kappa", [("gd", "1e14"), ("hb", "1e10"),

@@ -11,7 +11,7 @@ from noiseamp import (Algo, AlgoConfig, LmiCertificate, LmiProblem,
                       evaluate_certificate, gd_certificate, make_spectrum,
                       na_certificate, q_bounds, refine_bound,
                       variance_amplification)
-from noiseamp.lmi import _lmi_entries, _max_eigenvalues, _sym_eigenvalues
+from noiseamp.lmi import _lmi_entries, _sym_eigenvalues
 
 
 def test_sym_eigenvalues_match_reference_eigensolver():
@@ -35,27 +35,6 @@ def test_sym_eigenvalues_match_reference_eigensolver():
             ref = np.linalg.eigvalsh(sym)
             tol = 1e-12 * max(1.0, float(np.abs(sym).max()))
             np.testing.assert_allclose(mine, ref, rtol=0.0, atol=tol)
-
-
-def test_stacked_eigenvalues_match_one_by_one():
-    # The refiner's stacked eigensolve must give _sym_eigenvalues' bits.
-    rng = np.random.default_rng(5)
-    for k in (2, 3):
-        size = k * (k + 1) // 2
-        for _ in range(20):
-            # Entries of mixed sign spanning 1e-3 to 1e12.
-            rows = (rng.choice((-1.0, 1.0), size=(50, size))
-                    * 10.0 ** rng.uniform(-3.0, 12.0, size=(50, size)))
-            rows = [tuple(r) for r in rows.tolist()]
-            for i, bad in ((3, math.nan), (17, math.inf), (40, -math.inf)):
-                rows[i] = rows[i][:1] + (bad,) + rows[i][2:]
-            got = _max_eigenvalues(rows)
-            want = [_sym_eigenvalues(u)[-1] for u in rows]
-            assert len(got) == len(rows)
-            for g, w in zip(got, want):
-                assert g == w or (math.isnan(g) and math.isnan(w))
-            assert all(math.isnan(got[i]) for i in (3, 17, 40))
-    assert _max_eigenvalues([]) == []
 
 
 def test_sym_eigenvalues_reject_bad_input():
