@@ -7,17 +7,16 @@ averaging over torus networks, and seeded Monte Carlo validation.
 """
 
 from .dynamics import (Algo, AlgoConfig, ModalSystem, SigmaMode,
-                       convergence_rate, modal_spectral_radius, modal_system,
+                       check_stable, modal_spectral_radius, modal_system,
                        nesterov_stable, propagate_covariance)
 from .errors import (DimensionTooSmall, EmptySpectrum, InfeasibleCap,
                      KappaTooLarge, NoGuarantee, NoiseAmpError, NonFinite,
-                     NonPositiveEigenvalue, ShapeMismatch, SizeOverflow,
-                     Unstable, UnstableMode)
+                     NonPositiveEigenvalue, SizeOverflow, Unstable)
 from .spectrum import Spectrum, make_spectrum
 from .variance import (VarianceReport, extreme_modal_values, hb_gd_ratio,
-                       modal_variance, na_gd_ratio_bounds,
-                       variance_amplification, variance_bounds,
-                       variance_via_eigenvalues, variance_via_lyapunov)
+                       na_gd_ratio_bounds, variance_amplification,
+                       variance_bounds, variance_via_eigenvalues,
+                       variance_via_lyapunov)
 from .lmi import (LmiCertificate, LmiProblem, assemble_lmi,
                   evaluate_certificate, gd_certificate, na_certificate,
                   q_bounds, refine_bound)

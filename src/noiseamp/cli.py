@@ -73,11 +73,14 @@ def _parse_torus(text: str) -> TorusSpec:
 
 def _check_kappa_n(kappa: float, n: int):
     """Usage errors for a --kappa that is not finite and >= 1, or an --n
-    below 1."""
+    below 1; SizeOverflow above MAX_NETWORK_SIZE, a torus's cap too."""
     if not 1.0 <= kappa < math.inf:  # NaN too
         raise ValueError("--kappa must be >= 1 and finite")
     if n < 1:
         raise ValueError("--n must be >= 1")
+    if n > MAX_NETWORK_SIZE:
+        raise SizeOverflow(f"--n {n} exceeds the supported size "
+                           f"{MAX_NETWORK_SIZE}")
 
 
 def _resolve_spectrum(args) -> Spectrum:
@@ -102,9 +105,6 @@ def _resolve_spectrum(args) -> Spectrum:
     _check_kappa_n(kappa, n)
     if n == 1 and kappa != 1.0:
         raise ValueError("--n 1 requires --kappa 1")
-    if n > MAX_NETWORK_SIZE:  # the cap on a torus's eigenvalues too
-        raise SizeOverflow(f"--n {n} exceeds the supported size "
-                           f"{MAX_NETWORK_SIZE}")
     return make_spectrum(np.linspace(1.0, kappa, n))
 
 

@@ -182,19 +182,6 @@ def modal_spectral_radius(cfg: AlgoConfig | ConfigRows,
     return float(out) if out.ndim == 0 else out
 
 
-def convergence_rate(cfg: AlgoConfig, s: Spectrum) -> float:
-    """Worst-case modal spectral radius over the whole spectrum.
-
-    It is read off the extreme eigenvalues m and L.  For a fixed r, both
-    roots of z^2 - b z - a lie in |z| <= r exactly when |a| <= r^2 and
-    r |b| <= r^2 - a (Schur-Cohn).  Both conditions are affine in
-    mu = alpha lambda, so every sublevel set {lambda : rho(lambda) <= r} is
-    an interval: rho is quasiconvex in lambda and attains its maximum over
-    [m, L] at an endpoint.
-    """
-    return float(modal_spectral_radius(cfg, np.array([s.L, s.m])).max())
-
-
 def check_step_size(cfg: AlgoConfig, L: float):
     """Raise :class:`Unstable` at L when alpha L >= 4, before any overflow.
 
@@ -211,9 +198,13 @@ def check_step_size(cfg: AlgoConfig, L: float):
 def check_stable(cfg: AlgoConfig, s: Spectrum) -> float:
     """Return the convergence rate, raising :class:`Unstable` if >= 1.
 
-    Like :func:`convergence_rate` it reads the extreme modes only, L first,
-    so that a tie names L.  Steps rejected by :func:`check_step_size` never
-    reach the rate formula.
+    The rate is the worst modal spectral radius, read at m and L only (L
+    first, so that a tie names L).  Both roots of z^2 - b z - a lie in
+    |z| <= r exactly when |a| <= r^2 and r |b| <= r^2 - a (Schur-Cohn),
+    two conditions affine in mu = alpha lambda: every sublevel set of
+    rho(lambda) is an interval, so rho is quasiconvex in lambda and peaks
+    over [m, L] at an endpoint.  Steps rejected by :func:`check_step_size`
+    never reach the rate formula.
     """
     check_step_size(cfg, s.L)
     lams = np.array([s.L, s.m])

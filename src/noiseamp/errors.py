@@ -22,18 +22,6 @@ class NonPositiveEigenvalue(NoiseAmpError):
     """Eigenvalues of a strongly convex quadratic must be positive."""
 
 
-class UnstableMode(NoiseAmpError):
-    """A single modal recursion has spectral radius >= 1."""
-
-    def __init__(self, lam: float, rho: float):
-        self.lam = float(lam)
-        self.rho = float(rho)
-        super().__init__(
-            f"modal recursion at eigenvalue {lam!r} has spectral radius "
-            f"{rho!r} >= 1"
-        )
-
-
 class Unstable(NoiseAmpError):
     """The iteration diverges on the given spectrum; carries the worst mode."""
 
@@ -44,10 +32,6 @@ class Unstable(NoiseAmpError):
             f"iteration is unstable: eigenvalue {lam!r} gives spectral "
             f"radius {rho!r} >= 1"
         )
-
-
-class ShapeMismatch(NoiseAmpError):
-    """Matrix/vector dimensions passed to a solver are inconsistent."""
 
 
 class DimensionTooSmall(NoiseAmpError):
@@ -96,8 +80,7 @@ class CertificateOverflow(NoiseAmpError):
 
 
 class VarianceOverflow(NoiseAmpError):
-    """J, J' or a mode's variance (sigma^2 times its unit-noise variance)
-    leaves double range."""
+    """J or J' leaves double range."""
 
     def __init__(self, what: str = "J"):
         super().__init__(f"{what} leaves double precision: a per-mode term "

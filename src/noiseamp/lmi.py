@@ -27,8 +27,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import Algo
-from .errors import (CertificateOverflow, KappaTooLarge, ShapeMismatch,
-                     kappa_closed_form)
+from .errors import CertificateOverflow, KappaTooLarge, kappa_closed_form
 
 PSD_TOL_SCALE = 1e-8
 
@@ -38,12 +37,8 @@ def _sym_matrix(upper: tuple[float, ...]) -> np.ndarray:
     if len(upper) == 3:
         a, b, c = upper
         return np.array(((a, b), (b, c)))
-    if len(upper) == 6:
-        a, b, c, d, e, f = upper
-        return np.array(((a, b, c), (b, d, e), (c, e, f)))
-    raise ShapeMismatch(
-        f"expected the 3 or 6 upper-triangle entries of a symmetric 2x2 or "
-        f"3x3 matrix, got {len(upper)}")
+    a, b, c, d, e, f = upper
+    return np.array(((a, b, c), (b, d, e), (c, e, f)))
 
 
 def _sym_eigenvalues(upper: tuple[float, ...]) -> tuple[float, ...]:

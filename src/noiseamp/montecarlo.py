@@ -449,7 +449,8 @@ def _squared_norms(cfg: AlgoConfig, obj, steps: int, seed: int,
     earliest iterate of any replicate whose norm exceeds
     ``DIVERGENCE_NORM`` or is not finite, and :class:`SizeOverflow`
     before any allocation if the trace or a block would hold more than
-    ``MAX_FLOATS`` floats.
+    ``MAX_FLOATS`` floats.  A quadratic passes :func:`check_step_size`
+    alone, not ``check_stable``: NonFinite reports an unstable run.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")

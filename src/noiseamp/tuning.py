@@ -20,12 +20,12 @@ with extreme eigenvalues m and L:
 
 On top of these, the module minimizes J subject to a cap r on the
 convergence rate, with one search for GD, HB and NA: at each momentum the
-Schur-Cohn conditions of :func:`convergence_rate`, read at lambda = m and
-L, make the feasible step sizes a closed-form interval, and golden-section
-minimizes J on it for every slice of a momentum grid at once, the slices
-advancing in lockstep.  The same search measures the variance floor that
-any accelerated tuning must pay; the module also quantifies the heavy-ball
-rate/variance trade-off floor.
+Schur-Cohn conditions of the stability gate :func:`check_stable`, read at
+lambda = m and L, make the feasible step sizes a closed-form interval, and
+golden-section minimizes J on it for every slice of a momentum grid at
+once, the slices advancing in lockstep.  The same search measures the
+variance floor that any accelerated tuning must pay; the module also
+quantifies the heavy-ball rate/variance trade-off floor.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
-                       SigmaMode, convergence_rate, modal_spectral_radius)
+                       SigmaMode, check_stable, modal_spectral_radius)
 from .errors import InfeasibleCap, KappaTooLarge, NoGuarantee
 from .spectrum import Spectrum, make_spectrum
 from .variance import (_finite_sum, _modal_variance_raw,
@@ -187,13 +187,14 @@ def _step_interval(beta: float, gamma: float, r: float, m: float,
 
     The roots of z^2 - b z - a, a = gamma mu - beta and b = 1 + beta -
     (1 + gamma) mu, lie in |z| <= r exactly when |a| <= r^2 and
-    |b| <= r - a / r (:func:`convergence_rate`): four inequalities
-    p mu >= q, each bounding mu below (p > 0) or above (p < 0) or holding
-    for all mu or none (p = 0).  For b's upper bound p = 1 + gamma -
-    gamma / r changes sign at gamma = r / (1 - r).  Read at mu = alpha m
-    and alpha L, [mu_lo, mu_hi] gives alpha in [mu_lo / m, mu_hi / L];
-    None for an empty slice.  At gamma = 0 these are heavy ball's edges
-    and at beta = 0 GD's, (1 - r) / m and (1 + r) / L, bit for bit.
+    |b| <= r - a / r, the conditions :func:`check_stable` reads at m and L:
+    four inequalities p mu >= q, each bounding mu below (p > 0) or above
+    (p < 0) or holding for all mu or none (p = 0).  For b's upper bound
+    p = 1 + gamma - gamma / r changes sign at gamma = r / (1 - r).  Read at
+    mu = alpha m and alpha L, [mu_lo, mu_hi] gives alpha in
+    [mu_lo / m, mu_hi / L]; None for an empty slice.  At gamma = 0 these
+    are heavy ball's edges and at beta = 0 GD's, (1 - r) / m and
+    (1 + r) / L, bit for bit.
     """
     h = r + beta / r
     lo, hi = 0.0, math.inf
@@ -339,7 +340,8 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     # Momenta ascend, so the first smallest J is the (J, beta, alpha) minimum.
     best = int(np.argmin(np.where(feasible, js, math.inf)))
     alpha, beta = float(alphas[best]), float(betas[best])
-    rho = convergence_rate(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
+    # The kept step has rho <= bound, so the gate returns that rate.
+    rho = check_stable(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
     return TuningResult(
         algo, alpha, beta, float(js[best]), rho, cap, slices=len(slices),
         feasible_slices=int(feasible.sum()),

@@ -26,23 +26,10 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
-                       _modal_lyapunov, check_stable, companion_coefficients,
-                       modal_spectral_radius)
-from .errors import (DimensionTooSmall, UnstableMode, VarianceOverflow,
-                     kappa_closed_form)
+from .dynamics import (Algo, AlgoConfig, ConfigRows, _modal_lyapunov,
+                       check_stable, companion_coefficients)
+from .errors import DimensionTooSmall, VarianceOverflow, kappa_closed_form
 from .spectrum import Spectrum
-
-
-def modal_variance(cfg: AlgoConfig, lam: float) -> float:
-    """Closed-form per-mode steady-state variance J_hat(lambda)."""
-    rho = modal_spectral_radius(cfg, lam)
-    if not rho < INSTABILITY_THRESHOLD:
-        raise UnstableMode(lam, rho)
-    v = float(_modal_variance_raw(cfg, np.asarray(lam, dtype=float)))
-    if v == math.inf:
-        raise VarianceOverflow("J_hat")
-    return v
 
 
 def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,

@@ -564,6 +564,10 @@ def test_pseudo_huber_simulate_has_no_z_score(capsys):
      "--replicates", "1000000000000", "--objective", "pseudo-huber"),
     ("analyze", "--algo", "gd", "--kappa", "10", "--n", "1000000000000"),
     ("tune", "--algo", "hb", "--kappa", "10", "--n", "10000001"),
+    ("bounds", "--algo", "gd", "--kappa", "4", "--n", "10000001"),
+    ("bounds", "--algo", "gd", "--kappa", "1e6", "--n", str(10 ** 300)),
+    ("certify", "--algo", "na", "--kappa", "1e6", "--n", str(10 ** 300)),
+    ("certify", "--algo", "na", "--kappa", "1e6", "--n", str(10 ** 310)),
 ])
 def test_oversized_requests_are_domain_errors(capsys, argv):
     # Each is refused before its arrays are allocated (they would take

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, ConsensusRecord, Quadratic, Regime,
-                      SizeOverflow, TorusSpec, Unstable, consensus_variance,
-                      convergence_rate, hb_gd_ratio, make_spectrum,
+                      SizeOverflow, TorusSpec, Unstable, check_stable,
+                      consensus_variance, hb_gd_ratio, make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
                       scaling_sweep, torus_eigenvalues, torus_spectrum,
                       variance_amplification)
@@ -143,7 +143,7 @@ def test_multiset_sums_match_full_lattice(algo, t):
     cfg = AlgoConfig(algo=algo, alpha=p.alpha, beta=p.beta)
     rec = consensus_variance(algo, t)
     assert rec.kappa == L / m
-    assert rec.rho == convergence_rate(cfg, make_spectrum(lams))
+    assert rec.rho == check_stable(cfg, make_spectrum(lams))
     jbar = math.fsum(_modal_variance_raw(cfg, lams))
     if t.d <= 2:
         assert rec.jbar == jbar

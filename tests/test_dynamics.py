@@ -4,12 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from noiseamp import (Algo, AlgoConfig, SigmaMode, Unstable, UnstableMode,
-                      convergence_rate, make_spectrum, modal_spectral_radius,
-                      modal_system, modal_variance, nesterov_stable,
-                      propagate_covariance, variance_via_lyapunov)
-from noiseamp.dynamics import (_modal_lyapunov, check_stable,
-                               companion_coefficients)
+from noiseamp import (Algo, AlgoConfig, SigmaMode, Unstable, check_stable,
+                      make_spectrum, modal_spectral_radius, modal_system,
+                      nesterov_stable, propagate_covariance,
+                      variance_via_lyapunov)
+from noiseamp.dynamics import _modal_lyapunov, companion_coefficients
 
 
 def test_config_validation():
@@ -63,6 +62,14 @@ def test_spectral_radius_matches_eigenvalues():
             expected, rel=1e-11, abs=1e-11)
 
 
+def _rate(cfg, s):
+    """check_stable's rate, or the rate that its Unstable carries."""
+    try:
+        return check_stable(cfg, s)
+    except Unstable as exc:
+        return exc.rho
+
+
 def test_convergence_rate_is_worst_mode():
     rng = np.random.default_rng(3)
     for _ in range(200):
@@ -70,7 +77,7 @@ def test_convergence_rate_is_worst_mode():
         cfg = AlgoConfig(algo=Algo.HB, alpha=float(rng.uniform(0.01, 0.5)),
                          beta=float(rng.uniform(0.0, 0.95)))
         scan = max(modal_spectral_radius(cfg, float(l)) for l in s.values)
-        assert convergence_rate(cfg, s) == pytest.approx(scan, rel=1e-14)
+        assert _rate(cfg, s) == pytest.approx(scan, rel=1e-14)
     # Modes a few ulps inside the extremes, with m at a double root of NA or
     # HB.  There b^2 + 4a cancels, so the float inputs fix the radius only
     # to about sqrt(eps), and a mode next to m can compute a larger radius
@@ -86,7 +93,7 @@ def test_convergence_rate_is_worst_mode():
                          (Algo.HB, (1.0 - math.sqrt(beta)) ** 2)):
             cfg = AlgoConfig(algo=algo, alpha=mu / m, beta=beta)
             scan = max(modal_spectral_radius(cfg, float(l)) for l in s.values)
-            assert convergence_rate(cfg, s) == pytest.approx(scan, abs=1e-7)
+            assert _rate(cfg, s) == pytest.approx(scan, abs=1e-7)
 
 
 def test_nesterov_stability_boundary():
@@ -143,8 +150,8 @@ def test_lyapunov_fixed_point_oracle():
 
 def test_unstable_mode_raises():
     cfg = AlgoConfig(algo=Algo.GD, alpha=1.0)
-    with pytest.raises(UnstableMode) as exc:
-        modal_variance(cfg, 2.5)
+    with pytest.raises(Unstable) as exc:
+        check_stable(cfg, make_spectrum([2.5]))
     assert exc.value.lam == 2.5
     with pytest.raises(Unstable) as exc:
         check_stable(cfg, make_spectrum([0.5, 2.5]))

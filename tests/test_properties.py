@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noiseamp import (Algo, AlgoConfig, convergence_rate, make_spectrum,
-                      modal_spectral_radius, variance_amplification,
-                      variance_bounds, variance_via_eigenvalues,
-                      variance_via_lyapunov)
+from noiseamp import (Algo, AlgoConfig, Unstable, check_stable,
+                      make_spectrum, modal_spectral_radius,
+                      variance_amplification, variance_bounds,
+                      variance_via_eigenvalues, variance_via_lyapunov)
 
 # Derandomized, so that tier-1 runs the same examples every time.
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -68,9 +68,35 @@ def test_three_routes_agree(case):
 @settings(PROPERTY, max_examples=400)
 @given(configs(max_fraction=1.5))
 def test_rate_at_extremes_equals_full_scan(case):
+    # The gate's rate, or the rate its Unstable carries, is the worst mode.
     cfg, s = case
     scan = float(np.max(modal_spectral_radius(cfg, s.values)))
-    assert convergence_rate(cfg, s) == scan
+    try:
+        rho = check_stable(cfg, s)
+    except Unstable as exc:
+        rho = exc.rho
+    assert rho == scan
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.sampled_from(list(Algo)), st.floats(-3.0, 300.0),
+       st.floats(0.0, 0.95),
+       st.lists(st.floats(1e-3, 1e10), min_size=1, max_size=20))
+def test_gate_returns_or_raises_unstable(algo, log_step, beta, values):
+    # alpha L is log-uniform in [1e-3, 1e300].  The gate and J either give
+    # a number for a stable iteration or raise Unstable; a RuntimeWarning
+    # (an overflow) fails the test, as everywhere in the suite.
+    s = make_spectrum(values)
+    cfg = AlgoConfig(algo=algo, alpha=10.0 ** log_step / s.L,
+                     beta=0.0 if algo == Algo.GD else beta)
+    try:
+        rho = check_stable(cfg, s)
+    except Unstable:
+        with pytest.raises(Unstable):
+            variance_amplification(cfg, s)
+        return
+    assert rho < 1.0
+    assert variance_amplification(cfg, s).rho == rho
 
 
 @settings(PROPERTY, max_examples=300)

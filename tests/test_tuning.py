@@ -8,11 +8,10 @@ from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooLarge,
                       NoGuarantee, SigmaMode, TorusSpec, Unstable,
-                      acceleration_floor, conventional_params,
-                      convergence_rate, hb_tradeoff_margin, make_spectrum,
-                      modal_spectral_radius, optimal_quadratic_params,
-                      torus_spectrum, tune_constrained,
-                      variance_amplification)
+                      acceleration_floor, check_stable, conventional_params,
+                      hb_tradeoff_margin, make_spectrum, modal_spectral_radius,
+                      optimal_quadratic_params, torus_spectrum,
+                      tune_constrained, variance_amplification)
 from noiseamp.dynamics import INSTABILITY_THRESHOLD
 from noiseamp.tuning import (GOLDEN_TOL, _SEARCH, _nesterov_band,
                              _step_interval)
@@ -121,7 +120,10 @@ def test_step_interval_matches_a_rate_scan(kappa, m, r, beta):
 
     def feasible(alpha):
         cfg = AlgoConfig(algo=Algo.HB, alpha=float(alpha), beta=beta)
-        return convergence_rate(cfg, s) <= r
+        try:
+            return check_stable(cfg, s) <= r
+        except Unstable:  # rho >= INSTABILITY_THRESHOLD > r
+            return False
 
     edges = _step_interval(beta, 0.0, r, s.m, s.L)
     scan = np.linspace(0.0, 2.0 * (1.0 + beta) / s.L, 401)[1:]
@@ -357,7 +359,7 @@ def _reference_tune(algo, s, cap_constant=1.0, sigma=1.0,
     if best is None:
         raise InfeasibleCap("no parameters reach the cap")
     j, beta, alpha = best
-    rho = convergence_rate(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
+    rho = check_stable(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
     return alpha, beta, j, rho
 
 

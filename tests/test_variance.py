@@ -5,10 +5,15 @@ import pytest
 
 from noiseamp import (Algo, AlgoConfig, DimensionTooSmall, SigmaMode,
                       Unstable, extreme_modal_values, hb_gd_ratio,
-                      make_spectrum, modal_variance, na_gd_ratio_bounds,
+                      make_spectrum, na_gd_ratio_bounds,
                       optimal_quadratic_params, variance_amplification,
                       variance_bounds, variance_via_eigenvalues,
                       variance_via_lyapunov)
+
+
+def _j_hat(cfg, lam):
+    """J_hat(lambda): J on the one-mode spectrum {lambda}."""
+    return variance_amplification(cfg, make_spectrum([lam])).j
 
 
 def _table2_cfg(algo, m, L, sigma=1.0):
@@ -19,7 +24,7 @@ def _table2_cfg(algo, m, L, sigma=1.0):
 def test_modal_variance_normalized_mode():
     # At alpha * lambda = 1 gradient descent has unit variance gain.
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.5)
-    assert modal_variance(cfg, 2.0) == pytest.approx(1.0)
+    assert _j_hat(cfg, 2.0) == pytest.approx(1.0)
 
 
 def test_modal_variance_closed_forms():
@@ -27,13 +32,13 @@ def test_modal_variance_closed_forms():
     mu = alpha * lam
     cfg = AlgoConfig(algo=Algo.HB, alpha=alpha, beta=beta, sigma=sigma)
     expected = sigma ** 2 * (1 + beta) / (mu * (1 - beta) * (2 * (1 + beta) - mu))
-    assert modal_variance(cfg, lam) == pytest.approx(expected, rel=1e-14)
+    assert _j_hat(cfg, lam) == pytest.approx(expected, rel=1e-14)
 
     cfg = AlgoConfig(algo=Algo.NA, alpha=alpha, beta=beta, sigma=sigma)
     bm = beta * (1 - mu)
     expected = sigma ** 2 * (1 + bm) / (mu * (1 - bm)
                                         * (2 * (1 + beta) - (2 * beta + 1) * mu))
-    assert modal_variance(cfg, lam) == pytest.approx(expected, rel=1e-14)
+    assert _j_hat(cfg, lam) == pytest.approx(expected, rel=1e-14)
 
 
 def test_three_routes_agree():
@@ -113,8 +118,8 @@ def test_extreme_modal_values_gd():
     assert vals["j_at_m"] == pytest.approx(100.0 / 36.0, rel=1e-14)
     assert vals["j_at_L"] == vals["j_at_m"]
     cfg = _table2_cfg(Algo.GD, 1.0, 9.0)
-    assert modal_variance(cfg, 1.0) == pytest.approx(vals["j_at_m"], rel=1e-14)
-    assert modal_variance(cfg, 1.0 / cfg.alpha) == pytest.approx(1.0, rel=1e-14)
+    assert _j_hat(cfg, 1.0) == pytest.approx(vals["j_at_m"], rel=1e-14)
+    assert _j_hat(cfg, 1.0 / cfg.alpha) == pytest.approx(1.0, rel=1e-14)
 
 
 def test_extreme_modal_values_na():
@@ -122,9 +127,9 @@ def test_extreme_modal_values_na():
     # frozen from the modal Lyapunov fixed point at lambda = m
     assert vals["j_at_m"] == pytest.approx(6.0189391263549945, rel=1e-12)
     cfg = _table2_cfg(Algo.NA, 1.0, 9.0)
-    assert modal_variance(cfg, 1.0) == pytest.approx(vals["j_at_m"], rel=1e-12)
-    assert modal_variance(cfg, 9.0) == pytest.approx(vals["j_at_L"], rel=1e-12)
-    assert modal_variance(cfg, 1.0 / cfg.alpha) == pytest.approx(1.0, rel=1e-12)
+    assert _j_hat(cfg, 1.0) == pytest.approx(vals["j_at_m"], rel=1e-12)
+    assert _j_hat(cfg, 9.0) == pytest.approx(vals["j_at_L"], rel=1e-12)
+    assert _j_hat(cfg, 1.0 / cfg.alpha) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         extreme_modal_values(Algo.HB, 9.0)
 
