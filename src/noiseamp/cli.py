@@ -23,9 +23,10 @@ stderr.  Reports are JSON by default; --format csv flattens the same numeric
 content into header-bearing comma-separated rows.  The JSON is
 json.dumps(report, indent=2), byte for byte.  The writer formats lists of
 numbers or strs, and of records of them, a column at a time and hands the
-few other values to json.dumps: the largest report, analyze --torus 2,324
-(13,365 modes, 1.3 MB), takes about 0.035 s to write on a 2-CPU x86 VM,
-most of it in float repr.
+few other values to json.dumps: the largest report CI writes, analyze
+--torus 2,324 (13,365 modes, 1.3 MB), takes about 0.035 s to write on a
+2-CPU x86 VM, most of it in float repr.  The largest allowed torus, 2,3162,
+lists 1,252,152 modes.
 """
 
 from __future__ import annotations

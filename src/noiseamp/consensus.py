@@ -20,10 +20,18 @@ then has k = floor(n0 / 2) + 1 distinct values, each with its true
 multiplicity.  Each multiset i_1 <= ... <= i_d is one mode, counted with
 its lattice points: the product of its values' multiplicities times
 d! / prod(run length)!.  That is C(k + d - 1, d) - 1 nonzero modes in place
-of n0^d - 1 (176,850 in place of 8e6 for d = 3, n0 = 200).  Each mode adds
-its axis values left to right, as the full-lattice reference
-:func:`torus_eigenvalues` does, and both take their axis values from one
-helper.
+of n0^d - 1 (176,850 in place of 8e6 for d = 3, n0 = 200).
+
+The tuples grow one axis at a time.  A tuple whose last index is j extends
+to one contiguous block of k - j tuples, by the indices j .. k - 1, and the
+blocks follow the tuples' order, so the enumeration is a few repeats and
+one gather per axis.  Adding an index multiplies the ordering count by the
+new size and divides it by the length of the final run.  Only a block's
+first entry repeats j, so only there does a run grow past 1 and the count
+divide: every other entry is the parent count times the size times the new
+value's multiplicity.  Each mode adds its axis values left to right, as the
+full-lattice reference :func:`torus_eigenvalues` does, and both take their
+axis values from one helper.
 
 Exactness against the full lattice: kappa and rho (read at the extreme
 eigenvalues, which every ordering forms alike) are identical for every d,
@@ -34,6 +42,7 @@ which can round apart by an ulp, so J-bar agrees to about 1e-16 relative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import reduce
@@ -96,18 +105,34 @@ def torus_spectrum(t: TorusSpec) -> Spectrum:
     ``values`` holds one eigenvalue per nondecreasing tuple of distinct axis
     values (the all-zero tuple dropped), unsorted, and ``counts`` the number
     of lattice points with that eigenvalue, so ``n == t.n - 1``.
+
+    The tuples come in lexicographic order of their indices.  Each axis
+    step replaces tuple i, whose last index is last[i], by the block of
+    tuples that append last[i] .. k - 1.  The blocks start at
+    ``starts = cumsum(ext) - ext`` with ``ext = k - last``.  A new count is
+    size * count times the new value's multiplicity; at a block start, the
+    one entry whose last index repeats, size * count is first divided by
+    the grown run length, which is exact since the result is a multinomial
+    coefficient times multiplicities.
     """
     vals, counts = np.unique(_axis(t.n0), return_counts=True)
     last = np.arange(vals.size)
     lams, weights = vals, counts
     run = np.ones_like(counts)  # how often the tuple's last value repeats
     for size in range(2, t.d + 1):
-        # Extend every tuple by each value index >= its last one.
-        rows, new = np.nonzero(np.arange(vals.size) >= last[:, None])
-        run = np.where(new == last[rows], run[rows] + 1, 1)
-        # The ordering count grows from (size-1)!/prod(r!) to size!/prod(r!).
-        weights = weights[rows] * size // run * counts[new]
-        lams = lams[rows] + vals[new]
+        ext = vals.size - last
+        starts = np.cumsum(ext) - ext
+        new = np.arange(ext.sum()) - np.repeat(starts - last, ext)
+        lams = np.repeat(lams, ext) + vals[new]
+        # The ordering count grows from (size-1)!/prod(r!) to size!/prod(r!):
+        # a factor size, divided by the new run length at a block start.
+        start_run = run + 1
+        grown = weights * size
+        weights = np.repeat(grown, ext)
+        weights[starts] = grown // start_run
+        weights *= counts[new]
+        run = np.ones_like(weights)
+        run[starts] = start_run
         last = new
     return Spectrum(values=lams[1:], counts=weights[1:])
 
@@ -208,9 +233,9 @@ def scaling_sweep(algo: Algo, d: int, n0_values: Sequence[int],
         raise ValueError(f"repeated lattice sizes in {list(n0_values)}")
     if len(sizes) < 4:
         raise ValueError("a sweep needs at least 4 lattice sizes")
-    if not sigma > 0.0:
-        raise ValueError("a sweep needs sigma > 0: J-bar has no log-log fit "
-                         "at zero")
+    if not (sigma > 0.0 and math.isfinite(sigma)):
+        raise ValueError(f"a sweep needs a finite sigma > 0, got {sigma!r}: "
+                         "J-bar has no log-log fit at zero or infinity")
     rows = [consensus_variance(algo, TorusSpec(d=d, n0=int(n0)), sigma=sigma)
             for n0 in sizes]
     slope, regime = _classify(rows)

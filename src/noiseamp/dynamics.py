@@ -72,7 +72,8 @@ class AlgoConfig:
         if self.algo == Algo.GD and self.beta != 0.0:
             raise ValueError("gradient descent takes beta == 0")
         if not (self.sigma >= 0.0 and math.isfinite(self.sigma)):
-            raise ValueError(f"sigma must be non-negative, got {self.sigma!r}")
+            raise ValueError(
+                f"sigma must be finite and non-negative, got {self.sigma!r}")
 
     @property
     def gamma(self) -> float:

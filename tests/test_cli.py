@@ -197,6 +197,11 @@ def test_exit_code_domain_error_json(capsys):
     (("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "10",
       "--objective", "pseudo-huber", "--delta", "inf"),
      "--delta must be finite"),
+    # A non-finite --sigma is refused as not finite, not as negative.
+    (("consensus", "--algo", "gd", "--torus", "2,8", "--sigma", "inf"),
+     "sigma must be finite and non-negative, got inf"),
+    (("sweep", "--algo", "gd", "--d", "2", "--n0", "8,9,10,11",
+      "--sigma", "nan"), "a sweep needs a finite sigma > 0, got nan"),
 ])
 def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
                                                        message):

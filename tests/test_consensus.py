@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, ConsensusRecord, Quadratic, Regime,
@@ -11,6 +11,7 @@ from noiseamp import (Algo, AlgoConfig, ConsensusRecord, Quadratic, Regime,
                       optimal_quadratic_params, propagate_covariance,
                       scaling_sweep, torus_eigenvalues, torus_spectrum,
                       variance_amplification)
+from noiseamp.consensus import _axis
 from noiseamp.spectrum import _weighted_sum
 from noiseamp.variance import _modal_variance_raw
 
@@ -167,6 +168,41 @@ def test_one_mode_per_multiset_of_distinct_axis_values(t):
     # one mode per multiset of d of them, less the all-zero one.
     s = torus_spectrum(t)
     assert s.values.size == math.comb(t.n0 // 2 + t.d, t.d) - 1
+
+
+def _mask_spectrum(t):
+    """The nonzero multiset spectrum, enumerated by a triangular mask.
+
+    Every tuple is paired with every value index, and the pairs whose index
+    is at least the tuple's last one are kept.  It is the reference for
+    :func:`torus_spectrum`'s block enumeration.
+    """
+    vals, counts = np.unique(_axis(t.n0), return_counts=True)
+    last = np.arange(vals.size)
+    lams, weights = vals, counts
+    run = np.ones_like(counts)
+    for size in range(2, t.d + 1):
+        rows, new = np.nonzero(np.arange(vals.size) >= last[:, None])
+        run = np.where(new == last[rows], run[rows] + 1, 1)
+        weights = weights[rows] * size // run * counts[new]
+        lams = lams[rows] + vals[new]
+        last = new
+    return lams[1:], weights[1:]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tori())
+@example(TorusSpec(d=2, n0=2000))
+@example(TorusSpec(d=3, n0=200))
+def test_block_enumeration_matches_the_mask_bit_for_bit(t):
+    # Same modes in the same order, from the same float additions, with the
+    # same int64 counts.
+    s = torus_spectrum(t)
+    values, counts = _mask_spectrum(t)
+    assert s.values.view(np.uint64).tolist() == values.view(
+        np.uint64).tolist()
+    assert s.counts.dtype == np.int64
+    assert s.counts.tolist() == counts.tolist()
 
 
 def test_weighted_sum_is_exact():
