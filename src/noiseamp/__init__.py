@@ -13,10 +13,10 @@ from .errors import (DimensionTooSmall, EmptySpectrum, InfeasibleCap,
                      KappaTooLarge, NoGuarantee, NoiseAmpError, NonFinite,
                      NonPositiveEigenvalue, SizeOverflow, Unstable)
 from .spectrum import Spectrum, make_spectrum
-from .variance import (VarianceReport, extreme_modal_values, hb_gd_ratio,
-                       na_gd_ratio_bounds, variance_amplification,
-                       variance_bounds, variance_via_eigenvalues,
-                       variance_via_lyapunov)
+from .variance import (Records, VarianceReport, extreme_modal_values,
+                       hb_gd_ratio, na_gd_ratio_bounds,
+                       variance_amplification, variance_bounds,
+                       variance_via_eigenvalues, variance_via_lyapunov)
 from .lmi import (LmiCertificate, LmiProblem, assemble_lmi,
                   evaluate_certificate, gd_certificate, na_certificate,
                   q_bounds, refine_bound)

@@ -19,27 +19,25 @@ Exit codes: 0 on success, 2 on usage errors (including an --out that
 cannot be written), 3 on domain errors (unstable iteration, infeasible
 cap, oversized lattice, diverged trajectory, a float overflow, ...).
 Domain errors emit a single JSON object {"error": ..., "message": ...} on
-stderr.  Reports are JSON by default; --format csv flattens the same numeric
-content into header-bearing comma-separated rows.  The JSON is
-json.dumps(report, indent=2), byte for byte.  The writer formats lists of
-numbers or strs, and of records of them, a column at a time and hands the
-few other values to json.dumps: the largest report CI writes, analyze
---torus 2,324 (13,365 modes, 1.3 MB), takes about 0.035 s to write on a
-2-CPU x86 VM, most of it in float repr.  The largest allowed torus, 2,3162,
-lists 1,252,152 modes.
+stderr.  Reports are JSON (json.dumps(report, indent=2), byte for byte) or
+CSV: one field,value row per leaf, except sweep's table of rows and an
+ensemble simulate's per-step table.  Tables (per_mode, sweep rows) are
+Records, one array per key.  Every number is computed before the sink is
+opened; the writer streams RECORDS_PER_WRITE records per write.  On a
+2-CPU x86 VM, analyze --torus 2,324 (13,365 modes) writes in 0.03 s and
+--torus 2,3162 (1,252,152 modes) runs in 3.5-3.9 s at 122 MB peak RSS.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
 import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 from typing import Any, Iterable
 
 import numpy as np
@@ -53,7 +51,7 @@ from .montecarlo import PseudoHuber, Quadratic, ensemble_variance, simulate
 from .spectrum import Spectrum, make_spectrum
 from .tuning import (conventional_params, optimal_quadratic_params,
                      tune_constrained)
-from .variance import (hb_gd_ratio, na_gd_ratio_bounds,
+from .variance import (Records, hb_gd_ratio, na_gd_ratio_bounds,
                        variance_amplification, variance_bounds)
 
 
@@ -130,158 +128,146 @@ def _resolve_config(args, s: Spectrum) -> AlgoConfig:
                       sigma_mode=_SIGMA_MODES[mode])
 
 
-# The report writer.  JSON is json.dumps(report, indent=2)'s text and CSV
-# the field,value rows that csv.writer gives for the report's leaves, byte
-# for byte.  Both walks take a list of leaves, or of dicts that share their
-# keys in one order (``per_mode``, ``rows``; see ``_records``), a column at
-# a time: there json's pure-Python indent encoder and a csv.writer row per
-# leaf cost far more than the float reprs themselves.  The JSON walk also
-# descends dicts with str keys and writes plain finite floats, ints and
-# strs itself.  Anything else (a bool, None, a non-finite float, a mixed or
-# empty list, a dict with other keys) is json.dumps's own text, each line
-# re-indented to its depth: exact, as JSON text holds no raw newline.
+# The report writer: json.dumps(report, indent=2)'s text, or csv.writer's
+# field,value rows of the report's leaves, byte for byte.  Lists and
+# Records go to the sink a chunk at a time, a column at a time where the
+# chunk's columns are plain (json's pure-Python indent encoder and a
+# csv.writer row per leaf cost far more than the float reprs themselves).
+
+RECORDS_PER_WRITE = 4096
 
 
-def _json_column(values: list | tuple) -> Iterable[str] | None:
-    """The JSON texts of plain finite floats, of ints or of strs; else None."""
+def _chunks(seq: list | tuple | Records):
+    """(start, keys, columns) per RECORDS_PER_WRITE elements: a list has
+    keys None and one column, a table a list of Python values per key."""
+    keys = list(seq.columns) if isinstance(seq, Records) else None
+    for start in range(0, len(seq), RECORDS_PER_WRITE):
+        part = slice(start, start + RECORDS_PER_WRITE)
+        yield start, keys, ([seq[part]] if keys is None else [
+            c[part].tolist() if isinstance(c, np.ndarray) else c[part]
+            for c in seq.columns.values()])
+
+
+def _elements(keys: list[str] | None, columns: list) -> Iterable:
+    """A chunk's elements: a list's values, or each record as a dict."""
+    return columns[0] if keys is None else (
+        dict(zip(keys, row)) for row in zip(*columns))
+
+
+def _record_dicts(obj: Any) -> list[dict]:
+    """json.dumps's ``default``: a Records table as its records' dicts."""
+    if not isinstance(obj, Records):
+        raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return [r for _, keys, cols in _chunks(obj) for r in _elements(keys, cols)]
+
+
+_TEXT = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
+
+
+def _texts(values: list | tuple, fmt: str) -> Iterable[str] | None:
+    """The texts of a column of one plain type, else None: finite floats,
+    ints or strs for JSON; floats or ints for CSV (a str may need quoting)."""
     kinds = set(map(type, values))
-    if kinds == {float}:
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float and fmt == "json":
         total = sum(values)
-        if total - total == 0.0:  # every value is finite
-            return map(float.__repr__, values)
-    elif kinds == {int}:
-        return map(int.__repr__, values)
-    elif kinds == {str}:
-        return map(encode_basestring_ascii, values)
-    return None
-
-
-def _csv_column(values: list) -> Iterable[str] | None:
-    """csv.writer's texts of a list of plain floats or ints, else None."""
-    kinds = set(map(type, values))
-    if kinds == {float}:
-        return map(float.__repr__, values)
-    if kinds == {int}:
-        return map(int.__repr__, values)
-    return None
-
-
-def _records(seq: list | tuple) -> tuple[list, list[list]] | None:
-    """Keys and value columns of dicts sharing their keys in one order."""
-    if set(map(type, seq)) != {dict}:
+        kind = kind if total - total == 0.0 else None  # a non-finite value
+    if kind not in _TEXT or (kind is str and fmt == "csv"):
         return None
-    keys = list(seq[0])
-    if not keys or set(map(tuple, seq)) != {tuple(keys)}:
-        return None
-    return keys, [list(map(itemgetter(k), seq)) for k in keys]
+    return map(_TEXT[kind], values)
 
 
-def _json_items(seq: list | tuple, inner: str) -> Iterable[str] | None:
-    """The element texts of a column, or of records of columns with str
-    keys, at depth ``inner``; None for any other list."""
-    items = _json_column(seq)
-    if items is None and (records := _records(seq)) is not None:
-        keys, columns = records
-        columns = [_json_column(c) for c in columns]
-        if None not in columns and all(isinstance(k, str) for k in keys):
-            template = "{\n" + ",\n".join(
-                f"{inner}  {encode_basestring_ascii(k)}: ".replace("%", "%%")
-                + "%s" for k in keys) + f"\n{inner}}}"
-            items = map(template.__mod__, zip(*columns))
-    return items
-
-
-def _write_json(obj: Any, indent: str, out: list[str]):
-    """Append ``obj`` in json.dumps's indent=2 layout at depth ``indent``."""
+def _write_json(obj: Any, indent: str, write):
+    """Write ``obj`` in json.dumps's indent=2 layout at depth ``indent``:
+    dicts with str keys, lists and tables walked, any other value but a
+    finite float, int or str as json.dumps's text (exact, re-indented)."""
     kind = type(obj)
     if kind is float and obj - obj == 0.0:  # finite
-        out.append(float.__repr__(obj))
+        write(float.__repr__(obj))
     elif kind is int:
-        out.append(int.__repr__(obj))
+        write(int.__repr__(obj))
     elif kind is str:
-        out.append(encode_basestring_ascii(obj))
+        write(encode_basestring_ascii(obj))
     elif (isinstance(obj, dict) and obj
           and all(isinstance(k, str) for k in obj)):
         inner = indent + "  "
         sep = "{\n"
         for key, value in obj.items():
-            out.append(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
-            _write_json(value, inner, out)
+            write(f"{sep}{inner}{encode_basestring_ascii(key)}: ")
+            _write_json(value, inner, write)
             sep = ",\n"
-        out.append(f"\n{indent}}}")
-    elif (isinstance(obj, (list, tuple))
-          and (items := _json_items(obj, indent + "  ")) is not None):
+        write(f"\n{indent}}}")
+    elif isinstance(obj, (list, tuple, Records)) and len(obj):
         inner = indent + "  "
-        out.append(f"[\n{inner}" + f",\n{inner}".join(items)
-                   + f"\n{indent}]")
+        sep = f",\n{inner}"
+        write(f"[\n{inner}")
+        for start, keys, columns in _chunks(obj):
+            texts = [_texts(c, "json") for c in columns]
+            if None in texts:
+                for i, item in enumerate(_elements(keys, columns), start):
+                    write(sep if i else "")
+                    _write_json(item, inner, write)
+                continue
+            if keys is not None:
+                template = "{\n" + ",\n".join(
+                    f"{inner}  {encode_basestring_ascii(k)}: ".replace(
+                        "%", "%%") + "%s" for k in keys) + f"\n{inner}}}"
+                texts = [map(template.__mod__, zip(*texts))]
+            write((sep if start else "") + sep.join(texts[0]))
+        write(f"\n{indent}]")
     else:
-        out.append(json.dumps(obj, indent=2).replace("\n", "\n" + indent))
+        write(json.dumps(obj, indent=2, default=_record_dicts)
+              .replace("\n", "\n" + indent))
 
 
-def _csv_lines(prefix: str, seq: list | tuple) -> str | None:
-    """The rows of a list of numbers, or of records of numbers, as
-    preformatted lines; None where a field might need csv's quoting."""
-    records = _records(seq)
-    names, columns = (([""], [seq]) if records is None else
-                      ([f".{k}" for k in records[0]], records[1]))
-    columns = [_csv_column(c) for c in columns]
-    fields = prefix + "".join(names)
-    if None in columns or any(c in fields for c in ',"\r\n'):
-        return None
-    head = prefix.replace("%", "%%")
-    template = "".join(f"{head}[%d]{name.replace('%', '%%')},%s\r\n"
-                       for name in names)
-    index = range(len(seq))
-    return "".join(map(template.__mod__,
-                       zip(*[v for c in columns for v in (index, c)])))
-
-
-def _write_csv(prefix: str, obj: Any, writer, buf: io.StringIO):
-    """Write the field,value rows of ``obj``'s leaves under ``prefix``."""
+def _write_csv(prefix: str, obj: Any, sink):
+    """Write the field,value rows of ``obj``'s leaves under ``prefix``:
+    a chunk of numbers as preformatted lines where no field needs csv's
+    quoting, anything else leaf by leaf."""
     if isinstance(obj, dict):
         for k, v in obj.items():
-            _write_csv(f"{prefix}.{k}" if prefix else str(k), v, writer, buf)
-    elif isinstance(obj, (list, tuple)):
-        lines = _csv_lines(prefix, obj)
-        if lines is not None:
-            buf.write(lines)
-            return
-        for i, v in enumerate(obj):
-            _write_csv(f"{prefix}[{i}]", v, writer, buf)
+            _write_csv(f"{prefix}.{k}" if prefix else str(k), v, sink)
+    elif isinstance(obj, (list, tuple, Records)):
+        for start, keys, columns in _chunks(obj):
+            names = [""] if keys is None else [f".{k}" for k in keys]
+            texts = [_texts(c, "csv") for c in columns]
+            fields = prefix + "".join(names)
+            if None in texts or any(c in fields for c in ',"\r\n'):
+                for i, v in enumerate(_elements(keys, columns), start):
+                    _write_csv(f"{prefix}[{i}]", v, sink)
+                continue
+            head = prefix.replace("%", "%%")
+            template = "".join(f"{head}[%d]{name.replace('%', '%%')},%s\r\n"
+                               for name in names)
+            index = range(start, start + len(columns[0]))
+            sink.write("".join(map(template.__mod__, zip(
+                *[v for c in texts for v in (index, c)]))))
     else:
-        writer.writerow((prefix, obj))
+        csv.writer(sink).writerow((prefix, obj))
 
 
-def _emit(report: dict[str, Any], args, table: tuple[list[str], list[list]] | None = None):
-    """Write a report as JSON or CSV to --out (default stdout).
-
-    ``table`` optionally supplies a natural tabular layout (header, rows)
-    for CSV output; otherwise the report is flattened to field,value rows.
-    """
-    if args.format == "json":
-        out: list[str] = []
-        _write_json(report, "", out)
-        text = "".join(out) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        if table is not None:
-            header, rows = table
-            writer.writerow(header)
-            writer.writerows(rows)
-        else:
-            writer.writerow(["field", "value"])
-            _write_csv("", report, writer, buf)
-        text = buf.getvalue()
-    if args.out:
-        try:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ValueError(f"cannot write --out {args.out}: "
-                             f"{exc.strerror}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(report: dict[str, Any], args, table: Records | None = None):
+    """Write a report as JSON or CSV to --out (default stdout); a CSV
+    ``table`` is a header of its keys and one row per record."""
+    try:
+        with (open(args.out, "w") if args.out
+              else contextlib.nullcontext(sys.stdout)) as sink:
+            writer = csv.writer(sink)
+            if args.format == "json":
+                _write_json(report, "", sink.write)
+                sink.write("\n")
+            elif table is None:
+                writer.writerow(["field", "value"])
+                _write_csv("", report, sink)
+            else:
+                writer.writerow(table.columns)
+                for _, _, columns in _chunks(table):
+                    writer.writerows(zip(*columns))
+    except OSError as exc:
+        if not args.out:
+            raise
+        raise ValueError(f"cannot write --out {args.out}: "
+                         f"{exc.strerror}") from exc
 
 
 def _config_echo(args, cfg: AlgoConfig | None = None,
@@ -291,7 +277,7 @@ def _config_echo(args, cfg: AlgoConfig | None = None,
     echo: dict[str, Any] = {"command": args.command}
     for name in ("spectrum", "kappa", "L", "n", "torus", "params", "steps",
                  "replicates", "seed", "cap_constant", "objective", "d",
-                 "n0", "refine"):
+                 "n0"):
         if getattr(args, name, None) is not None:
             echo[name] = getattr(args, name)
     echo.update(settings)
@@ -350,7 +336,9 @@ def _cmd_certify(args):
                 f"check at kappa={prob.kappa!r}, so --refine has no valid "
                 f"start")
         cert = refine_bound(prob, cert, budget=args.refine)
-    report = {"config": _config_echo(args),
+    # A --refine of 0 changes no number, so config leaves it out.
+    refined = {"refine": args.refine} if args.refine else {}
+    report = {"config": _config_echo(args, **refined),
               "algo": algo.value, "kappa": prob.kappa, "m": prob.m,
               "L": prob.L, "alpha": prob.alpha, "beta": prob.beta,
               "n": prob.n, **cert.to_dict(),
@@ -403,11 +391,9 @@ def _cmd_simulate(args):
         # j_hat's distance from j_exact in standard errors, if it has one.
         report["j_hat_z"] = (None if not res.j_hat_stderr else
                              (res.j_hat - j_exact) / res.j_hat_stderr)
-    table = None
-    if args.format == "csv" and res.per_step is not None:
-        table = (["step", "mean_sq_error", "stderr"],
-                 [[t, float(v), float(e)] for t, (v, e) in
-                  enumerate(zip(res.per_step, res.per_step_stderr))])
+    table = None if res.per_step is None else Records({
+        "step": range(len(res.per_step)), "mean_sq_error": res.per_step,
+        "stderr": res.per_step_stderr})
     _emit(report, args, table=table)
 
 
@@ -420,9 +406,7 @@ def _cmd_sweep(args):
     result = scaling_sweep(algo, args.d, n0_values, sigma=args.sigma)
     report = result.to_dict()
     report["config"] = _config_echo(args, sigma=args.sigma)
-    rows = report["rows"]
-    table = (list(rows[0]), [list(r.values()) for r in rows])
-    _emit(report, args, table=table)
+    _emit(report, args, table=report["rows"])
 
 
 # Flag groups, each declared once and added by every command that takes it.

@@ -43,7 +43,7 @@ which can round apart by an ulp, so J-bar agrees to about 1e-16 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import reduce
 from typing import Any, Sequence
@@ -54,7 +54,7 @@ from .dynamics import Algo, AlgoConfig, modal_spectral_radius
 from .errors import SizeOverflow
 from .spectrum import Spectrum
 from .tuning import optimal_quadratic_params
-from .variance import VarianceReport, variance_amplification
+from .variance import Records, VarianceReport, variance_amplification
 
 MAX_NETWORK_SIZE = 10_000_000
 
@@ -209,9 +209,14 @@ class SweepResult:
     regime: Regime
 
     def to_dict(self) -> dict[str, Any]:
+        """The report; ``rows`` is :class:`Records` with one column per key
+        of :meth:`ConsensusRecord.to_dict`."""
+        rows = {k: [getattr(r, k) for r in self.rows] for k in
+                [f.name for f in fields(ConsensusRecord)] + ["jbar_over_n"]}
+        rows["algo"] = [a.value for a in rows["algo"]]
         return {"algo": self.algo.value, "d": self.d,
                 "slope": self.slope, "regime": self.regime.value,
-                "rows": [r.to_dict() for r in self.rows]}
+                "rows": Records(rows)}
 
 
 # Regime classification thresholds: a log-log slope above POWER_LAW_MIN_SLOPE

@@ -65,6 +65,18 @@ def _finite_sum(s: Spectrum, terms: np.ndarray,
 
 
 @dataclass(frozen=True)
+class Records:
+    """A report's table as columns: ``columns`` maps each str key to a
+    numpy array or list, all of one length (the record count); no dict per
+    record is built."""
+
+    columns: dict[str, Any]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values()), ()))
+
+
+@dataclass(frozen=True)
 class VarianceReport:
     """Exact steady-state variance of a configured method on a spectrum.
 
@@ -88,16 +100,14 @@ class VarianceReport:
         return _finite_sum(s, terms, "J_prime")
 
     def to_dict(self) -> dict[str, Any]:
-        """The report; a spectrum with multiplicities adds each mode's count."""
+        """The report; ``per_mode`` is :class:`Records` of ``lambda`` and
+        ``j_hat``, and ``count`` for a spectrum with multiplicities."""
         s, cfg = self.spectrum, self.cfg
-        modes = [{"lambda": l, "j_hat": v} for l, v in
-                 zip(s.values.tolist(), self.per_mode.tolist())]
-        if s.counts is not None:
-            for mode, count in zip(modes, s.counts.tolist()):
-                mode["count"] = count
+        counts = {} if s.counts is None else {"count": s.counts}
         return {"algo": cfg.algo.value, "alpha": cfg.alpha, "beta": cfg.beta,
                 "sigma": cfg.effective_sigma, "rho": self.rho, "J": self.j,
-                "J_prime": self.j_prime, "per_mode": modes}
+                "J_prime": self.j_prime, "per_mode": Records(
+                    {"lambda": s.values, "j_hat": self.per_mode, **counts})}
 
 
 def variance_amplification(cfg: AlgoConfig, s: Spectrum) -> VarianceReport:

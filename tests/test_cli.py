@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noiseamp import Algo, AlgoConfig, make_spectrum, variance_amplification
+from noiseamp import (Algo, AlgoConfig, Records, make_spectrum,
+                      variance_amplification)
 from noiseamp import cli
-from noiseamp.cli import (_config_echo, _emit, _resolve_config,
-                          _resolve_spectrum, build_parser, run)
+from noiseamp.cli import (RECORDS_PER_WRITE, _config_echo, _emit,
+                          _resolve_config, _resolve_spectrum, build_parser,
+                          run)
 
 
 def _run(capsys, *argv):
@@ -365,14 +368,19 @@ def test_gd_certificate_at_kappa_one_is_valid(capsys, extra):
 
 
 def test_certify_echoes_L(capsys):
-    # --L sets m = L / kappa and so every number of the report.
+    # --L sets m = L / kappa and so every number of the report; --refine 0
+    # (the default) changes none, so config leaves it out.
     code, out, _ = _run(capsys, "certify", "--algo", "gd", "--kappa", "10",
                         "--L", "5")
     assert code == 0
     report = json.loads(out)
     assert report["config"] == {"command": "certify", "kappa": 10.0,
-                                "L": 5.0, "n": 1, "refine": 0}
+                                "L": 5.0, "n": 1}
     assert report["m"] == 0.5
+    code, out, _ = _run(capsys, "certify", "--algo", "gd", "--kappa", "10",
+                        "--refine", "3")
+    assert code == 0
+    assert json.loads(out)["config"]["refine"] == 3
 
 
 def test_tune_echoes_its_noise_settings(capsys):
@@ -742,13 +750,16 @@ def test_huge_step_is_unstable_without_overflow(capsys, argv):
     # finite per-mode terms whose count-weighted sum overflows
     ("consensus", "--algo", "gd", "--torus", "2,1000", "--sigma", "1e151"),
 ])
-def test_overflowing_j_is_a_domain_error(capsys, argv):
+def test_overflowing_j_is_a_domain_error(capsys, tmp_path, argv):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = _run(capsys, *argv)
     assert caught == []
     assert code == 3 and out == ""
     assert json.loads(err)["error"] == "VarianceOverflow"
+    # Every number is computed before --out is opened.
+    path = tmp_path / "report.json"
+    assert run([*argv, "--out", str(path)]) == 3 and not path.exists()
 
 
 @pytest.mark.parametrize("source", [("--spectrum", "1,1e10"),
@@ -918,8 +929,23 @@ def test_parser_surface_is_pinned():
 
 
 # The reference report writer: json.dumps with indent=2, and the report
-# flattened to field,value rows through csv.writer.  cli._emit writes the
-# same bytes column-wise.
+# flattened to field,value rows through csv.writer, each Records table as
+# the list of its records' dicts.  cli._emit writes the same bytes
+# column-wise.
+def _expanded(obj):
+    """``obj`` with every Records table expanded to a list of dicts."""
+    if isinstance(obj, Records):
+        columns = {k: c.tolist() if isinstance(c, np.ndarray) else list(c)
+                   for k, c in obj.columns.items()}
+        return [{k: c[i] for k, c in columns.items()}
+                for i in range(len(obj))]
+    if isinstance(obj, dict):
+        return {k: _expanded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return type(obj)(map(_expanded, obj))
+    return obj
+
+
 def _reference_flatten(prefix, obj, rows):
     if isinstance(obj, dict):
         for k, v in obj.items():
@@ -932,6 +958,7 @@ def _reference_flatten(prefix, obj, rows):
 
 
 def _reference_text(report, fmt):
+    report = _expanded(report)
     if fmt == "json":
         return json.dumps(report, indent=2) + "\n"
     buf = io.StringIO()
@@ -994,6 +1021,24 @@ def _record_lists(draw, values):
     return records
 
 
+@st.composite
+def _tables(draw):
+    """Records with 0, 1, 2 or more than RECORDS_PER_WRITE records.  A
+    column holds floats, ints, strs or any leaves, as a list or a numpy
+    array, with at most one odd leaf in it."""
+    size = draw(st.sampled_from([0, 1, 2, RECORDS_PER_WRITE + 2]))
+    columns = {}
+    for key in draw(st.lists(_strings, max_size=3, unique=True)):
+        kind = draw(st.sampled_from(
+            [_floats, st.integers(-2 ** 70, 2 ** 70), _strings,
+             _leaf_values]))
+        column = (draw(st.lists(kind, min_size=1, max_size=3)) * size)[:size]
+        if column and draw(st.booleans()):
+            column[draw(st.integers(0, size - 1))] = draw(_leaf_values)
+        columns[key] = np.array(column) if draw(st.booleans()) else column
+    return Records(columns)
+
+
 def _containers(children):
     lists = st.lists(children, max_size=4)
     return st.one_of(lists, lists.map(tuple),
@@ -1002,7 +1047,8 @@ def _containers(children):
                      st.lists(_floats, max_size=6))
 
 
-_reports = st.recursive(_leaf_values, _containers, max_leaves=30)
+_reports = st.recursive(st.one_of(_leaf_values, _tables()), _containers,
+                        max_leaves=30)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -1014,6 +1060,18 @@ _reports = st.recursive(_leaf_values, _containers, max_leaves=30)
 @example({"a,b": [{"x": 1.0}, {"x": 2.0}], 'q"': [1.0], "n\nl": [{"%": 1}],
           "%d": [{"%s": 0.5, "y": 1}, {"%s": 1.5, "y": 2}], "empty": [],
           "one": [{"k": 1.0}], "none": {}, "big": [2 ** 64, -2 ** 70]})
+@example({"per_mode": Records({
+    "lambda": np.array(_SPECIAL_FLOATS), "j_hat": _SPECIAL_FLOATS,
+    "count": np.arange(-5, 5), "%s": ['a"b', "a,b", "a\nb", "a\rb", " a ",
+                                      "é", "日本", "%s", "%d%%", ""]}),
+    "a,b": Records({"x": [1.0], "%d": [2]}), "none": Records({}),
+    "empty": Records({"x": np.array([]), "y": []})})
+@example({"big": Records({
+    "lambda": np.linspace(0.1, 1.0, RECORDS_PER_WRITE + 7),
+    "count": np.arange(RECORDS_PER_WRITE + 7), "s": ["a"] * 7 + [
+        'q"%'] * RECORDS_PER_WRITE}), "odd": Records({
+    "x": [0.5] * (RECORDS_PER_WRITE + 1) + [math.nan],
+    "y": [1] * RECORDS_PER_WRITE + [True, None]})})
 def test_report_writer_matches_the_reference(report):
     # The JSON and CSV texts are byte for byte the reference's, or both
     # raise the same exception type.
@@ -1022,17 +1080,43 @@ def test_report_writer_matches_the_reference(report):
                 == _outcome(_reference_text, report, fmt)), fmt
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_torus_report_matches_the_reference_writer(fmt):
-    argv = ["analyze", "--algo", "hb", "--torus", "2,24", "--format", fmt]
+def _analyze_report(argv):
+    """The parsed args and the report of an ``analyze`` argv."""
     args = build_parser().parse_args(argv)
     s = _resolve_spectrum(args)
     cfg = _resolve_config(args, s)
-    report = {"config": _config_echo(args, cfg),
-              **variance_amplification(cfg, s).to_dict()}
+    return args, {"config": _config_echo(args, cfg),
+                  **variance_amplification(cfg, s).to_dict()}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_torus_report_matches_the_reference_writer(fmt):
+    argv = ["analyze", "--algo", "hb", "--torus", "2,24", "--format", fmt]
+    _, report = _analyze_report(argv)
+    modes = report["per_mode"]
+    assert list(modes.columns) == ["lambda", "j_hat", "count"]
     code, out = _run_stdout(argv)
     assert code == 0
     assert out == _reference_text(report, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_writing_a_report_holds_one_chunk_at_a_time(fmt, tmp_path):
+    # The writer formats RECORDS_PER_WRITE records at a time straight into
+    # --out, so its peak allocation does not grow with the mode count.
+    def peak(torus):
+        args, report = _analyze_report(
+            ["analyze", "--algo", "gd", "--torus", torus, "--format", fmt,
+             "--out", str(tmp_path / "report")])
+        tracemalloc.start()
+        try:
+            _emit(report, args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak("2,200"), peak("2,800")  # 5,150 and 80,600 modes
+    assert large <= 1.25 * small, (small, large)
 
 
 def _leaves_only_json_writes(obj, leaves):

@@ -260,7 +260,7 @@ def test_rho_at_names_the_extreme_that_sets_rho():
     assert large.rho == pytest.approx(0.24 * 8.0 - 1.0)
     assert large.to_dict()["rho_at"] == "L"
     rows = scaling_sweep(Algo.NA, 2, [8, 12, 16, 24]).to_dict()["rows"]
-    assert all(row["rho_at"] in ("m", "L") for row in rows)
+    assert all(rho_at in ("m", "L") for rho_at in rows.columns["rho_at"])
 
 
 def test_torus_spectrum_expands_for_simulation():

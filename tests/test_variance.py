@@ -67,6 +67,9 @@ def test_report_contents():
     assert rep.rho == pytest.approx(8.0 / 10.0)
     d = rep.to_dict()
     assert d["J"] == rep.j and len(d["per_mode"]) == 2
+    modes = d["per_mode"].columns
+    assert list(modes) == ["lambda", "j_hat"]
+    assert modes["lambda"] is s.values and modes["j_hat"] is rep.per_mode
 
 
 def test_sigma_scaling_and_mode():
