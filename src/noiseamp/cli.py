@@ -129,23 +129,23 @@ def _resolve_config(args, s: Spectrum) -> AlgoConfig:
 
 
 # The report writer: json.dumps(report, indent=2)'s text, or csv.writer's
-# field,value rows of the report's leaves, byte for byte.  Lists and
-# Records go to the sink a chunk at a time, a column at a time where the
-# chunk's columns are plain (json's pure-Python indent encoder and a
-# csv.writer row per leaf cost far more than the float reprs themselves).
+# field,value rows of the report's leaves, byte for byte.  Lists, 1-D
+# arrays and Records go to the sink a chunk at a time, a column at a time
+# where the chunk's columns are plain (json's pure-Python indent encoder
+# and a csv.writer row per leaf cost far more than the float reprs).
 
 RECORDS_PER_WRITE = 4096
 
 
-def _chunks(seq: list | tuple | Records):
-    """(start, keys, columns) per RECORDS_PER_WRITE elements: a list has
-    keys None and one column, a table a list of Python values per key."""
+def _chunks(seq: list | tuple | np.ndarray | Records):
+    """(start, keys, columns) per RECORDS_PER_WRITE elements: a list or 1-D
+    array has keys None and one column, a table one list of values per key."""
     keys = list(seq.columns) if isinstance(seq, Records) else None
+    columns = [seq] if keys is None else seq.columns.values()
     for start in range(0, len(seq), RECORDS_PER_WRITE):
         part = slice(start, start + RECORDS_PER_WRITE)
-        yield start, keys, ([seq[part]] if keys is None else [
-            c[part].tolist() if isinstance(c, np.ndarray) else c[part]
-            for c in seq.columns.values()])
+        yield start, keys, [c[part].tolist() if isinstance(c, np.ndarray)
+                            else c[part] for c in columns]
 
 
 def _elements(keys: list[str] | None, columns: list) -> Iterable:
@@ -154,9 +154,9 @@ def _elements(keys: list[str] | None, columns: list) -> Iterable:
         dict(zip(keys, row)) for row in zip(*columns))
 
 
-def _record_dicts(obj: Any) -> list[dict]:
-    """json.dumps's ``default``: a Records table as its records' dicts."""
-    if not isinstance(obj, Records):
+def _as_list(obj: Any) -> list:
+    """json.dumps's ``default``: an array as its list, a table as dicts."""
+    if not isinstance(obj, (np.ndarray, Records)):
         raise TypeError(f"{type(obj).__name__} is not JSON serializable")
     return [r for _, keys, cols in _chunks(obj) for r in _elements(keys, cols)]
 
@@ -197,7 +197,7 @@ def _write_json(obj: Any, indent: str, write):
             _write_json(value, inner, write)
             sep = ",\n"
         write(f"\n{indent}}}")
-    elif isinstance(obj, (list, tuple, Records)) and len(obj):
+    elif isinstance(obj, (list, tuple, np.ndarray, Records)) and len(obj):
         inner = indent + "  "
         sep = f",\n{inner}"
         write(f"[\n{inner}")
@@ -216,7 +216,7 @@ def _write_json(obj: Any, indent: str, write):
             write((sep if start else "") + sep.join(texts[0]))
         write(f"\n{indent}]")
     else:
-        write(json.dumps(obj, indent=2, default=_record_dicts)
+        write(json.dumps(obj, indent=2, default=_as_list)
               .replace("\n", "\n" + indent))
 
 
@@ -227,7 +227,7 @@ def _write_csv(prefix: str, obj: Any, sink):
     if isinstance(obj, dict):
         for k, v in obj.items():
             _write_csv(f"{prefix}.{k}" if prefix else str(k), v, sink)
-    elif isinstance(obj, (list, tuple, Records)):
+    elif isinstance(obj, (list, tuple, np.ndarray, Records)):
         for start, keys, columns in _chunks(obj):
             names = [""] if keys is None else [f".{k}" for k in keys]
             texts = [_texts(c, "csv") for c in columns]

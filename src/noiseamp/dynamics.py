@@ -98,9 +98,10 @@ class AlgoConfig:
 
 
 class ConfigRows(NamedTuple):
-    """Many (alpha, beta) settings of one preset, evaluated together.
+    """Many points (alpha, beta, gamma) of the two-step family at once.
 
-    ``alpha`` and ``beta`` are column arrays (rows x 1).  The per-mode
+    ``alpha``, ``beta`` and ``gamma`` are column arrays (rows x 1) or
+    floats shared by all rows (GD's and HB's gamma: 0.0).  The per-mode
     formulas that take an :class:`AlgoConfig` (:func:`companion_coefficients`,
     :func:`modal_spectral_radius`, ``variance._modal_variance_raw``) take
     a ConfigRows as well and broadcast it against a row of eigenvalues
@@ -108,13 +109,11 @@ class ConfigRows(NamedTuple):
     round it.  Nothing is validated.
     """
 
-    algo: Algo
     alpha: np.ndarray
     beta: np.ndarray
+    gamma: np.ndarray | float
     sigma: float = 1.0
     sigma_mode: SigmaMode = SigmaMode.FIXED
-
-    gamma = AlgoConfig.gamma
 
     @property
     def noise_power(self) -> float | np.ndarray:

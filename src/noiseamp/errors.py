@@ -94,8 +94,7 @@ class SizeOverflow(NoiseAmpError):
 class NonFinite(NoiseAmpError):
     """A simulated trajectory left the finite range (diverged)."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = int(step)
         super().__init__(
-            message or f"trajectory became non-finite/divergent at step {step}"
-        )
+            f"trajectory became non-finite/divergent at step {step}")

@@ -339,9 +339,9 @@ class SimResult:
                "steps": self.steps,
                "replicates": self.replicates, "seed": self.seed}
         if self.per_step is not None:
-            out["per_step"] = [float(v) for v in self.per_step]
+            out["per_step"] = self.per_step
         if self.per_step_stderr is not None:
-            out["per_step_stderr"] = [float(v) for v in self.per_step_stderr]
+            out["per_step_stderr"] = self.per_step_stderr
         return out
 
 
@@ -516,25 +516,20 @@ def ensemble_variance(cfg: AlgoConfig, obj, steps: int, replicates: int,
     """Average ||x^t||^2 across independent replicates, per iterate index.
 
     ``per_step[t]`` estimates the transient variance trace(C P^t C^T) and
-    ``per_step_stderr`` its standard error across replicates.  The
-    replicates step in lockstep; each equals :func:`simulate` of its
+    ``per_step_stderr`` its standard error across the replicates (two or
+    more).  They step in lockstep; each equals :func:`simulate` of its
     replicate index bit for bit.  A diverging ensemble raises
     :class:`NonFinite` at the earliest bad iterate of any replicate.
     """
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
-    order = cfg.order
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2; one replicate is simulate")
     sq = _squared_norms(cfg, obj, steps, seed, range(replicates))
-    j_hats = [float(np.mean(row[order:])) for row in sq]
+    j_hats = [float(np.mean(row[cfg.order:])) for row in sq]
     tracks = sq[:, :steps + 1]
-    mean = tracks.mean(axis=0)
-    if replicates > 1:
-        stderr = tracks.std(axis=0, ddof=1) / math.sqrt(replicates)
-        j_hat_stderr = float(np.std(j_hats, ddof=1)) / math.sqrt(replicates)
-    else:
-        stderr = np.zeros(steps + 1)
-        j_hat_stderr = _batch_stderr(sq[0, order:])
+    root = math.sqrt(replicates)
     return SimResult(j_hat=float(np.mean(j_hats)), steps=steps,
-                     replicates=replicates, seed=seed, per_step=mean,
-                     per_step_stderr=stderr, j_hat_stderr=j_hat_stderr,
+                     replicates=replicates, seed=seed,
+                     per_step=tracks.mean(axis=0),
+                     per_step_stderr=tracks.std(axis=0, ddof=1) / root,
+                     j_hat_stderr=float(np.std(j_hats, ddof=1)) / root,
                      j_hat_replicates=tuple(j_hats))

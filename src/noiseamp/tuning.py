@@ -19,13 +19,14 @@ with extreme eigenvalues m and L:
                                                       rho = (sqrt(3k+1)-2)/sqrt(3k+1)
 
 On top of these, the module minimizes J subject to a cap r on the
-convergence rate, with one search for GD, HB and NA: at each momentum the
+convergence rate, with one search for GD, HB and NA.  A preset only names
+its slices, points (beta, gamma) of the two-step family; at each point the
 Schur-Cohn conditions of the stability gate :func:`check_stable`, read at
 lambda = m and L, make the feasible step sizes a closed-form interval, and
-golden-section minimizes J on it for every slice of a momentum grid at
-once, the slices advancing in lockstep.  The same search measures the
-variance floor that any accelerated tuning must pay; the module also
-quantifies the heavy-ball rate/variance trade-off floor.
+golden-section minimizes J on it for every slice at once, the slices
+advancing in lockstep.  The same search measures the variance floor that
+any accelerated tuning must pay; the module also quantifies the heavy-ball
+rate/variance trade-off floor.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Any
 import numpy as np
 
 from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
-                       SigmaMode, check_stable, modal_spectral_radius)
+                       SigmaMode, modal_spectral_radius)
 from .errors import InfeasibleCap, KappaTooLarge, NoGuarantee
 from .spectrum import Spectrum, make_spectrum
 from .variance import (_finite_sum, _modal_variance_raw,
@@ -55,7 +56,6 @@ BATCH_TERMS = 1 << 14
 class TunedParams:
     """A (step size, momentum) pair with its guaranteed/optimal rate."""
 
-    algo: Algo
     alpha: float
     beta: float
     rho: float
@@ -69,11 +69,11 @@ def conventional_params(algo: Algo, m: float, L: float) -> TunedParams:
     _check_ml(m, L)
     kappa = L / m
     if algo == Algo.GD:
-        return TunedParams(algo, 1.0 / L, 0.0,
+        return TunedParams(1.0 / L, 0.0,
                            math.sqrt(1.0 - 2.0 / (kappa + 1.0)))
     if algo == Algo.NA:
         r = math.sqrt(kappa)
-        return TunedParams(algo, 1.0 / L,
+        return TunedParams(1.0 / L,
                            _momentum((r - 1.0) / (r + 1.0), kappa),
                            math.sqrt(1.0 - 1.0 / r))
     raise NoGuarantee(
@@ -86,16 +86,16 @@ def optimal_quadratic_params(algo: Algo, m: float, L: float) -> TunedParams:
     _check_ml(m, L)
     kappa = L / m
     if algo == Algo.GD:
-        return TunedParams(algo, 2.0 / (L + m), 0.0,
+        return TunedParams(2.0 / (L + m), 0.0,
                            (kappa - 1.0) / (kappa + 1.0))
     if algo == Algo.HB:
         r = math.sqrt(kappa)
-        return TunedParams(algo, 4.0 / (math.sqrt(L) + math.sqrt(m)) ** 2,
+        return TunedParams(4.0 / (math.sqrt(L) + math.sqrt(m)) ** 2,
                            _momentum(((r - 1.0) / (r + 1.0)) ** 2, kappa),
                            (r - 1.0) / (r + 1.0))
     if algo == Algo.NA:
         rb = math.sqrt(3.0 * kappa + 1.0)
-        return TunedParams(algo, 4.0 / (3.0 * L + m),
+        return TunedParams(4.0 / (3.0 * L + m),
                            _momentum((rb - 2.0) / (rb + 2.0), kappa),
                            (rb - 2.0) / rb)
     raise ValueError(f"unknown algorithm {algo!r}")
@@ -255,11 +255,14 @@ def _nesterov_band(r: float, m: float, L: float) -> list[float]:
 
 
 # Per-preset data of the constrained search: the rate class the cap scales
-# with (rho <= 1 - c / scale(kappa)) and the momentum slices searched for
-# the cap r on [m, L].  GD is heavy ball's beta = 0 slice.
-_SEARCH = {Algo.GD: (lambda kappa: kappa, lambda r, m, L: [0.0]),
-           Algo.HB: (math.sqrt, lambda r, m, L: _momentum_grid(r)),
-           Algo.NA: (math.sqrt, _nesterov_band)}
+# with (rho <= 1 - c / scale(kappa)) and the slices searched for the cap r
+# on [m, L], points (beta, gamma) of the two-step family in ascending beta:
+# GD is the point (0, 0), HB the line gamma = 0, NA the line gamma = beta.
+_SEARCH = {Algo.GD: (lambda kappa: kappa, lambda r, m, L: [(0.0, 0.0)]),
+           Algo.HB: (math.sqrt,
+                     lambda r, m, L: [(b, 0.0) for b in _momentum_grid(r)]),
+           Algo.NA: (math.sqrt, lambda r, m, L: [
+               (b, b) for b in _nesterov_band(r, m, L)])}
 
 
 def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
@@ -269,20 +272,21 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
 
     The cap scales with the best achievable rate class of the method:
     GD must satisfy rho <= 1 - c/kappa, HB and NA rho <= 1 - c/sqrt(kappa)
-    (c = ``cap_constant``).  For each momentum slice (GD: beta = 0; HB: a
-    grid log-spaced in 1 - beta; NA: :func:`_nesterov_band`) the feasible
-    steps form the interval of :func:`_step_interval` at the preset's
-    look-ahead, and golden-section minimizes J on it.  A step whose
-    computed rate exceeds the cap, or that is unstable, scores +inf, so
-    the reported rho meets the cap as computed.  Ties prefer smaller beta,
-    then smaller alpha.  Raises :class:`InfeasibleCap` when no parameters
-    meet the cap, :class:`KappaTooLarge` when the cap lies above the
-    instability threshold and :class:`VarianceOverflow` when J leaves
-    double range at a step searched that meets the cap.
+    (c = ``cap_constant``).  For each slice (beta, gamma) of the preset
+    (GD: (0, 0); HB: (beta, 0) over a grid log-spaced in 1 - beta; NA:
+    (beta, beta) over :func:`_nesterov_band`) the feasible steps form the
+    interval of :func:`_step_interval`, and golden-section minimizes J on
+    it; ``algo`` only picks the slices, checks sigma and names the result.
+    A step whose computed rate exceeds the cap, or that is unstable,
+    scores +inf, so the reported rho meets the cap as computed.  Ties
+    prefer smaller beta, then smaller alpha.  Raises :class:`InfeasibleCap`
+    when no parameters meet the cap, :class:`KappaTooLarge` when the cap
+    lies above the instability threshold and :class:`VarianceOverflow`
+    when J leaves double range at a step searched that meets the cap.
     """
     if not cap_constant > 0.0:  # NaN too
         raise ValueError("cap_constant must be positive")
-    scale, momenta = _SEARCH[algo]
+    scale, points = _SEARCH[algo]
     kappa = s.kappa
     cap = 1.0 - cap_constant / scale(kappa)
     if cap <= 0.0:
@@ -294,13 +298,11 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     infeasible = InfeasibleCap(
         f"no {algo.value} parameters reach rho <= {cap!r} on "
         f"kappa={kappa!r}")
-    look_ahead = ConfigRows(algo, None, 1.0).gamma  # per unit beta: 0 or 1
-    slices = [(beta, *edges) for beta in momenta(cap, s.m, s.L)
-              if (edges := _step_interval(beta, look_ahead * beta, cap,
-                                          s.m, s.L))]
+    slices = [(beta, gamma, *edges) for beta, gamma in points(cap, s.m, s.L)
+              if (edges := _step_interval(beta, gamma, cap, s.m, s.L))]
     if not slices:
         raise infeasible
-    betas, lo, hi = np.array(slices).T.copy()
+    betas, gammas, lo, hi = np.array(slices).T.copy()
     if not hi.max() < 2.0 ** 1023:  # brackets add a + b
         raise ValueError(f"step sizes up to {hi.max()!r} on L={s.L!r} leave "
                          f"double precision")
@@ -314,13 +316,16 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     bound = min(cap, math.nextafter(INSTABILITY_THRESHOLD, 0.0))
     extremes = np.array([s.L, s.m])
     chunk = max(1, BATCH_TERMS // s.values.size)
+    # GD's and HB's look-ahead stays the scalar 0.0: a zero column is slower.
+    look_ahead = gammas.any()
 
     def batch_j(alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
         if alpha.size > chunk:
             return np.concatenate([
                 batch_j(alpha[i:i + chunk], rows[i:i + chunk])
                 for i in range(0, alpha.size, chunk)])
-        cfg = ConfigRows(algo, alpha[:, None], betas[rows, None], sigma,
+        cfg = ConfigRows(alpha[:, None], betas[rows, None],
+                         gammas[rows, None] if look_ahead else 0.0, sigma,
                          sigma_mode)
         ok = modal_spectral_radius(cfg, extremes) <= bound
         if np.count_nonzero(ok) < ok.size:  # (count_nonzero is the cheapest)
@@ -337,14 +342,14 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     feasible = js < math.inf
     if not feasible.any():
         raise infeasible
-    # Momenta ascend, so the first smallest J is the (J, beta, alpha) minimum.
+    # Slices ascend in beta: the first least J is the (J, beta, alpha) minimum.
     best = int(np.argmin(np.where(feasible, js, math.inf)))
-    alpha, beta = float(alphas[best]), float(betas[best])
-    # The kept step has rho <= bound, so the gate returns that rate.
-    rho = check_stable(AlgoConfig(algo=algo, alpha=alpha, beta=beta), s)
+    # The kept step has rho <= bound < 1: check_stable's rate, read at m, L.
+    rho = float(modal_spectral_radius(
+        ConfigRows(alphas[best], betas[best], gammas[best]), extremes).max())
     return TuningResult(
-        algo, alpha, beta, float(js[best]), rho, cap, slices=len(slices),
-        feasible_slices=int(feasible.sum()),
+        algo, float(alphas[best]), float(betas[best]), float(js[best]), rho,
+        cap, slices=len(slices), feasible_slices=int(feasible.sum()),
         evaluations=evaluations + len(slices),
         alpha_at_edge=bool(a[best] == lo[best] or b[best] == hi[best]))
 

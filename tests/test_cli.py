@@ -18,6 +18,7 @@ from noiseamp import cli
 from noiseamp.cli import (RECORDS_PER_WRITE, _config_echo, _emit,
                           _resolve_config, _resolve_spectrum, build_parser,
                           run)
+from noiseamp.montecarlo import SimResult
 
 
 def _run(capsys, *argv):
@@ -929,11 +930,14 @@ def test_parser_surface_is_pinned():
 
 
 # The reference report writer: json.dumps with indent=2, and the report
-# flattened to field,value rows through csv.writer, each Records table as
-# the list of its records' dicts.  cli._emit writes the same bytes
-# column-wise.
+# flattened to field,value rows through csv.writer, each array as its list
+# and each Records table as the list of its records' dicts.  cli._emit
+# writes the same bytes column-wise.
 def _expanded(obj):
-    """``obj`` with every Records table expanded to a list of dicts."""
+    """``obj`` with every array as its list and every Records table
+    expanded to a list of dicts."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
     if isinstance(obj, Records):
         columns = {k: c.tolist() if isinstance(c, np.ndarray) else list(c)
                    for k, c in obj.columns.items()}
@@ -1039,12 +1043,21 @@ def _tables(draw):
     return Records(columns)
 
 
+@st.composite
+def _float_arrays(draw):
+    """1-D float arrays of 0, 1, 2 or more than RECORDS_PER_WRITE values,
+    non-finite ones included."""
+    size = draw(st.sampled_from([0, 1, 2, RECORDS_PER_WRITE + 2]))
+    values = draw(st.lists(_floats, min_size=1, max_size=3))
+    return np.array((values * size)[:size], dtype=float)
+
+
 def _containers(children):
     lists = st.lists(children, max_size=4)
     return st.one_of(lists, lists.map(tuple),
                      st.dictionaries(_keys, children, max_size=4),
                      _record_lists(children),
-                     st.lists(_floats, max_size=6))
+                     st.lists(_floats, max_size=6), _float_arrays())
 
 
 _reports = st.recursive(st.one_of(_leaf_values, _tables()), _containers,
@@ -1117,6 +1130,26 @@ def test_writing_a_report_holds_one_chunk_at_a_time(fmt, tmp_path):
 
     small, large = peak("2,200"), peak("2,800")  # 5,150 and 80,600 modes
     assert large <= 1.25 * small, (small, large)
+
+
+def test_ensemble_traces_are_written_a_chunk_at_a_time(tmp_path):
+    # An ensemble report hands its per-step arrays to the writer, which
+    # converts RECORDS_PER_WRITE values at a time: the peak allocation of
+    # building and writing the report stays far below one trace's size.
+    steps = 1 << 20
+    trace = np.linspace(0.0, 1.0, steps + 1)
+    res = SimResult(j_hat=0.5, steps=steps, replicates=2, seed=0,
+                    per_step=trace, per_step_stderr=trace * 0.5,
+                    j_hat_stderr=0.01)
+    for fmt in ("json", "csv"):
+        args = argparse.Namespace(format=fmt, out=str(tmp_path / "r"))
+        tracemalloc.start()
+        try:
+            _emit(res.to_dict(), args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < trace.nbytes / 4, (fmt, peak)
 
 
 def _leaves_only_json_writes(obj, leaves):

@@ -548,6 +548,15 @@ def test_ensemble_small():
     assert len(res.j_hat_replicates) == 2
 
 
+@pytest.mark.parametrize("replicates", [1, 0, -3])
+def test_ensemble_needs_two_replicates(replicates):
+    # One replicate has no spread to report: it is simulate's job.
+    cfg = AlgoConfig(algo=Algo.GD, alpha=0.5)
+    with pytest.raises(ValueError, match="one replicate is simulate"):
+        ensemble_variance(cfg, Quadratic(make_spectrum([1.0])), 10,
+                          replicates, seed=0)
+
+
 def _serial_ensemble(cfg, obj, steps, replicates, seed):
     """(j_hats, per_step, per_step_stderr) from one simulate per replicate."""
     runs = [simulate(cfg, obj, steps, seed, replicate=r, track_per_step=True)

@@ -226,7 +226,7 @@ def test_nesterov_search_is_not_beaten_by_a_dense_band_scan(monkeypatch):
     s = make_spectrum([1.0, 100.0])
     res = tune_constrained(Algo.NA, s)
     band = _nesterov_band(res.rate_cap, s.m, s.L)
-    dense = np.linspace(band[0], band[-1], 2001).tolist()
+    dense = [(b, b) for b in np.linspace(band[0], band[-1], 2001).tolist()]
     monkeypatch.setitem(_SEARCH, Algo.NA,
                         (math.sqrt, lambda r, m, L: dense))
     scan = tune_constrained(Algo.NA, s)
@@ -328,9 +328,11 @@ def _golden_min(fn, lo, hi, tol=GOLDEN_TOL):
 def _reference_tune(algo, s, cap_constant=1.0, sigma=1.0,
                     sigma_mode=SigmaMode.FIXED):
     """The search slice by slice: one scalar golden-section search per
-    momentum, each evaluation one AlgoConfig and one variance_amplification.
-    Returns (alpha, beta, J, rho)."""
-    scale, momenta = _SEARCH[algo]
+    point (beta, gamma), each evaluation one AlgoConfig and one
+    variance_amplification.  The config applies its own look-ahead rule,
+    so a slice whose gamma is not that rule's cannot match.  Returns
+    (alpha, beta, J, rho)."""
+    scale, points = _SEARCH[algo]
     kappa = s.kappa
     cap = 1.0 - cap_constant / scale(kappa)
     if cap <= 0.0:
@@ -348,7 +350,7 @@ def _reference_tune(algo, s, cap_constant=1.0, sigma=1.0,
         return rep.j if rep.rho <= cap else math.inf
 
     best = None
-    for beta in momenta(cap, s.m, s.L):
+    for beta, _ in points(cap, s.m, s.L):
         gamma = beta if algo == Algo.NA else 0.0
         edges = _step_interval(beta, gamma, cap, s.m, s.L)
         if edges is None:
@@ -402,6 +404,21 @@ def test_lockstep_search_matches_the_slice_by_slice_search(
     args = (algo, s, cap_constant, sigma, sigma_mode)
     assert (_outcome(tune_constrained, *args)
             == _outcome(_reference_tune, *args))
+
+
+@pytest.mark.parametrize("algo", list(Algo))
+@pytest.mark.parametrize("kappa", [2.0, 1e2, 1e6])
+def test_every_slice_is_a_point_of_its_preset(algo, kappa):
+    # The search reads gamma from its slices alone; each slice's gamma is
+    # the look-ahead of the preset's AlgoConfig at that momentum.
+    scale, points = _SEARCH[algo]
+    r = 1.0 - 1.0 / scale(kappa)
+    slices = points(r, 1.0, kappa)
+    assert slices and [b for b, _ in slices] == sorted(b for b, _ in slices)
+    for beta, gamma in slices:
+        edges = _step_interval(beta, gamma, r, 1.0, kappa)
+        alpha = 1.0 if edges is None else edges[1]
+        assert gamma == AlgoConfig(algo, alpha, beta).gamma
 
 
 def test_tuning_effort_is_reported():
