@@ -24,8 +24,8 @@ from .tuning import (TunedParams, TuningResult, acceleration_floor,
                      conventional_params, hb_tradeoff_margin,
                      optimal_quadratic_params, tune_constrained)
 from .consensus import (ConsensusRecord, Regime, SweepResult, TorusSpec,
-                        consensus_variance, scaling_sweep, torus_eigenvalues,
-                        torus_spectrum)
+                        consensus_record, consensus_variance, scaling_sweep,
+                        torus_eigenvalues, torus_spectrum)
 from .montecarlo import (PseudoHuber, Quadratic, SimResult, ensemble_variance,
                          simulate, standard_normals)
 

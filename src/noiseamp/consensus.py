@@ -33,6 +33,15 @@ value's multiplicity.  Each mode adds its axis values left to right, as the
 full-lattice reference :func:`torus_eigenvalues` does, and both take their
 axis values from one helper.
 
+:func:`torus_modes` is the one enumeration.  It builds the first d - 1
+axis steps whole, at most C(k + d - 2, d - 1) tuples, and yields the last
+step a chunk of whole blocks at a time, about spectrum.MODES_PER_CHUNK
+modes.  :func:`consensus_record` (and so :func:`consensus_variance` and
+:func:`scaling_sweep`) sums J-bar over these chunks exactly, reading m and
+L from :func:`torus_extremes`: its memory is O(chunk + C(k + d - 2, d - 1)),
+with no array as large as the spectrum.  :func:`torus_spectrum` fills the
+whole spectrum from the same chunks, for reports that list every mode.
+
 Exactness against the full lattice: kappa and rho (read at the extreme
 eigenvalues, which every ordering forms alike) are identical for every d,
 and so is J-bar for d <= 2, where a + b == b + a in floating point.  For
@@ -46,15 +55,16 @@ import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import reduce
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .dynamics import Algo, AlgoConfig, modal_spectral_radius
-from .errors import SizeOverflow
+from . import spectrum
+from .dynamics import Algo, AlgoConfig, check_stable, modal_spectral_radius
+from .errors import SizeOverflow, VarianceOverflow
 from .spectrum import Spectrum
 from .tuning import optimal_quadratic_params
-from .variance import Records, VarianceReport, variance_amplification
+from .variance import Records, _modal_variance_raw
 
 MAX_NETWORK_SIZE = 10_000_000
 
@@ -88,7 +98,11 @@ def _axis(n0: int) -> np.ndarray:
     same float.
     """
     k = np.arange(n0)
-    j = np.minimum(k, n0 - k)
+    return _axis_at(np.minimum(k, n0 - k), n0)
+
+
+def _axis_at(j: np.ndarray, n0: int) -> np.ndarray:
+    """The axis eigenvalues 2 (1 - cos(2 pi j / n0)) at integer j."""
     return 2.0 * (1.0 - np.cos(2.0 * np.pi * j / n0))
 
 
@@ -99,42 +113,105 @@ def torus_eigenvalues(t: TorusSpec) -> np.ndarray:
                   range(t.d - 1), axis)
 
 
+def torus_modes(t: TorusSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The nonzero torus modes as (values, counts) chunks.
+
+    ``values`` holds one eigenvalue per nondecreasing tuple of distinct axis
+    values, and ``counts`` the number of lattice points with that
+    eigenvalue.  The tuples come in lexicographic order of their indices,
+    the all-zero tuple dropped.
+
+    Each axis step replaces tuple i, whose last index is last[i], by the
+    block of tuples that append last[i] .. k - 1 (:func:`_extend`).  The
+    tuples of one value are the axis values; the steps up to d - 1 values
+    are built whole, C(k + d - 2, d - 1) tuples at most.  The last step
+    takes its parent tuples a group at a time, as many whole blocks as fit
+    in spectrum.MODES_PER_CHUNK modes (one block if it alone is larger),
+    and yields each group's modes as one chunk.  On a ring (d = 1) the
+    axis values are the modes, cut into chunks anywhere.
+    """
+    vals, counts = np.unique(_axis(t.n0), return_counts=True)
+    chunk = spectrum.MODES_PER_CHUNK
+    if t.d == 1:  # one block, with no count to divide: cut it anywhere
+        for start in range(1, vals.size, chunk):
+            yield vals[start:start + chunk], counts[start:start + chunk]
+        return
+    parents = (vals, counts, np.ones_like(counts), np.arange(vals.size))
+    for size in range(2, t.d):
+        lams, weights, last, starts, start_run = _extend(vals, counts,
+                                                         parents, size)
+        run = np.ones_like(weights)
+        run[starts] = start_run
+        parents = (lams, weights, run, last)
+    ends = np.cumsum(vals.size - parents[3])
+    first = 0
+    while first < ends.size:
+        base = ends[first - 1] if first else 0
+        stop = max(first + 1, int(np.searchsorted(
+            ends, base + chunk, side="right")))
+        lams, weights, *_ = _extend(
+            vals, counts, [p[first:stop] for p in parents], t.d)
+        zero = int(first == 0)  # the all-zero tuple opens the first block
+        yield lams[zero:], weights[zero:]
+        first = stop
+
+
+def _extend(vals: np.ndarray, counts: np.ndarray,
+            tuples: Sequence[np.ndarray], size: int) -> tuple[np.ndarray, ...]:
+    """One axis step: the tuples of ``size`` axis values that extend
+    ``tuples`` = (lams, weights, run, last), as (lams, weights, last,
+    starts, start_run).
+
+    Tuple i, with eigenvalue lams[i], ordering count times multiplicities
+    weights[i], final run length run[i] and last index last[i], extends to
+    the block of k - last[i] tuples that append last[i] .. k - 1.  The
+    blocks start at ``starts = cumsum(ext) - ext``.  A new count is
+    size * count times the new value's multiplicity; at a block start, the
+    one entry whose last index repeats, size * count is first divided by
+    the grown run length ``start_run``, which is exact since the result is
+    a multinomial coefficient times multiplicities.  Elsewhere a new
+    tuple's final run has length 1.
+    """
+    lams, weights, run, last = tuples
+    ext = vals.size - last
+    starts = np.cumsum(ext) - ext
+    new = np.arange(ext.sum()) - np.repeat(starts - last, ext)
+    # The ordering count grows from (size-1)!/prod(r!) to size!/prod(r!):
+    # a factor size, divided by the new run length at a block start.
+    start_run = run + 1
+    grown = weights * size
+    weights = np.repeat(grown, ext)
+    weights[starts] = grown // start_run
+    weights *= counts[new]
+    return np.repeat(lams, ext) + vals[new], weights, new, starts, start_run
+
+
 def torus_spectrum(t: TorusSpec) -> Spectrum:
     """Nonzero torus Laplacian spectrum, one mode per multiset of axis values.
 
-    ``values`` holds one eigenvalue per nondecreasing tuple of distinct axis
-    values (the all-zero tuple dropped), unsorted, and ``counts`` the number
-    of lattice points with that eigenvalue, so ``n == t.n - 1``.
-
-    The tuples come in lexicographic order of their indices.  Each axis
-    step replaces tuple i, whose last index is last[i], by the block of
-    tuples that append last[i] .. k - 1.  The blocks start at
-    ``starts = cumsum(ext) - ext`` with ``ext = k - last``.  A new count is
-    size * count times the new value's multiplicity; at a block start, the
-    one entry whose last index repeats, size * count is first divided by
-    the grown run length, which is exact since the result is a multinomial
-    coefficient times multiplicities.
+    The modes of :func:`torus_modes`, unsorted, in C(k + d - 1, d) - 1
+    entries, so ``n == t.n - 1``.
     """
-    vals, counts = np.unique(_axis(t.n0), return_counts=True)
-    last = np.arange(vals.size)
-    lams, weights = vals, counts
-    run = np.ones_like(counts)  # how often the tuple's last value repeats
-    for size in range(2, t.d + 1):
-        ext = vals.size - last
-        starts = np.cumsum(ext) - ext
-        new = np.arange(ext.sum()) - np.repeat(starts - last, ext)
-        lams = np.repeat(lams, ext) + vals[new]
-        # The ordering count grows from (size-1)!/prod(r!) to size!/prod(r!):
-        # a factor size, divided by the new run length at a block start.
-        start_run = run + 1
-        grown = weights * size
-        weights = np.repeat(grown, ext)
-        weights[starts] = grown // start_run
-        weights *= counts[new]
-        run = np.ones_like(weights)
-        run[starts] = start_run
-        last = new
-    return Spectrum(values=lams[1:], counts=weights[1:])
+    size = math.comb(t.n0 // 2 + t.d, t.d) - 1
+    values, counts = np.empty(size), np.empty(size, np.int64)
+    filled = 0
+    for lams, weights in torus_modes(t):
+        values[filled:filled + lams.size] = lams
+        counts[filled:filled + lams.size] = weights
+        filled += lams.size
+    return Spectrum(values=values, counts=counts)
+
+
+def torus_extremes(t: TorusSpec) -> tuple[float, float]:
+    """(m, L) of :func:`torus_spectrum`, without enumerating its modes.
+
+    The axis values grow with j = 0 .. n0 // 2.  m is the mode (0, ..., 0,
+    1), the axis value at j = 1, and L the d-fold sum of the one at
+    j = n0 // 2, added left to right as every mode is.  Rounded addition
+    is monotone, so no mode rounds below m or above L.
+    """
+    m, top = _axis_at(np.array([1, t.n0 // 2]), t.n0).tolist()
+    return m, reduce(lambda acc, _: acc + top, range(t.d - 1), top)
 
 
 @dataclass(frozen=True)
@@ -158,19 +235,37 @@ class ConsensusRecord:
     def jbar_over_n(self) -> float:
         return self.jbar / self.n
 
-    @classmethod
-    def from_report(cls, t: TorusSpec,
-                    rep: VarianceReport) -> ConsensusRecord:
-        """The record of ``rep``, a variance report on ``t``'s spectrum."""
-        s, cfg = rep.spectrum, rep.cfg
-        rho_m, rho_l = modal_spectral_radius(cfg, np.array([s.m, s.L]))
-        return cls(algo=cfg.algo, d=t.d, n0=t.n0, n=t.n, kappa=s.kappa,
-                   rho=rep.rho, rho_at="L" if rho_l > rho_m else "m",
-                   jbar=rep.j)
-
     def to_dict(self) -> dict[str, Any]:
         return {**asdict(self), "algo": self.algo.value,
                 "jbar_over_n": self.jbar_over_n}
+
+
+def consensus_record(cfg: AlgoConfig, t: TorusSpec) -> ConsensusRecord:
+    """The record of ``cfg`` on ``t``; raises :class:`Unstable`, and
+    :class:`VarianceOverflow` where J-bar leaves double range.
+
+    Stability is checked at the extremes before any mode is enumerated.
+    J-bar is the exactly rounded sum of the per-mode variances, each
+    counted with its multiplicity, a chunk of :func:`torus_modes` at a
+    time: no array as large as the spectrum is held.
+    """
+    m, L = torus_extremes(t)
+    rho = check_stable(cfg, Spectrum(values=np.array([L, m])))
+    rho_m, rho_l = modal_spectral_radius(cfg, np.array([m, L]))
+
+    def terms():
+        for lams, counts in torus_modes(t):
+            j_hat = _modal_variance_raw(cfg, lams)
+            if not np.isfinite(j_hat).all():
+                raise VarianceOverflow("J")
+            yield j_hat[None], counts
+
+    jbar = float(spectrum._chunked_sums(terms(), 1)[0])
+    if jbar == math.inf:  # an exactly rounded sum past the largest double
+        raise VarianceOverflow("J")
+    return ConsensusRecord(algo=cfg.algo, d=t.d, n0=t.n0, n=t.n,
+                           kappa=L / m, rho=rho,
+                           rho_at="L" if rho_l > rho_m else "m", jbar=jbar)
 
 
 def consensus_variance(algo: Algo, t: TorusSpec,
@@ -178,14 +273,13 @@ def consensus_variance(algo: Algo, t: TorusSpec,
     """J-bar of noisy distributed averaging over the torus.
 
     The method runs at its quadratic-optimal tuning for the nonzero extreme
-    eigenvalues (other tunings: :meth:`ConsensusRecord.from_report`).  The
-    zero mode is excluded (deviation-from-average variance).
+    eigenvalues (other tunings: :func:`consensus_record`).  The zero mode
+    is excluded (deviation-from-average variance).
     """
-    s = torus_spectrum(t)
-    params = optimal_quadratic_params(algo, s.m, s.L)
+    params = optimal_quadratic_params(algo, *torus_extremes(t))
     cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                      sigma=sigma)
-    return ConsensusRecord.from_report(t, variance_amplification(cfg, s))
+    return consensus_record(cfg, t)
 
 
 class Regime(str, Enum):

@@ -6,12 +6,14 @@ eigenvalues.  An explicit spectrum (:func:`make_spectrum`) lists every
 eigenvalue, sorted descending; a torus Laplacian (:mod:`noiseamp.consensus`)
 lists its modes unsorted, each with its multiplicity in ``counts``.  Every
 per-mode sum (:meth:`Spectrum.sum`) counts each term with its multiplicity
-and rounds once, so it equals ``math.fsum`` of the expanded list.
+and rounds once, so it equals ``math.fsum`` of the expanded list; it adds
+MODES_PER_CHUNK modes at a time, exactly, and rounds after the last.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -81,34 +83,80 @@ def make_spectrum(values: Iterable[float] | Sequence[float]) -> Spectrum:
     return Spectrum(values=np.sort(arr)[::-1].copy())
 
 
+# Modes per chunk of a chunked sum or enumeration: small enough that a
+# chunk's temporaries (128 KiB per float64 array) stay in cache, large
+# enough that the per-chunk Python overhead stays small.  On a 2-CPU x86 VM,
+# 4,096 paid that overhead and 65,536 faulted in fresh pages.
+MODES_PER_CHUNK = 16_384
+
 # Bins per exponent (a power of two): adjacent terms add independently.
 _LANES = 4
+
+# Exact sums are integers in units of 2**-_UNIT_BITS: frexp's least
+# exponent, -1073, less the 53 bits of a mantissa.
+_UNIT_BITS = 1126
 
 
 def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
     """sum(values * weights) rounded once, as math.fsum of the expanded list.
 
+    Rows x modes ``values`` give an array of row sums.  The modes are
+    summed MODES_PER_CHUNK at a time (:func:`_chunked_sums`).
+    """
+    rows = np.atleast_2d(values)
+    sums = _chunked_sums(
+        ((rows[:, i:i + MODES_PER_CHUNK], weights[i:i + MODES_PER_CHUNK])
+         for i in range(0, rows.shape[1], MODES_PER_CHUNK)), len(rows))
+    return sums if values.ndim == 2 else float(sums[0])
+
+
+def _chunked_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
+                  n_rows: int) -> np.ndarray:
+    """Row sums of terms * weights over (rows x modes terms, weights)
+    chunks, each rounded once.
+
+    The finite terms of each chunk add exactly (:func:`_exact_sums`) and
+    the totals round after the last chunk.  A row with a non-finite term
+    sums to the float sum of its non-finite terms (inf or nan), with no
+    product formed: a finite term times its weight could overflow.
+    """
+    exact = [0] * n_rows
+    special = [0.0] * n_rows
+    for terms, weights in chunks:
+        finite = np.isfinite(terms).all(axis=1)
+        if finite.all():
+            exact = list(map(operator.add, exact, _exact_sums(terms, weights)))
+            continue
+        for i in np.flatnonzero(~finite).tolist():
+            row = terms[i]
+            special[i] += sum(row[~np.isfinite(row)].tolist())
+        if finite.any():
+            for i, total in zip(np.flatnonzero(finite).tolist(),
+                                _exact_sums(terms[finite], weights)):
+                exact[i] += total
+    return np.array([_rounded(total) if not other else other
+                     for total, other in zip(exact, special)])
+
+
+def _rounded(total: int) -> float:
+    """total * 2**-_UNIT_BITS rounded once; +-inf past the largest double."""
+    try:
+        return total / (1 << _UNIT_BITS)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+def _exact_sums(rows: np.ndarray, weights: np.ndarray) -> list[int]:
+    """Exact weighted sums of finite rows, in units of 2**-_UNIT_BITS.
+
     Every value is an integer mantissa times a power of two.  The mantissa
     is cut into digits of 53 - log2(weight sum) bits, so that per exponent
     np.bincount adds digit * weight in float64 exactly: every partial sum
     is an integer below 2**53.  Python integers then add the per-exponent
-    sums and round the total once.  Needs nonnegative integer weights with
-    sum below 2**35 (at most three digits).  Rows x modes ``values`` give
-    an array of row sums, one bincount per digit serving every row.
+    sums.  Needs nonnegative integer weights with sum below 2**35 (at most
+    three digits) in the chunk.  One bincount per digit serves every row; its arrays are
+    as large as one chunk of modes.
     """
-    rows = np.atleast_2d(values)
-    out = np.empty(len(rows))
-    finite = np.isfinite(rows).all(axis=1)
-    for i in np.flatnonzero(~finite):
-        out[i] = math.fsum(rows[i] * weights)
-    if finite.any():
-        out[finite] = _digit_sums(rows[finite] if not finite.all() else rows,
-                                  weights)
-    return out if values.ndim == 2 else float(out[0])
-
-
-def _digit_sums(rows: np.ndarray, weights: np.ndarray) -> list[float]:
-    """Exactly rounded weighted sums of finite rows (see _weighted_sum)."""
     digit_bits = 53 - int(weights.sum()).bit_length()
     mant, expo = np.frexp(rows)
     mant = (mant * 2.0 ** 53).astype(np.int64)
@@ -116,15 +164,17 @@ def _digit_sums(rows: np.ndarray, weights: np.ndarray) -> list[float]:
     width = int(expo.max() - low.min()) + 1
     # Bin (row, exponent, lane); the lanes split runs of equal exponents,
     # whose additions would otherwise wait on each other.  Built in place,
-    # as are the digits: these arrays are as large as the spectrum.
+    # as are the digits.
     bins = expo.astype(np.intp)
     del expo
     bins -= low
-    bins += width * np.arange(len(rows))[:, None]
+    if len(rows) > 1:
+        bins += width * np.arange(len(rows))[:, None]
     bins *= _LANES
     bins += np.arange(rows.shape[1]) & (_LANES - 1)
     weights = weights.astype(float)
     totals = [0] * len(rows)
+    row_starts = width * np.arange(len(rows) + 1)
     for shift in range(0, 53, digit_bits):
         digit = mant >> shift
         if shift + digit_bits < 53:
@@ -133,12 +183,12 @@ def _digit_sums(rows: np.ndarray, weights: np.ndarray) -> list[float]:
         sums = np.bincount(bins.ravel(), weights=digit.ravel(),
                            minlength=len(rows) * width * _LANES)
         sums = sums.reshape(-1, _LANES).sum(axis=1)
+        # Each row's nonzero bins, as Python ints shifted into place.
         nz = np.flatnonzero(sums)
-        for b, v in zip(nz.tolist(), sums[nz].tolist()):
-            row, e = divmod(b, width)
-            totals[row] += int(v) << (e + shift)
-    out = []
-    for total, scale in zip(totals, (low.ravel() - 53).tolist()):
-        out.append(float(total << scale) if scale >= 0
-                   else total / (1 << -scale))
-    return out
+        ints = sums[nz].astype(np.int64).tolist()
+        shifts = (nz % width + shift).tolist()
+        cuts = np.searchsorted(nz, row_starts).tolist()
+        for row, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            totals[row] += sum(map(operator.lshift, ints[a:b], shifts[a:b]))
+    return [total << (scale + _UNIT_BITS)
+            for total, scale in zip(totals, (low.ravel() - 53).tolist())]

@@ -491,20 +491,62 @@ def test_consensus_echoes_the_config_analyze_resolves(capsys):
         assert consensus["jbar"] == analyze["J"]
 
 
-def test_consensus_builds_the_torus_spectrum_once(capsys, monkeypatch):
-    import noiseamp.cli
+def test_consensus_enumerates_the_torus_once(capsys, monkeypatch):
+    # One pass over the modes gives J-bar; the table2 tuning reads the
+    # extremes alone, and no spectrum is built.
     import noiseamp.consensus
     calls = []
-    original = noiseamp.consensus.torus_spectrum
+    original = noiseamp.consensus.torus_modes
 
     def counted(t):
         calls.append(t)
         return original(t)
 
-    monkeypatch.setattr(noiseamp.cli, "torus_spectrum", counted)
-    monkeypatch.setattr(noiseamp.consensus, "torus_spectrum", counted)
+    def refused(t):
+        raise AssertionError("consensus built a torus spectrum")
+
+    monkeypatch.setattr(noiseamp.consensus, "torus_modes", counted)
+    monkeypatch.setattr(noiseamp.cli, "torus_spectrum", refused)
+    monkeypatch.setattr(noiseamp.consensus, "torus_spectrum", refused)
     code, _, _ = _run(capsys, "consensus", "--algo", "na", "--torus", "2,16")
     assert code == 0 and len(calls) == 1
+
+
+@pytest.mark.parametrize("argv, err, events", [
+    (("--algo", "gd", "--torus", "2,8", "--params", "explicit", "--alpha",
+      "1.5"),
+     {"error": "Unstable", "message": "iteration is unstable: eigenvalue "
+      "8.0 gives spectral radius 11.0 >= 1"}, ["check_stable"]),
+    # sigma^2 overflows on the first chunk, after the stability check.
+    (("--algo", "gd", "--torus", "2,64", "--sigma", "1e200"),
+     {"error": "OverflowError",
+      "message": "(34, 'Numerical result out of range')"},
+     ["check_stable", "torus_modes"]),
+    (("--algo", "gd", "--torus", "1,10000001"),
+     {"error": "SizeOverflow", "message": "torus with 10000001^1 nodes "
+      "exceeds the supported size 10000000"}, []),
+])
+def test_consensus_errors_precede_the_modes(capsys, monkeypatch, argv, err,
+                                            events):
+    # Each is one JSON line on stderr, and no mode is enumerated before
+    # the stability check.
+    import noiseamp.consensus
+    seen = []
+
+    def recorded(name):
+        original = getattr(noiseamp.consensus, name)
+
+        def wrapper(*args):
+            seen.append(name)
+            return original(*args)
+        monkeypatch.setattr(noiseamp.consensus, name, wrapper)
+
+    recorded("check_stable")
+    recorded("torus_modes")
+    code, out, stderr = _run(capsys, "consensus", *argv)
+    assert code == 3 and out == ""
+    assert stderr == json.dumps(err) + "\n"
+    assert seen == events
 
 
 def test_simulate_command(capsys):
@@ -750,6 +792,10 @@ def test_huge_step_is_unstable_without_overflow(capsys, argv):
      "1e50"),
     # finite per-mode terms whose count-weighted sum overflows
     ("consensus", "--algo", "gd", "--torus", "2,1000", "--sigma", "1e151"),
+    # an infinite term beside finite ones whose products with their counts
+    # overflow
+    ("consensus", "--algo", "hb", "--torus", "2,64", "--sigma", "1e153"),
+    ("analyze", "--algo", "hb", "--torus", "2,64", "--sigma", "1e153"),
 ])
 def test_overflowing_j_is_a_domain_error(capsys, tmp_path, argv):
     with warnings.catch_warnings(record=True) as caught:

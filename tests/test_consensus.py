@@ -1,18 +1,21 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noiseamp import (Algo, AlgoConfig, ConsensusRecord, Quadratic, Regime,
-                      SizeOverflow, TorusSpec, Unstable, check_stable,
+from noiseamp import (Algo, AlgoConfig, Quadratic, Regime, SizeOverflow,
+                      TorusSpec, Unstable, check_stable, consensus_record,
                       consensus_variance, hb_gd_ratio, make_spectrum,
                       optimal_quadratic_params, propagate_covariance,
                       scaling_sweep, torus_eigenvalues, torus_spectrum,
                       variance_amplification)
-from noiseamp.consensus import _axis
-from noiseamp.spectrum import _weighted_sum
+from noiseamp import spectrum
+from noiseamp.consensus import _axis, torus_extremes, torus_modes
+from noiseamp.spectrum import MODES_PER_CHUNK, _weighted_sum
 from noiseamp.variance import _modal_variance_raw
 
 
@@ -82,17 +85,10 @@ def test_hb_gd_ratio_on_torus():
     assert h.jbar / g.jbar == pytest.approx(hb_gd_ratio(g.kappa), rel=1e-12)
 
 
-def _explicit_record(t, cfg):
-    """The record of ``cfg`` on ``t``, built as the CLI's --params explicit
-    builds it."""
-    return ConsensusRecord.from_report(
-        t, variance_amplification(cfg, torus_spectrum(t)))
-
-
 def test_explicit_config_override():
     t = TorusSpec(d=1, n0=8)
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.2)
-    rec = _explicit_record(t, cfg)
+    rec = consensus_record(cfg, t)
     lams = _nonzero_lattice(t)
     expected = math.fsum(1.0 / (0.2 * l * (2.0 - 0.2 * l)) for l in lams)
     assert rec.jbar == pytest.approx(expected, rel=1e-12)
@@ -102,7 +98,7 @@ def test_explicit_unstable_config_raises():
     # GD on a 2-d torus with even n0 has L = 8: alpha = 1.5 gives rho = 11.
     cfg = AlgoConfig(algo=Algo.GD, alpha=1.5)
     with pytest.raises(Unstable) as exc:
-        _explicit_record(TorusSpec(d=2, n0=8), cfg)
+        consensus_record(cfg, TorusSpec(d=2, n0=8))
     assert exc.value.lam == pytest.approx(8.0)
     assert exc.value.rho == pytest.approx(11.0)
 
@@ -166,8 +162,8 @@ def test_multiset_sums_match_full_lattice(algo, t):
 def test_one_mode_per_multiset_of_distinct_axis_values(t):
     # An axis has n0 // 2 + 1 distinct values, so the nonzero spectrum has
     # one mode per multiset of d of them, less the all-zero one.
-    s = torus_spectrum(t)
-    assert s.values.size == math.comb(t.n0 // 2 + t.d, t.d) - 1
+    modes = sum(values.size for values, _ in torus_modes(t))
+    assert modes == math.comb(t.n0 // 2 + t.d, t.d) - 1
 
 
 def _mask_spectrum(t):
@@ -190,19 +186,73 @@ def _mask_spectrum(t):
     return lams[1:], weights[1:]
 
 
+def _chunks_of(size):
+    """Modes per chunk set to ``size`` for the enumeration and the sums."""
+    return mock.patch.object(spectrum, "MODES_PER_CHUNK", size)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(tori())
 @example(TorusSpec(d=2, n0=2000))
 @example(TorusSpec(d=3, n0=200))
 def test_block_enumeration_matches_the_mask_bit_for_bit(t):
     # Same modes in the same order, from the same float additions, with the
-    # same int64 counts.
-    s = torus_spectrum(t)
+    # same int64 counts, however the last axis step is cut into chunks.
     values, counts = _mask_spectrum(t)
-    assert s.values.view(np.uint64).tolist() == values.view(
-        np.uint64).tolist()
-    assert s.counts.dtype == np.int64
-    assert s.counts.tolist() == counts.tolist()
+    for chunk in (MODES_PER_CHUNK, 7):
+        with _chunks_of(chunk):
+            s = torus_spectrum(t)
+        assert s.values.view(np.uint64).tolist() == values.view(
+            np.uint64).tolist()
+        assert s.counts.dtype == np.int64
+        assert s.counts.tolist() == counts.tolist()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tori())
+@example(TorusSpec(d=2, n0=2000))
+@example(TorusSpec(d=3, n0=215))
+@example(TorusSpec(d=5, n0=25))
+def test_extremes_are_the_spectrum_extremes_bit_for_bit(t):
+    s = torus_spectrum(t)
+    assert torus_extremes(t) == (s.m, s.L)
+
+
+_EXPLICIT = {Algo.GD: (0.05, 0.0), Algo.HB: (0.05, 0.3), Algo.NA: (0.05, 0.3)}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.sampled_from(list(Algo)), st.booleans(), tori())
+@example(Algo.NA, False, TorusSpec(d=3, n0=40))
+@example(Algo.HB, True, TorusSpec(d=2, n0=301))
+def test_streamed_jbar_is_the_spectrum_sum_bit_for_bit(algo, explicit, t):
+    # J-bar summed 7 modes at a time equals J of the whole spectrum, summed
+    # in one chunk, for the table2 tuning and for an explicit step (every
+    # lambda <= 4 d <= 20 is stable at alpha = 0.05).
+    if explicit:
+        alpha, beta = _EXPLICIT[algo]
+        cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta)
+    else:
+        p = optimal_quadratic_params(algo, *torus_extremes(t))
+        cfg = AlgoConfig(algo=algo, alpha=p.alpha, beta=p.beta)
+    with _chunks_of(10 ** 9):
+        j = variance_amplification(cfg, torus_spectrum(t)).j
+    with _chunks_of(7):
+        rec = consensus_record(cfg, t)
+        assert rec.jbar == j
+        if not explicit:
+            assert consensus_variance(algo, t) == rec
+
+
+def test_consensus_holds_no_spectrum_sized_array():
+    # 2,3162 has 1,252,152 modes: 10 MB per float array of the spectrum.
+    tracemalloc.start()
+    try:
+        consensus_variance(Algo.HB, TorusSpec(d=2, n0=3162))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
 
 
 def test_weighted_sum_is_exact():
@@ -248,14 +298,34 @@ def test_weighted_sum_of_rows_is_exact_per_row():
                 assert total == math.inf
 
 
+def test_weighted_sum_over_many_chunks_is_exact():
+    # More modes than one chunk: the chunks' exact sums add before the one
+    # rounding, as do the non-finite terms of a row.
+    rng = np.random.default_rng(9)
+    size = 2 * MODES_PER_CHUNK + 123
+    values = rng.standard_normal((3, size)) * 10.0 ** rng.uniform(
+        -30, 30, (3, size))
+    values[1] = np.abs(values[1])
+    weights = rng.integers(1, 4000, size)
+    sums = _weighted_sum(values, weights)
+    for row, total in zip(values, sums.tolist()):
+        assert total == _weighted_sum(row, weights)
+        assert total == _fsum_reference(row, weights, 12)
+    values[2, -1] = -math.inf
+    values[0, 0] = math.nan
+    assert _weighted_sum(values, weights)[1:].tolist() == [
+        _fsum_reference(values[1], weights, 12), -math.inf]
+    assert math.isnan(_weighted_sum(values, weights)[0])
+
+
 def test_rho_at_names_the_extreme_that_sets_rho():
     # 2-d torus, n0 = 8: m = 2 - sqrt(2), L = 8.  GD's radius is
     # max(1 - alpha m, alpha L - 1).
     t = TorusSpec(d=2, n0=8)
-    small = _explicit_record(t, AlgoConfig(algo=Algo.GD, alpha=0.05))
+    small = consensus_record(AlgoConfig(algo=Algo.GD, alpha=0.05), t)
     assert small.rho_at == "m"
     assert small.rho == pytest.approx(1.0 - 0.05 * (2.0 - math.sqrt(2.0)))
-    large = _explicit_record(t, AlgoConfig(algo=Algo.GD, alpha=0.24))
+    large = consensus_record(AlgoConfig(algo=Algo.GD, alpha=0.24), t)
     assert large.rho_at == "L"
     assert large.rho == pytest.approx(0.24 * 8.0 - 1.0)
     assert large.to_dict()["rho_at"] == "L"
