@@ -153,9 +153,9 @@ def _exact_sums(rows: np.ndarray, weights: np.ndarray) -> list[int]:
     is cut into digits of 53 - log2(weight sum) bits, so that per exponent
     np.bincount adds digit * weight in float64 exactly: every partial sum
     is an integer below 2**53.  Python integers then add the per-exponent
-    sums.  Needs nonnegative integer weights with sum below 2**35 (at most
-    three digits) in the chunk.  One bincount per digit serves every row; its arrays are
-    as large as one chunk of modes.
+    sums.  Needs nonnegative integer weights whose sum in the chunk is
+    below 2**35 (at most three digits).  One bincount per digit serves
+    every row; its arrays are as large as one chunk of modes.
     """
     digit_bits = 53 - int(weights.sum()).bit_length()
     mant, expo = np.frexp(rows)
