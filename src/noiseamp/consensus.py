@@ -36,10 +36,12 @@ axis values from one helper.
 :func:`torus_modes` is the one enumeration.  It builds the first d - 1
 axis steps whole, at most C(k + d - 2, d - 1) tuples, and yields the last
 step a chunk of whole blocks at a time, about spectrum.MODES_PER_CHUNK
-modes.  :func:`consensus_record` (and so :func:`consensus_variance` and
+modes; a ring computes its k axis values a chunk at a time.
+:func:`consensus_record` (and so :func:`consensus_variance` and
 :func:`scaling_sweep`) sums J-bar over these chunks exactly, reading m and
 L from :func:`torus_extremes`: its memory is O(chunk + C(k + d - 2, d - 1)),
-with no array as large as the spectrum.  :func:`torus_spectrum` fills the
+with no array as large as the spectrum; an overflowing J-bar raises from
+:mod:`noiseamp.variance`, as any J does.  :func:`torus_spectrum` fills the
 whole spectrum from the same chunks, for reports that list every mode.
 
 Exactness against the full lattice: kappa and rho (read at the extreme
@@ -52,7 +54,7 @@ which can round apart by an ulp, so J-bar agrees to about 1e-16 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import reduce
 from typing import Any, Iterator, Sequence
@@ -61,10 +63,10 @@ import numpy as np
 
 from . import spectrum
 from .dynamics import Algo, AlgoConfig, check_stable, modal_spectral_radius
-from .errors import SizeOverflow, VarianceOverflow
+from .errors import SizeOverflow
 from .spectrum import Spectrum
 from .tuning import optimal_quadratic_params
-from .variance import Records, _modal_variance_raw
+from .variance import Records, _finite, _modal_variance_raw
 
 MAX_NETWORK_SIZE = 10_000_000
 
@@ -106,6 +108,12 @@ def _axis_at(j: np.ndarray, n0: int) -> np.ndarray:
     return 2.0 * (1.0 - np.cos(2.0 * np.pi * j / n0))
 
 
+def _distinct_axis(n0: int, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The increasing axis values at 0 <= j <= n0 // 2, with multiplicity
+    2 (frequencies j and n0 - j), or 1 at j = 0 and j = n0 / 2."""
+    return _axis_at(j, n0), np.where((j == 0) | (2 * j == n0), 1, 2)
+
+
 def torus_eigenvalues(t: TorusSpec) -> np.ndarray:
     """All n0^d Laplacian eigenvalues of the torus (unsorted lattice order)."""
     axis = _axis(t.n0)
@@ -128,14 +136,15 @@ def torus_modes(t: TorusSpec) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     takes its parent tuples a group at a time, as many whole blocks as fit
     in spectrum.MODES_PER_CHUNK modes (one block if it alone is larger),
     and yields each group's modes as one chunk.  On a ring (d = 1) the
-    axis values are the modes, cut into chunks anywhere.
+    axis values are the modes, computed a chunk of j at a time.
     """
-    vals, counts = np.unique(_axis(t.n0), return_counts=True)
     chunk = spectrum.MODES_PER_CHUNK
+    k = t.n0 // 2 + 1
     if t.d == 1:  # one block, with no count to divide: cut it anywhere
-        for start in range(1, vals.size, chunk):
-            yield vals[start:start + chunk], counts[start:start + chunk]
+        for start in range(1, k, chunk):
+            yield _distinct_axis(t.n0, np.arange(start, min(start + chunk, k)))
         return
+    vals, counts = _distinct_axis(t.n0, np.arange(k))
     parents = (vals, counts, np.ones_like(counts), np.arange(vals.size))
     for size in range(2, t.d):
         lams, weights, last, starts, start_run = _extend(vals, counts,
@@ -242,27 +251,21 @@ class ConsensusRecord:
 
 def consensus_record(cfg: AlgoConfig, t: TorusSpec) -> ConsensusRecord:
     """The record of ``cfg`` on ``t``; raises :class:`Unstable`, and
-    :class:`VarianceOverflow` where J-bar leaves double range.
+    :class:`VarianceOverflow` (from :mod:`noiseamp.variance`) where J-bar
+    leaves double range.
 
     Stability is checked at the extremes before any mode is enumerated.
     J-bar is the exactly rounded sum of the per-mode variances, each
     counted with its multiplicity, a chunk of :func:`torus_modes` at a
-    time: no array as large as the spectrum is held.
+    time (the fold behind :meth:`Spectrum.sum`): no array as large as
+    the spectrum is held.
     """
     m, L = torus_extremes(t)
     rho = check_stable(cfg, Spectrum(values=np.array([L, m])))
     rho_m, rho_l = modal_spectral_radius(cfg, np.array([m, L]))
-
-    def terms():
-        for lams, counts in torus_modes(t):
-            j_hat = _modal_variance_raw(cfg, lams)
-            if not np.isfinite(j_hat).all():
-                raise VarianceOverflow("J")
-            yield j_hat[None], counts
-
-    jbar = float(spectrum._chunked_sums(terms(), 1)[0])
-    if jbar == math.inf:  # an exactly rounded sum past the largest double
-        raise VarianceOverflow("J")
+    jbar = _finite(float(spectrum._chunked_sums(
+        ((_modal_variance_raw(cfg, lams)[None], counts)
+         for lams, counts in torus_modes(t)), 1)[0]))
     return ConsensusRecord(algo=cfg.algo, d=t.d, n0=t.n0, n=t.n,
                            kappa=L / m, rho=rho,
                            rho_at="L" if rho_l > rho_m else "m", jbar=jbar)
@@ -305,9 +308,8 @@ class SweepResult:
     def to_dict(self) -> dict[str, Any]:
         """The report; ``rows`` is :class:`Records` with one column per key
         of :meth:`ConsensusRecord.to_dict`."""
-        rows = {k: [getattr(r, k) for r in self.rows] for k in
-                [f.name for f in fields(ConsensusRecord)] + ["jbar_over_n"]}
-        rows["algo"] = [a.value for a in rows["algo"]]
+        records = [r.to_dict() for r in self.rows]
+        rows = {k: [r[k] for r in records] for k in records[0]}
         return {"algo": self.algo.value, "d": self.d,
                 "slope": self.slope, "regime": self.regime.value,
                 "rows": Records(rows)}

@@ -196,7 +196,7 @@ def check_step_size(cfg: AlgoConfig, L: float):
 
 
 def check_stable(cfg: AlgoConfig, s: Spectrum) -> float:
-    """Return the convergence rate, raising :class:`Unstable` if >= 1.
+    """Return the convergence rate; :class:`Unstable` from 1 - 1e-14 on.
 
     The rate is the worst modal spectral radius, read at m and L only (L
     first, so that a tie names L).  Both roots of z^2 - b z - a lie in
@@ -211,7 +211,7 @@ def check_stable(cfg: AlgoConfig, s: Spectrum) -> float:
     rhos = modal_spectral_radius(cfg, lams)
     rho = float(rhos.max())
     if not rho < INSTABILITY_THRESHOLD:
-        raise Unstable(float(lams[rhos.argmax()]), rho)
+        raise Unstable(float(lams[rhos.argmax()]), rho, INSTABILITY_THRESHOLD)
     return rho
 
 

@@ -23,14 +23,16 @@ class NonPositiveEigenvalue(NoiseAmpError):
 
 
 class Unstable(NoiseAmpError):
-    """The iteration diverges on the given spectrum; carries the worst mode."""
+    """The iteration diverges on the given spectrum (or its rate reaches
+    ``threshold``); carries the worst mode."""
 
-    def __init__(self, lam: float, rho: float):
+    def __init__(self, lam: float, rho: float, threshold: float = 1.0):
         self.lam = float(lam)
         self.rho = float(rho)
+        bound = f"{threshold!r}, the instability threshold" if rho < 1 else 1
         super().__init__(
             f"iteration is unstable: eigenvalue {lam!r} gives spectral "
-            f"radius {rho!r} >= 1"
+            f"radius {rho!r} >= {bound}"
         )
 
 

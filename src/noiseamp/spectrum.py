@@ -6,8 +6,9 @@ eigenvalues.  An explicit spectrum (:func:`make_spectrum`) lists every
 eigenvalue, sorted descending; a torus Laplacian (:mod:`noiseamp.consensus`)
 lists its modes unsorted, each with its multiplicity in ``counts``.  Every
 per-mode sum (:meth:`Spectrum.sum`) counts each term with its multiplicity
-and rounds once, so it equals ``math.fsum`` of the expanded list; it adds
-MODES_PER_CHUNK modes at a time, exactly, and rounds after the last.
+and rounds once, to +-inf or nan where a term is not finite or the sum
+leaves double range, and never raises; it adds MODES_PER_CHUNK modes at a
+time, exactly (:func:`_chunked_sums`), and rounds after the last.
 """
 
 from __future__ import annotations
@@ -53,15 +54,24 @@ class Spectrum:
         return self.n
 
     def sum(self, terms: np.ndarray) -> float | np.ndarray:
-        """Exactly rounded sum of terms aligned with ``values``.
+        """Exactly rounded sum of terms aligned with ``values``, as
+        :func:`_chunked_sums` gives it; never raises.
 
         Rows x modes ``terms`` give an array of row sums.
         """
-        if self.counts is not None:
-            return _weighted_sum(terms, self.counts)
-        if terms.ndim == 1:
-            return math.fsum(terms)  # the same rounding, without the setup
-        return np.array([math.fsum(row) for row in terms.tolist()])
+        counts = self.counts
+        if counts is None:
+            try:  # the same rounding, without the setup
+                if terms.ndim == 1:
+                    return math.fsum(terms)
+                return np.array([math.fsum(row) for row in terms.tolist()])
+            except (OverflowError, ValueError):  # overflow, or inf - inf
+                counts = np.ones(self.values.size, np.int64)
+        rows = np.atleast_2d(terms)
+        sums = _chunked_sums(
+            ((rows[:, i:i + MODES_PER_CHUNK], counts[i:i + MODES_PER_CHUNK])
+             for i in range(0, rows.shape[1], MODES_PER_CHUNK)), len(rows))
+        return sums if terms.ndim == 2 else float(sums[0])
 
 
 def make_spectrum(values: Iterable[float] | Sequence[float]) -> Spectrum:
@@ -97,45 +107,28 @@ _LANES = 4
 _UNIT_BITS = 1126
 
 
-def _weighted_sum(values: np.ndarray, weights: np.ndarray) -> float | np.ndarray:
-    """sum(values * weights) rounded once, as math.fsum of the expanded list.
-
-    Rows x modes ``values`` give an array of row sums.  The modes are
-    summed MODES_PER_CHUNK at a time (:func:`_chunked_sums`).
-    """
-    rows = np.atleast_2d(values)
-    sums = _chunked_sums(
-        ((rows[:, i:i + MODES_PER_CHUNK], weights[i:i + MODES_PER_CHUNK])
-         for i in range(0, rows.shape[1], MODES_PER_CHUNK)), len(rows))
-    return sums if values.ndim == 2 else float(sums[0])
-
-
 def _chunked_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
                   n_rows: int) -> np.ndarray:
     """Row sums of terms * weights over (rows x modes terms, weights)
-    chunks, each rounded once.
+    chunks, each rounded once; never raises.
 
     The finite terms of each chunk add exactly (:func:`_exact_sums`) and
-    the totals round after the last chunk.  A row with a non-finite term
-    sums to the float sum of its non-finite terms (inf or nan), with no
-    product formed: a finite term times its weight could overflow.
+    the totals round after the last chunk, to +-inf past the largest
+    double.  A row with a non-finite term sums to the float sum of its
+    non-finite terms (inf or nan), with no product formed: a finite term
+    times its weight could overflow.
     """
     exact = [0] * n_rows
-    special = [0.0] * n_rows
+    special = np.zeros(n_rows)
     for terms, weights in chunks:
-        finite = np.isfinite(terms).all(axis=1)
-        if finite.all():
-            exact = list(map(operator.add, exact, _exact_sums(terms, weights)))
-            continue
-        for i in np.flatnonzero(~finite).tolist():
-            row = terms[i]
-            special[i] += sum(row[~np.isfinite(row)].tolist())
-        if finite.any():
-            for i, total in zip(np.flatnonzero(finite).tolist(),
-                                _exact_sums(terms[finite], weights)):
-                exact[i] += total
-    return np.array([_rounded(total) if not other else other
-                     for total, other in zip(exact, special)])
+        finite = np.isfinite(terms)
+        if not finite.all():
+            with np.errstate(invalid="ignore"):  # inf - inf is nan
+                special += np.where(finite, 0.0, terms).sum(axis=1)
+            terms = np.where(finite, terms, 0.0)
+        exact = list(map(operator.add, exact, _exact_sums(terms, weights)))
+    return np.array([other if other else _rounded(total)
+                     for total, other in zip(exact, special.tolist())])
 
 
 def _rounded(total: int) -> float:

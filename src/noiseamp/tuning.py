@@ -40,16 +40,13 @@ import numpy as np
 from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
                        SigmaMode, modal_spectral_radius)
 from .errors import InfeasibleCap, KappaTooLarge, NoGuarantee
+from . import spectrum
 from .spectrum import Spectrum, make_spectrum
-from .variance import (_finite_sum, _modal_variance_raw,
-                       variance_amplification)
+from .variance import _finite, _modal_variance_raw, variance_amplification
 
 GOLDEN_TOL = 1e-10
 BETA_GRID_POINTS = 400
 SMALL_CAP_POINTS = 64
-# Rows x modes terms evaluated at once: enough rows to share each numpy
-# call, few enough that the arrays stay in cache and memory stays bounded.
-BATCH_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -315,7 +312,9 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
     # check_step_size adds nothing here: alpha L >= 4 gives |b| / 2 > 1.
     bound = min(cap, math.nextafter(INSTABILITY_THRESHOLD, 0.0))
     extremes = np.array([s.L, s.m])
-    chunk = max(1, BATCH_TERMS // s.values.size)
+    # Rows x modes terms evaluated at once: enough rows to share each numpy
+    # call, few enough that the arrays stay in cache.
+    chunk = max(1, spectrum.MODES_PER_CHUNK // s.values.size)
     # GD's and HB's look-ahead stays the scalar 0.0: a zero column is slower.
     look_ahead = gammas.any()
 
@@ -334,7 +333,7 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
             if kept.any():
                 j[kept] = batch_j(alpha[kept], rows[kept])
             return j
-        return _finite_sum(s, _modal_variance_raw(cfg, s.values))
+        return _finite(s.sum(_modal_variance_raw(cfg, s.values)))
 
     a, b, evaluations = _golden_rows(batch_j, lo, hi)
     alphas = 0.5 * (a + b)

@@ -39,7 +39,7 @@ def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,
     Written in mu = alpha lambda, not in the companion coefficients (a, b):
     there b + a - 1 = -mu would be computed with cancellation for small mu.
     A :class:`ConfigRows` gives rows x eigenvalues.  A variance that leaves
-    double range comes out as inf, without a warning (see :func:`_finite_sum`).
+    double range comes out as inf, without a warning (see :func:`_finite`).
     """
     sig2 = cfg.noise_power
     beta, gamma = cfg.beta, cfg.gamma
@@ -51,14 +51,9 @@ def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,
                    * (2.0 * (1.0 + beta) - (1.0 + 2.0 * gamma) * mu)))
 
 
-def _finite_sum(s: Spectrum, terms: np.ndarray,
-                what: str = "J") -> float | np.ndarray:
-    """``s.sum(terms)``; raises :class:`VarianceOverflow` where a term or a
-    sum of the nonnegative ``terms`` leaves double range."""
-    try:
-        total = s.sum(terms)
-    except OverflowError:  # an exactly rounded sum past the largest double
-        total = math.inf
+def _finite(total: float | np.ndarray, what: str = "J") -> float | np.ndarray:
+    """``total``, a :meth:`Spectrum.sum` of nonnegative terms; raises
+    :class:`VarianceOverflow` where a term or the sum left double range."""
     if not np.all(np.isfinite(total)):
         raise VarianceOverflow(what)
     return total
@@ -97,7 +92,7 @@ class VarianceReport:
         s = self.spectrum
         with np.errstate(over="ignore"):
             terms = self.per_mode * s.values
-        return _finite_sum(s, terms, "J_prime")
+        return _finite(s.sum(terms), "J_prime")
 
     def to_dict(self) -> dict[str, Any]:
         """The report; ``per_mode`` is :class:`Records` of ``lambda`` and
@@ -119,7 +114,7 @@ def variance_amplification(cfg: AlgoConfig, s: Spectrum) -> VarianceReport:
     """
     rho = check_stable(cfg, s)
     per_mode = _modal_variance_raw(cfg, s.values)
-    return VarianceReport(cfg=cfg, rho=rho, j=_finite_sum(s, per_mode),
+    return VarianceReport(cfg=cfg, rho=rho, j=_finite(s.sum(per_mode)),
                           per_mode=per_mode, spectrum=s)
 
 

@@ -156,6 +156,18 @@ def test_exit_code_domain_error_json(capsys):
     assert "message" in payload
 
 
+def test_unstable_below_one_names_the_threshold(capsys):
+    # HB's tuned rate at kappa = 1e30 rounds below 1 but reaches the
+    # instability threshold 1 - 1e-14: the message names the threshold.
+    code, out, err = _run(capsys, "analyze", "--algo", "hb", "--kappa",
+                          "1e30", "--n", "3")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "Unstable", "message": "iteration is unstable: eigenvalue "
+        "1e+30 gives spectral radius 0.999999999999998 >= 0.99999999999999, "
+        "the instability threshold"}
+
+
 @pytest.mark.parametrize("argv, message", [
     (("bounds", "--algo", "gd", "--kappa", "nan", "--n", "3"),
      "kappa must be >= 1"),

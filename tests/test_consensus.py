@@ -15,7 +15,7 @@ from noiseamp import (Algo, AlgoConfig, Quadratic, Regime, SizeOverflow,
                       variance_amplification)
 from noiseamp import spectrum
 from noiseamp.consensus import _axis, torus_extremes, torus_modes
-from noiseamp.spectrum import MODES_PER_CHUNK, _weighted_sum
+from noiseamp.spectrum import MODES_PER_CHUNK, Spectrum
 from noiseamp.variance import _modal_variance_raw
 
 
@@ -253,6 +253,23 @@ def test_consensus_holds_no_spectrum_sized_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20, peak
+
+
+def test_ring_holds_no_axis_sized_array():
+    # A ring of 9,999,999 nodes has 5e6 distinct axis values: 40 MB per
+    # float array of them.
+    tracemalloc.start()
+    try:
+        consensus_variance(Algo.GD, TorusSpec(d=1, n0=9_999_999))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20, peak
+
+
+def _weighted_sum(values, weights):
+    """``Spectrum.sum`` of ``values`` over modes counted ``weights`` times."""
+    return Spectrum(values=np.ones(weights.size), counts=weights).sum(values)
 
 
 def test_weighted_sum_is_exact():

@@ -1,7 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from noiseamp import (EmptySpectrum, NonPositiveEigenvalue, Spectrum,
                       make_spectrum)
@@ -44,3 +48,43 @@ def test_counts_weight_every_sum():
     expanded = np.repeat(s.values, s.counts)
     assert s.sum(1.0 / s.values) == math.fsum(1.0 / expanded)
     assert make_spectrum(expanded).sum(expanded) == s.sum(s.values)
+
+
+def _exact_row_sum(row):
+    """The float sum of a row's non-finite terms if it has any, else its
+    exact sum rounded once (+-inf past the largest double)."""
+    special = [x for x in row if not math.isfinite(x)]
+    if special:
+        return sum(special)
+    total = sum(map(Fraction, row))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
+
+
+_TERMS = st.one_of(
+    st.floats(), st.sampled_from([1e308, -1e308, math.inf, -math.inf,
+                                  math.nan]))
+
+
+@given(arrays(np.float64, array_shapes(min_dims=1, max_dims=2, max_side=6),
+              elements=_TERMS))
+@example(np.array([1e308, 1e308, -1e308]))
+@example(np.array([[math.inf, -math.inf, 1.0], [1e308, 1e308, math.nan]]))
+def test_explicit_and_multiset_sums_agree_and_never_raise(terms):
+    # An explicit spectrum (math.fsum, which raises on an intermediate
+    # overflow or on inf - inf) and the same modes counted once each
+    # (the exact fold) give the same exactly rounded sums.
+    modes = np.arange(1.0, terms.shape[-1] + 1.0)
+    explicit = Spectrum(values=modes).sum(terms)
+    multiset = Spectrum(values=modes,
+                        counts=np.ones(modes.size, np.int64)).sum(terms)
+    if terms.ndim == 1:
+        assert type(explicit) is type(multiset) is float
+    rows = np.atleast_2d(terms)
+    expected = [_exact_row_sum(row) for row in rows.tolist()]
+    np.testing.assert_array_equal(np.atleast_1d(explicit), expected)
+    np.testing.assert_array_equal(np.atleast_1d(multiset), expected)
+    if terms.tolist() == [1e308, 1e308, -1e308]:
+        assert explicit == 1e308
