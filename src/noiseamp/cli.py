@@ -23,8 +23,10 @@ stderr.  Reports are JSON (json.dumps(report, indent=2), byte for byte) or
 CSV: one field,value row per leaf, except sweep's table of rows and an
 ensemble simulate's per-step table.  Tables (per_mode, sweep rows) are
 Records, one array per key.  Every number is computed before the sink is
-opened; the writer streams RECORDS_PER_WRITE records per write.  On a
-2-CPU x86 VM, analyze --torus 2,324 (13,365 modes) writes in 0.03 s and
+opened; the writer streams RECORDS_PER_WRITE records per write and
+decides each column of a chunk once: a numpy column by its dtype (plus
+one isfinite pass for JSON floats), a list by a scan of its values.  On a
+2-CPU x86 VM, analyze --torus 2,324 (13,365 modes) writes in 0.022 s and
 --torus 2,3162 (1,252,152 modes) runs in 3.6-4.6 s at 108 MB peak RSS;
 consensus --torus 2,3161, which sums J-bar a chunk of modes at a time,
 runs in 0.31-0.34 s at 32 MB (29 MB of it importing the package).
@@ -39,6 +41,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Iterable
 
@@ -132,26 +135,33 @@ def _resolve_config(args, s: Spectrum) -> AlgoConfig:
 
 # The report writer: json.dumps(report, indent=2)'s text, or csv.writer's
 # field,value rows of the report's leaves, byte for byte.  Lists, 1-D
-# arrays and Records go to the sink a chunk at a time, a column at a time
-# where the chunk's columns are plain (json's pure-Python indent encoder
-# and a csv.writer row per leaf cost far more than the float reprs).
+# arrays and Records go to the sink a chunk at a time.  Where the chunk's
+# columns are plain (a numpy column as its dtype says, a list as a scan of
+# its values finds), their texts go out a column at a time, joined once
+# with each record's fixed text (json's pure-Python indent encoder and a
+# csv.writer row per leaf cost far more than the float reprs).
 
 RECORDS_PER_WRITE = 4096
 
 
 def _chunks(seq: list | tuple | np.ndarray | Records):
     """(start, keys, columns) per RECORDS_PER_WRITE elements: a list or 1-D
-    array has keys None and one column, a table one list of values per key."""
+    array has keys None and one column, a table one slice per key."""
     keys = list(seq.columns) if isinstance(seq, Records) else None
     columns = [seq] if keys is None else seq.columns.values()
     for start in range(0, len(seq), RECORDS_PER_WRITE):
         part = slice(start, start + RECORDS_PER_WRITE)
-        yield start, keys, [c[part].tolist() if isinstance(c, np.ndarray)
-                            else c[part] for c in columns]
+        yield start, keys, [c[part] for c in columns]
+
+
+def _values(columns: list) -> list:
+    """A chunk's columns with each array as its list of Python values."""
+    return [c.tolist() if isinstance(c, np.ndarray) else c for c in columns]
 
 
 def _elements(keys: list[str] | None, columns: list) -> Iterable:
     """A chunk's elements: a list's values, or each record as a dict."""
+    columns = _values(columns)
     return columns[0] if keys is None else (
         dict(zip(keys, row)) for row in zip(*columns))
 
@@ -165,10 +175,28 @@ def _as_list(obj: Any) -> list:
 
 _TEXT = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
 
+# The Python type a 1-D array lists as, by its dtype's kind: every
+# integer or float dtype of up to 8 bytes (a longdouble lists as numpy
+# scalars).
+_DTYPE_KINDS = {"i": int, "u": int, "f": float}
 
-def _texts(values: list | tuple, fmt: str) -> Iterable[str] | None:
+
+def _texts(values: list | tuple | np.ndarray,
+           fmt: str) -> Iterable[str] | None:
     """The texts of a column of one plain type, else None: finite floats,
-    ints or strs for JSON; floats or ints for CSV (a str may need quoting)."""
+    ints or strs for JSON; floats or ints for CSV (a str may need quoting).
+
+    A 1-D array of an integer or float dtype is decided by its dtype (and,
+    for JSON floats, one isfinite pass); any other column by a scan of
+    its values."""
+    if isinstance(values, np.ndarray):
+        kind = (_DTYPE_KINDS.get(values.dtype.kind)
+                if values.ndim == 1 and values.itemsize <= 8 else None)
+        if kind is float and fmt == "json" and not np.isfinite(values).all():
+            return None
+        values = values.tolist()
+        if kind is not None:
+            return map(_TEXT[kind], values)
     kinds = set(map(type, values))
     kind = kinds.pop() if len(kinds) == 1 else None
     if kind is float and fmt == "json":
@@ -177,6 +205,13 @@ def _texts(values: list | tuple, fmt: str) -> Iterable[str] | None:
     if kind not in _TEXT or (kind is str and fmt == "csv"):
         return None
     return map(_TEXT[kind], values)
+
+
+def _interleaved(parts: list) -> str:
+    """One string: element by element, each str of ``parts`` and the next
+    text of each of its iterables, in order."""
+    return "".join(chain.from_iterable(zip(*[
+        repeat(p) if isinstance(p, str) else p for p in parts])))
 
 
 def _write_json(obj: Any, indent: str, write):
@@ -210,12 +245,17 @@ def _write_json(obj: Any, indent: str, write):
                     write(sep if i else "")
                     _write_json(item, inner, write)
                 continue
-            if keys is not None:
-                template = "{\n" + ",\n".join(
-                    f"{inner}  {encode_basestring_ascii(k)}: ".replace(
-                        "%", "%%") + "%s" for k in keys) + f"\n{inner}}}"
-                texts = [map(template.__mod__, zip(*texts))]
-            write((sep if start else "") + sep.join(texts[0]))
+            if keys is None:
+                write((sep if start else "") + sep.join(texts[0]))
+                continue
+            parts, head = [], sep + "{"
+            for key, text in zip(keys, texts):
+                key = encode_basestring_ascii(key)
+                parts += [f"{head}\n{inner}  {key}: ", text]
+                head = ","
+            parts.append(f"\n{inner}}}")
+            skip = len(sep) if start == 0 else 0  # the first has none
+            write(_interleaved(parts)[skip:])
         write(f"\n{indent}]")
     else:
         write(json.dumps(obj, indent=2, default=_as_list)
@@ -238,12 +278,14 @@ def _write_csv(prefix: str, obj: Any, sink):
                 for i, v in enumerate(_elements(keys, columns), start):
                     _write_csv(f"{prefix}[{i}]", v, sink)
                 continue
-            head = prefix.replace("%", "%%")
-            template = "".join(f"{head}[%d]{name.replace('%', '%%')},%s\r\n"
-                               for name in names)
-            index = range(start, start + len(columns[0]))
-            sink.write("".join(map(template.__mod__, zip(
-                *[v for c in texts for v in (index, c)]))))
+            index = list(map(int.__repr__,
+                             range(start, start + len(columns[0]))))
+            parts, head = [], ""
+            for name, text in zip(names, texts):
+                parts += [f"{head}{prefix}[", index, f"]{name},", text]
+                head = "\r\n"
+            parts.append("\r\n")
+            sink.write(_interleaved(parts))
     else:
         csv.writer(sink).writerow((prefix, obj))
 
@@ -264,7 +306,7 @@ def _emit(report: dict[str, Any], args, table: Records | None = None):
             else:
                 writer.writerow(table.columns)
                 for _, _, columns in _chunks(table):
-                    writer.writerows(zip(*columns))
+                    writer.writerows(zip(*_values(columns)))
     except OSError as exc:
         if not args.out:
             raise

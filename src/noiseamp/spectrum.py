@@ -100,11 +100,18 @@ def make_spectrum(values: Iterable[float] | Sequence[float]) -> Spectrum:
 MODES_PER_CHUNK = 16_384
 
 # Bins per exponent (a power of two): adjacent terms add independently.
+# The lane of each mode of a chunk, built once.
 _LANES = 4
+_LANE_OF = np.arange(MODES_PER_CHUNK) & (_LANES - 1)
 
 # Exact sums are integers in units of 2**-_UNIT_BITS: frexp's least
 # exponent, -1073, less the 53 bits of a mantissa.
 _UNIT_BITS = 1126
+
+# A chunk whose weights total below 2**_DIRECT_BITS (every torus: it has
+# fewer than 2**24 lattice points) cuts mantissas into digits of 18 bits
+# or more, at most three; heavier weights are cut into digits first.
+_DIRECT_BITS = 35
 
 
 def _chunked_sums(chunks: Iterable[tuple[np.ndarray, np.ndarray]],
@@ -146,11 +153,21 @@ def _exact_sums(rows: np.ndarray, weights: np.ndarray) -> list[int]:
     is cut into digits of 53 - log2(weight sum) bits, so that per exponent
     np.bincount adds digit * weight in float64 exactly: every partial sum
     is an integer below 2**53.  Python integers then add the per-exponent
-    sums.  Needs nonnegative integer weights whose sum in the chunk is
-    below 2**35 (at most three digits).  One bincount per digit serves
-    every row; its arrays are as large as one chunk of modes.
+    sums.  One bincount per digit serves every row; its arrays are as
+    large as one chunk of modes.  Takes any nonnegative int64 weights:
+    where they total 2**_DIRECT_BITS or more, each weight is cut into
+    digits of _DIRECT_BITS - log2(modes) bits, whose totals stay below
+    that, and the sums over each weight digit are shifted into place.
     """
-    digit_bits = 53 - int(weights.sum()).bit_length()
+    fweights = weights.astype(float)
+    total = fweights.sum()  # exact below 2**53, and 2**53 or more above
+    if not total < 2.0 ** _DIRECT_BITS:
+        bits = _DIRECT_BITS - rows.shape[1].bit_length()
+        shifts = range(0, 63, bits)
+        parts = [_exact_sums(rows, (weights >> shift) & ((1 << bits) - 1))
+                 for shift in shifts]
+        return [sum(map(operator.lshift, row, shifts)) for row in zip(*parts)]
+    digit_bits = 53 - int(total).bit_length()
     mant, expo = np.frexp(rows)
     mant = (mant * 2.0 ** 53).astype(np.int64)
     low = expo.min(axis=1, keepdims=True)
@@ -164,15 +181,16 @@ def _exact_sums(rows: np.ndarray, weights: np.ndarray) -> list[int]:
     if len(rows) > 1:
         bins += width * np.arange(len(rows))[:, None]
     bins *= _LANES
-    bins += np.arange(rows.shape[1]) & (_LANES - 1)
-    weights = weights.astype(float)
+    cols = rows.shape[1]
+    bins += (_LANE_OF[:cols] if cols <= _LANE_OF.size
+             else np.arange(cols) & (_LANES - 1))
     totals = [0] * len(rows)
     row_starts = width * np.arange(len(rows) + 1)
     for shift in range(0, 53, digit_bits):
         digit = mant >> shift
         if shift + digit_bits < 53:
             digit &= (1 << digit_bits) - 1
-        digit = digit * weights
+        digit = digit * fweights
         sums = np.bincount(bins.ravel(), weights=digit.ravel(),
                            minlength=len(rows) * width * _LANES)
         sums = sums.reshape(-1, _LANES).sum(axis=1)

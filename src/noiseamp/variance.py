@@ -40,15 +40,35 @@ def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,
     there b + a - 1 = -mu would be computed with cancellation for small mu.
     A :class:`ConfigRows` gives rows x eigenvalues.  A variance that leaves
     double range comes out as inf, without a warning (see :func:`_finite`).
+
+    At the scalar gamma = 0.0 (GD and HB) it evaluates
+
+        sigma^2 (1 + beta) / (mu (1 - beta) (2 (1 + beta) - mu))
+
+    in the same operand order, with half the array passes.  The floats are
+    the general form's: for the finite mu >= 0 that stability lets through,
+    gamma mu is exactly +0, and x - 0, x + 0 and 1.0 * mu are exact.
     """
     sig2 = cfg.noise_power
     beta, gamma = cfg.beta, cfg.gamma
     mu = cfg.alpha * lams
-    gmu = gamma * mu
+    # Each step works in place (a + b and a * b round as b + a and b * a):
+    # a chunk's fresh temporaries cost page faults.
     with np.errstate(over="ignore"):
-        return (sig2 * (1.0 + beta - gmu)
-                / (mu * (1.0 - beta + gmu)
-                   * (2.0 * (1.0 + beta) - (1.0 + 2.0 * gamma) * mu)))
+        if isinstance(gamma, float) and gamma == 0.0:
+            onep = 1.0 + beta
+            den = mu * (1.0 - beta)
+            den *= np.subtract(2.0 * onep, mu, out=mu)
+            return np.divide(sig2 * onep, den, out=den)
+        gmu = gamma * mu
+        num = (1.0 + beta) - gmu
+        num *= sig2
+        gmu += 1.0 - beta
+        gmu *= mu
+        mu *= 1.0 + 2.0 * gamma
+        gmu *= np.subtract(2.0 * (1.0 + beta), mu, out=mu)
+        num /= gmu
+        return num
 
 
 def _finite(total: float | np.ndarray, what: str = "J") -> float | np.ndarray:

@@ -1083,14 +1083,31 @@ def _record_lists(draw, values):
     return records
 
 
+# Typed array columns, whose dtype may decide how the writer formats them.
+_DTYPED = {np.float64: _floats, np.int64: st.integers(-2 ** 63, 2 ** 63 - 1),
+           np.bool_: st.booleans(), object: _leaf_values}
+
+
 @st.composite
 def _tables(draw):
     """Records with 0, 1, 2 or more than RECORDS_PER_WRITE records.  A
     column holds floats, ints, strs or any leaves, as a list or a numpy
-    array, with at most one odd leaf in it."""
+    array, with at most one odd leaf in it; or it is a float64 (nan, +-inf,
+    -0.0 and 5e-324 included), int64, bool or object array, with at most
+    one other value of its kind in it (a nan in one chunk only, say)."""
     size = draw(st.sampled_from([0, 1, 2, RECORDS_PER_WRITE + 2]))
     columns = {}
     for key in draw(st.lists(_strings, max_size=3, unique=True)):
+        if draw(st.booleans()):
+            dtype = draw(st.sampled_from(list(_DTYPED)))
+            kind = _DTYPED[dtype]
+            column = np.array(
+                (draw(st.lists(kind, min_size=1, max_size=3)) * size)[:size],
+                dtype=dtype)
+            if size and draw(st.booleans()):
+                column[draw(st.integers(0, size - 1))] = draw(kind)
+            columns[key] = column
+            continue
         kind = draw(st.sampled_from(
             [_floats, st.integers(-2 ** 70, 2 ** 70), _strings,
              _leaf_values]))
@@ -1143,6 +1160,12 @@ _reports = st.recursive(st.one_of(_leaf_values, _tables()), _containers,
         'q"%'] * RECORDS_PER_WRITE}), "odd": Records({
     "x": [0.5] * (RECORDS_PER_WRITE + 1) + [math.nan],
     "y": [1] * RECORDS_PER_WRITE + [True, None]})})
+@example({"typed": Records({
+    "f": np.array([0.5, -0.0, 5e-324] * RECORDS_PER_WRITE + [math.inf]),
+    "i": np.arange(-2 ** 63, -2 ** 63 + 3 * RECORDS_PER_WRITE + 1),
+    "b": np.ones(3 * RECORDS_PER_WRITE + 1, bool),
+    "o": np.array([1.5, None, "s"] * RECORDS_PER_WRITE + [2], object)}),
+    "nan": np.array([1.0] * RECORDS_PER_WRITE + [math.nan, -math.inf])})
 def test_report_writer_matches_the_reference(report):
     # The JSON and CSV texts are byte for byte the reference's, or both
     # raise the same exception type.

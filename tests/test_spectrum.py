@@ -7,8 +7,9 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from noiseamp import (EmptySpectrum, NonPositiveEigenvalue, Spectrum,
-                      make_spectrum)
+from noiseamp import (Algo, AlgoConfig, EmptySpectrum, NonPositiveEigenvalue,
+                      Spectrum, make_spectrum, variance_amplification)
+from noiseamp.spectrum import MODES_PER_CHUNK
 
 
 def test_sorting_and_accessors():
@@ -88,3 +89,40 @@ def test_explicit_and_multiset_sums_agree_and_never_raise(terms):
     np.testing.assert_array_equal(np.atleast_1d(multiset), expected)
     if terms.tolist() == [1e308, 1e308, -1e308]:
         assert explicit == 1e308
+
+
+def _exact_weighted_sum(row, counts):
+    """sum(term * count) in exact arithmetic, rounded once."""
+    return float(sum(Fraction(t) * c for t, c in zip(row, counts.tolist())))
+
+
+@pytest.mark.parametrize("bits", [34, 52, 53, 60, 62])
+def test_huge_counts_sum_exactly(bits):
+    # Counts from 2**35 on are cut into digits before the float bincounts
+    # (a count of 2**52 once left no bits per mantissa digit, and counts
+    # above 2**53 lost bits as floats).
+    counts = np.array([1, 2 ** bits, 2 ** bits - 1, 2 ** 63 - 1])
+    s = Spectrum(values=np.array([3.0, 1.0, 0.5, 2.0]), counts=counts)
+    terms = np.array([[0.1, 1 / 3, -2.5e-7, 1e-300],
+                      [1e300, -1e280, 5e-324, 7.0]])
+    for row, total in zip(terms, s.sum(terms).tolist()):
+        assert total == _exact_weighted_sum(row, counts)
+        assert s.sum(row) == total
+    s = Spectrum(values=np.array([3.0, 1.0]), counts=np.array([1, 2 ** bits]))
+    rep = variance_amplification(AlgoConfig(algo=Algo.GD, alpha=0.5), s)
+    assert rep.j == _exact_weighted_sum(rep.per_mode, s.counts)
+    assert rep.j == pytest.approx(4 / 3 * 2.0 ** bits)
+
+
+def test_huge_counts_over_many_chunks_sum_exactly():
+    # Random int64 counts over two chunks, a few of them small.
+    rng = np.random.default_rng(3)
+    size = MODES_PER_CHUNK + 5
+    counts = rng.integers(0, 2 ** 63 - 1, size, dtype=np.int64,
+                          endpoint=True)
+    counts[:100] = rng.integers(0, 50, 100)
+    terms = rng.standard_normal((2, size)) * 10.0 ** rng.uniform(
+        -30, 30, (2, size))
+    sums = Spectrum(values=np.ones(size), counts=counts).sum(terms)
+    for row, total in zip(terms, sums.tolist()):
+        assert total == _exact_weighted_sum(row, counts)

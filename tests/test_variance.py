@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, DimensionTooSmall, SigmaMode,
                       Unstable, extreme_modal_values, hb_gd_ratio,
@@ -9,6 +12,8 @@ from noiseamp import (Algo, AlgoConfig, DimensionTooSmall, SigmaMode,
                       optimal_quadratic_params, variance_amplification,
                       variance_bounds, variance_via_eigenvalues,
                       variance_via_lyapunov)
+from noiseamp.dynamics import ConfigRows
+from noiseamp.variance import _modal_variance_raw
 
 
 def _j_hat(cfg, lam):
@@ -179,3 +184,76 @@ def test_variance_bounds_sandwich():
                     assert lower - 1e-9 * upper <= j <= upper * (1 + 1e-12)
     with pytest.raises(DimensionTooSmall):
         variance_bounds(Algo.NA, 10.0, 1)
+
+
+@st.composite
+def _gamma_zero_configs(draw):
+    """(cfg, lams): a GD or HB AlgoConfig, or ConfigRows of HB points with
+    the shared gamma 0.0, and eigenvalues whose largest has alpha lambda
+    anywhere up to the stability edge 2 (1 + beta)."""
+    lams = np.array(draw(st.lists(st.floats(1e-6, 1.0), min_size=1,
+                                  max_size=8)))
+    fraction = st.floats(1e-12, 1.0, exclude_max=True)
+
+    def alpha(beta):
+        return draw(fraction) * 2.0 * (1.0 + beta) / float(lams.max())
+
+    sigma = draw(st.floats(0.0, 10.0))
+    mode = draw(st.sampled_from(list(SigmaMode)))
+    betas = st.floats(0.0, 1.0, exclude_max=True)
+    kind = draw(st.sampled_from(["gd", "hb", "rows"]))
+    if kind == "rows":
+        beta = np.array(draw(st.lists(betas, min_size=1, max_size=4)))
+        alphas = np.array([alpha(b) for b in beta.tolist()])
+        return ConfigRows(alphas[:, None], beta[:, None], 0.0, sigma,
+                          mode), lams
+    beta = draw(betas) if kind == "hb" else 0.0
+    return AlgoConfig(algo=Algo(kind), alpha=alpha(beta), beta=beta,
+                      sigma=sigma, sigma_mode=mode), lams
+
+
+def _closed_form(cfg, lams):
+    """The module's J_hat closed form as one expression, not in place."""
+    beta, gamma, mu = cfg.beta, cfg.gamma, cfg.alpha * lams
+    return (cfg.noise_power * (1.0 + beta - gamma * mu)
+            / (mu * (1.0 - beta + gamma * mu)
+               * (2.0 * (1.0 + beta) - (1.0 + 2.0 * gamma) * mu)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_gamma_zero_configs())
+def test_gamma_zero_form_rounds_as_the_general_one(case):
+    # The scalar gamma = 0.0 takes the short form; a zero array of gamma
+    # cannot, and must give the same bytes, as the closed form does.
+    cfg, lams = case
+    general = SimpleNamespace(alpha=cfg.alpha, beta=cfg.beta,
+                              noise_power=cfg.noise_power, gamma=np.zeros(1))
+    assert cfg.gamma == 0.0 and type(cfg.gamma) is float
+    # alpha lambda rounded to the edge: x / 0 (or 0 / 0 at sigma = 0).
+    with np.errstate(divide="ignore", invalid="ignore"):
+        short = _modal_variance_raw(cfg, lams)
+        full = _modal_variance_raw(general, lams)
+        plain = _closed_form(general, lams)
+    assert short.shape == full.shape == plain.shape
+    assert short.tobytes() == full.tobytes() == plain.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=8),
+       st.floats(0.0, 1.0, exclude_max=True),
+       st.floats(1e-12, 1.0, exclude_max=True), st.floats(0.0, 10.0),
+       st.sampled_from(list(SigmaMode)))
+def test_look_ahead_form_rounds_as_the_closed_form(lams, beta, fraction,
+                                                    sigma, mode):
+    # NA's gamma = beta takes the general form, evaluated in place.
+    lams = np.array(lams)
+    alpha = fraction * 2.0 * (1.0 + beta) / ((1.0 + 2.0 * beta)
+                                             * float(lams.max()))
+    cfg = AlgoConfig(algo=Algo.NA, alpha=alpha, beta=beta, sigma=sigma,
+                     sigma_mode=mode)
+    rows = ConfigRows(np.array([[alpha]]), np.array([[beta]]),
+                      np.array([[beta]]), sigma, mode)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c in (cfg, rows):
+            assert (_modal_variance_raw(c, lams).tobytes()
+                    == _closed_form(c, lams).tobytes())
