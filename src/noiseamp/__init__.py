@@ -6,9 +6,10 @@ strongly convex problems, rate/variance tuning trade-offs, distributed
 averaging over torus networks, and seeded Monte Carlo validation.
 """
 
-from .dynamics import (Algo, AlgoConfig, ModalSystem, SigmaMode,
-                       check_stable, modal_spectral_radius, modal_system,
-                       nesterov_stable, propagate_covariance)
+from types import ModuleType as _Module
+
+from .dynamics import (Algo, AlgoConfig, SigmaMode, check_stable,
+                       modal_spectral_radius, propagate_covariance)
 from .errors import (DimensionTooSmall, EmptySpectrum, InfeasibleCap,
                      KappaTooLarge, NoGuarantee, NoiseAmpError, NonFinite,
                      NonPositiveEigenvalue, SizeOverflow, Unstable)
@@ -20,8 +21,7 @@ from .variance import (Records, VarianceReport, extreme_modal_values,
 from .lmi import (LmiCertificate, LmiProblem, assemble_lmi,
                   evaluate_certificate, gd_certificate, na_certificate,
                   q_bounds, refine_bound)
-from .tuning import (TunedParams, TuningResult, acceleration_floor,
-                     conventional_params, hb_tradeoff_margin,
+from .tuning import (TunedParams, TuningResult, conventional_params,
                      optimal_quadratic_params, tune_constrained)
 from .consensus import (ConsensusRecord, Regime, SweepResult, TorusSpec,
                         consensus_record, consensus_variance, scaling_sweep,
@@ -29,5 +29,7 @@ from .consensus import (ConsensusRecord, Regime, SweepResult, TorusSpec,
 from .montecarlo import (PseudoHuber, Quadratic, SimResult, ensemble_variance,
                          simulate, standard_normals)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The re-exported names, not the submodules their imports bind here.
+__all__ = [name for name, value in sorted(globals().items())
+           if not (name.startswith("_") or isinstance(value, _Module))]
 __version__ = "0.1.0"

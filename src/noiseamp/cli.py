@@ -26,10 +26,11 @@ Records, one array per key.  Every number is computed before the sink is
 opened; the writer streams RECORDS_PER_WRITE records per write and
 decides each column of a chunk once: a numpy column by its dtype (plus
 one isfinite pass for JSON floats), a list by a scan of its values.  On a
-2-CPU x86 VM, analyze --torus 2,324 (13,365 modes) writes in 0.022 s and
---torus 2,3162 (1,252,152 modes) runs in 3.6-4.6 s at 108 MB peak RSS;
-consensus --torus 2,3161, which sums J-bar a chunk of modes at a time,
-runs in 0.31-0.34 s at 32 MB (29 MB of it importing the package).
+2-CPU x86 VM, analyze --torus 2,324 (13,365 modes) writes in 0.022 s and,
+in a fresh process, --torus 2,3162 (1,252,152 modes) runs in 2.2-2.6 s
+at 70 MB peak RSS; consensus --torus 2,3161, which sums J-bar a chunk of
+modes at a time, runs in 0.15-0.23 s at 32 MB (29 MB of it importing the
+package).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import Any, Iterable
 import numpy as np
 
 from .consensus import (MAX_NETWORK_SIZE, TorusSpec, consensus_record,
-                        scaling_sweep, torus_extremes, torus_spectrum)
+                        scaling_sweep, torus_spectrum)
 from .dynamics import Algo, AlgoConfig, SigmaMode
 from .errors import NoGuarantee, NoiseAmpError, SizeOverflow
 from .lmi import gd_certificate, na_certificate, q_bounds, refine_bound
@@ -112,8 +113,8 @@ def _resolve_spectrum(args) -> Spectrum:
     return make_spectrum(np.linspace(1.0, kappa, n))
 
 
-def _resolve_config(args, s: Spectrum) -> AlgoConfig:
-    """The --algo, --params, --alpha/--beta and noise flags on spectrum s."""
+def _resolve_config(args, s: Spectrum | TorusSpec) -> AlgoConfig:
+    """The --algo, --params, --alpha/--beta and noise flags on s's extremes."""
     algo = Algo(args.algo)
     if args.params == "explicit":
         if args.alpha is None:
@@ -403,7 +404,7 @@ def _cmd_tune(args):
 def _cmd_consensus(args):
     # The tuning reads the extremes alone; J-bar streams the modes once.
     t = _parse_torus(args.torus)
-    cfg = _resolve_config(args, make_spectrum(torus_extremes(t)))
+    cfg = _resolve_config(args, t)
     report = {"config": _config_echo(args, cfg),
               **consensus_record(cfg, t).to_dict()}
     _emit(report, args)

@@ -39,7 +39,7 @@ step a chunk of whole blocks at a time, about spectrum.MODES_PER_CHUNK
 modes; a ring computes its k axis values a chunk at a time.
 :func:`consensus_record` (and so :func:`consensus_variance` and
 :func:`scaling_sweep`) sums J-bar over these chunks exactly, reading m and
-L from :func:`torus_extremes`: its memory is O(chunk + C(k + d - 2, d - 1)),
+L from the :class:`TorusSpec`: its memory is O(chunk + C(k + d - 2, d - 1)),
 with no array as large as the spectrum; an overflowing J-bar raises from
 :mod:`noiseamp.variance`, as any J does.  :func:`torus_spectrum` fills the
 whole spectrum from the same chunks, for reports that list every mode.
@@ -54,7 +54,7 @@ which can round apart by an ulp, so J-bar agrees to about 1e-16 relative.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from functools import reduce
 from typing import Any, Iterator, Sequence
@@ -73,10 +73,20 @@ MAX_NETWORK_SIZE = 10_000_000
 
 @dataclass(frozen=True)
 class TorusSpec:
-    """A d-dimensional torus lattice with n0 nodes per axis."""
+    """A d-dimensional torus lattice with n0 nodes per axis.
+
+    ``m`` and ``L`` are the extremes of :func:`torus_spectrum`, read at
+    construction without enumerating its modes.  The axis values grow with
+    j = 0 .. n0 // 2.  m is the mode (0, ..., 0, 1), the axis value at
+    j = 1, and L the d-fold sum of the one at j = n0 // 2, added left to
+    right as every mode is.  Rounded addition is monotone, so no mode
+    rounds below m or above L.
+    """
 
     d: int
     n0: int
+    m: float = field(init=False)
+    L: float = field(init=False)
 
     def __post_init__(self):
         if not 1 <= self.d <= 5:
@@ -87,6 +97,10 @@ class TorusSpec:
             raise SizeOverflow(
                 f"torus with {self.n0}^{self.d} nodes exceeds the supported "
                 f"size {MAX_NETWORK_SIZE}")
+        m, top = _axis_at(np.array([1, self.n0 // 2]), self.n0).tolist()
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "L", reduce(lambda acc, _: acc + top,
+                                             range(self.d - 1), top))
 
     @property
     def n(self) -> int:
@@ -211,18 +225,6 @@ def torus_spectrum(t: TorusSpec) -> Spectrum:
     return Spectrum(values=values, counts=counts)
 
 
-def torus_extremes(t: TorusSpec) -> tuple[float, float]:
-    """(m, L) of :func:`torus_spectrum`, without enumerating its modes.
-
-    The axis values grow with j = 0 .. n0 // 2.  m is the mode (0, ..., 0,
-    1), the axis value at j = 1, and L the d-fold sum of the one at
-    j = n0 // 2, added left to right as every mode is.  Rounded addition
-    is monotone, so no mode rounds below m or above L.
-    """
-    m, top = _axis_at(np.array([1, t.n0 // 2]), t.n0).tolist()
-    return m, reduce(lambda acc, _: acc + top, range(t.d - 1), top)
-
-
 @dataclass(frozen=True)
 class ConsensusRecord:
     """Variance summary of one algorithm on one torus.
@@ -260,14 +262,13 @@ def consensus_record(cfg: AlgoConfig, t: TorusSpec) -> ConsensusRecord:
     time (the fold behind :meth:`Spectrum.sum`): no array as large as
     the spectrum is held.
     """
-    m, L = torus_extremes(t)
-    rho = check_stable(cfg, Spectrum(values=np.array([L, m])))
-    rho_m, rho_l = modal_spectral_radius(cfg, np.array([m, L]))
+    rho = check_stable(cfg, t)
+    rho_m, rho_l = modal_spectral_radius(cfg, np.array([t.m, t.L]))
     jbar = _finite(float(spectrum._chunked_sums(
         ((_modal_variance_raw(cfg, lams)[None], counts)
          for lams, counts in torus_modes(t)), 1)[0]))
     return ConsensusRecord(algo=cfg.algo, d=t.d, n0=t.n0, n=t.n,
-                           kappa=L / m, rho=rho,
+                           kappa=t.L / t.m, rho=rho,
                            rho_at="L" if rho_l > rho_m else "m", jbar=jbar)
 
 
@@ -279,7 +280,7 @@ def consensus_variance(algo: Algo, t: TorusSpec,
     eigenvalues (other tunings: :func:`consensus_record`).  The zero mode
     is excluded (deviation-from-average variance).
     """
-    params = optimal_quadratic_params(algo, *torus_extremes(t))
+    params = optimal_quadratic_params(algo, t.m, t.L)
     cfg = AlgoConfig(algo=algo, alpha=params.alpha, beta=params.beta,
                      sigma=sigma)
     return consensus_record(cfg, t)

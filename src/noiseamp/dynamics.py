@@ -14,9 +14,9 @@ into the companion-form recursion
 
 on psi = (x^k, x^{k+1}), with characteristic polynomial z^2 - b z - a and
 output matrix [1, 0] selecting the current iterate.  GD has a = 0 and keeps
-its scalar recursion x+ = b x + sigma w.  This module builds those modal
-systems, gives closed-form spectral radii, checks Nesterov stability, and
-solves the modal discrete Lyapunov equations numerically.
+its scalar recursion x+ = b x + sigma w.  This module gives the coefficients
+(a, b) and the closed-form spectral radii, checks stability at a spectrum's
+extremes, and solves the modal discrete Lyapunov equations numerically.
 """
 
 from __future__ import annotations
@@ -124,20 +124,6 @@ class ConfigRows(NamedTuple):
         return self.sigma ** 2
 
 
-@dataclass(frozen=True)
-class ModalSystem:
-    """State-space matrices (A, B, C) of one decoupled mode."""
-
-    lam: float
-    a_hat: np.ndarray  # 1x1 for GD, 2x2 companion for HB/NA
-    b_hat: np.ndarray
-    c_hat: np.ndarray
-
-    @property
-    def order(self) -> int:
-        return self.a_hat.shape[0]
-
-
 def companion_coefficients(cfg: AlgoConfig | ConfigRows, lam):
     """(a, b) of the mode polynomial z^2 - b z - a, elementwise in lam.
 
@@ -147,22 +133,6 @@ def companion_coefficients(cfg: AlgoConfig | ConfigRows, lam):
     mu = cfg.alpha * lam
     gamma = cfg.gamma
     return gamma * mu - cfg.beta, 1.0 + cfg.beta - (1.0 + gamma) * mu
-
-
-def modal_system(cfg: AlgoConfig, lam: float) -> ModalSystem:
-    """Build the modal (A, B, C) for one Hessian eigenvalue.
-
-    The companion state is (x^k, x^{k+1}).  GD (a = 0) keeps only its
-    second component, so its system is the scalar x+ = b x + w.
-    """
-    if lam <= 0.0:
-        raise ValueError(f"modal eigenvalue must be positive, got {lam!r}")
-    a, b = companion_coefficients(cfg, lam)
-    k = 2 - cfg.order
-    return ModalSystem(lam=float(lam),
-                       a_hat=np.array([[0.0, 1.0], [a, b]])[k:, k:],
-                       b_hat=np.eye(cfg.order)[:, -1:],
-                       c_hat=np.eye(1, cfg.order))
 
 
 def modal_spectral_radius(cfg: AlgoConfig | ConfigRows,
@@ -198,13 +168,14 @@ def check_step_size(cfg: AlgoConfig, L: float):
 def check_stable(cfg: AlgoConfig, s: Spectrum) -> float:
     """Return the convergence rate; :class:`Unstable` from 1 - 1e-14 on.
 
-    The rate is the worst modal spectral radius, read at m and L only (L
-    first, so that a tie names L).  Both roots of z^2 - b z - a lie in
-    |z| <= r exactly when |a| <= r^2 and r |b| <= r^2 - a (Schur-Cohn),
-    two conditions affine in mu = alpha lambda: every sublevel set of
-    rho(lambda) is an interval, so rho is quasiconvex in lambda and peaks
-    over [m, L] at an endpoint.  Steps rejected by :func:`check_step_size`
-    never reach the rate formula.
+    The rate is the worst modal spectral radius, read at s.m and s.L only
+    (L first, so that a tie names L): a ``consensus.TorusSpec``, which
+    carries its extremes, serves as well as a :class:`Spectrum`.  Both
+    roots of z^2 - b z - a lie in |z| <= r exactly when |a| <= r^2 and
+    r |b| <= r^2 - a (Schur-Cohn), two conditions affine in mu = alpha
+    lambda: every sublevel set of rho(lambda) is an interval, so rho is
+    quasiconvex in lambda and peaks over [m, L] at an endpoint.  Steps
+    rejected by :func:`check_step_size` never reach the rate formula.
     """
     check_step_size(cfg, s.L)
     lams = np.array([s.L, s.m])
@@ -213,22 +184,6 @@ def check_stable(cfg: AlgoConfig, s: Spectrum) -> float:
     if not rho < INSTABILITY_THRESHOLD:
         raise Unstable(float(lams[rhos.argmax()]), rho, INSTABILITY_THRESHOLD)
     return rho
-
-
-def nesterov_stable(alpha: float, beta: float, m: float, L: float) -> bool:
-    """Stability test for Nesterov's method on a quadratic with extremes m, L.
-
-    The noisy iteration converges in mean square if and only if
-    m < (2 beta + 2) / (alpha kappa (2 beta + 1)), kappa = L / m, which is
-    equivalent to alpha * L < (2 beta + 2) / (2 beta + 1) together with the
-    standing assumptions 0 < alpha, 0 <= beta < 1, 0 < m <= L.
-    """
-    if not (0.0 < m <= L):
-        raise ValueError("need 0 < m <= L")
-    if not (alpha > 0.0 and 0.0 <= beta < 1.0):
-        raise ValueError("need alpha > 0 and beta in [0, 1)")
-    kappa = L / m
-    return m < (2.0 * beta + 2.0) / (alpha * kappa * (2.0 * beta + 1.0))
 
 
 def _modal_lyapunov(cfg: AlgoConfig, lams) -> np.ndarray:

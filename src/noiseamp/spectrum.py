@@ -42,9 +42,10 @@ class Spectrum:
 
     @property
     def n(self) -> int:
-        """Total multiplicity: the problem dimension."""
+        """Total multiplicity, exactly: the problem dimension."""
         counts = self.counts
-        return self.values.size if counts is None else int(counts.sum())
+        # In Python ints: an int64 sum wraps from 2**63 on.
+        return self.values.size if counts is None else sum(counts.tolist())
 
     @property
     def kappa(self) -> float:

@@ -24,9 +24,8 @@ its slices, points (beta, gamma) of the two-step family; at each point the
 Schur-Cohn conditions of the stability gate :func:`check_stable`, read at
 lambda = m and L, make the feasible step sizes a closed-form interval, and
 golden-section minimizes J on it for every slice at once, the slices
-advancing in lockstep.  The same search measures the variance floor that
-any accelerated tuning must pay; the module also quantifies the heavy-ball
-rate/variance trade-off floor.
+advancing in lockstep.  On the spectrum {1, kappa} the same search measures
+the variance floor J / kappa^{3/2} that any accelerated tuning must pay.
 """
 
 from __future__ import annotations
@@ -41,8 +40,8 @@ from .dynamics import (Algo, AlgoConfig, ConfigRows, INSTABILITY_THRESHOLD,
                        SigmaMode, modal_spectral_radius)
 from .errors import InfeasibleCap, KappaTooLarge, NoGuarantee
 from . import spectrum
-from .spectrum import Spectrum, make_spectrum
-from .variance import _finite, _modal_variance_raw, variance_amplification
+from .spectrum import Spectrum
+from .variance import _finite, _modal_variance_raw
 
 GOLDEN_TOL = 1e-10
 BETA_GRID_POINTS = 400
@@ -351,41 +350,3 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
         cap, slices=len(slices), feasible_slices=int(feasible.sum()),
         evaluations=evaluations + len(slices),
         alpha_at_edge=bool(a[best] == lo[best] or b[best] == hi[best]))
-
-
-def hb_tradeoff_margin(cfg: AlgoConfig, s: Spectrum) -> dict[str, float]:
-    """Heavy-ball rate/variance trade-off J / (1 - rho) against its floor.
-
-    For any stable (alpha, beta) on a spectrum with condition number kappa
-    the product J / (1 - rho) is at least sigma^2 ((kappa+1)/8)^2; when the
-    noise scales with the step size (sigma = alpha) the floor becomes
-    (kappa / (8 L))^2.  Returns the product, the floor and their difference.
-    """
-    if cfg.algo != Algo.HB:
-        raise ValueError("trade-off margin is defined for heavy ball")
-    rep = variance_amplification(cfg, s)
-    product = rep.j / (1.0 - rep.rho)
-    kappa = s.kappa
-    if cfg.sigma_mode == SigmaMode.EQUALS_ALPHA:
-        floor = (kappa / (8.0 * s.L)) ** 2
-    else:
-        floor = (cfg.sigma * (kappa + 1.0) / 8.0) ** 2
-    return {"product": product, "floor": floor,
-            "margin": product - floor}
-
-
-def acceleration_floor(algo: Algo, kappa: float,
-                       cap_constant: float = 1.0) -> dict[str, Any]:
-    """The variance floor paid by accelerated tunings, sigma = 1.
-
-    The least J under the accelerated cap rho <= 1 - c/sqrt(kappa) on the
-    spectrum {1, kappa}: ``min_ratio`` = J / kappa^{3/2}, then the
-    :func:`tune_constrained` report.  Any accelerated tuning keeps this
-    ratio bounded away from zero uniformly in kappa.
-    """
-    if algo not in (Algo.HB, Algo.NA):
-        raise ValueError("the acceleration floor concerns HB and NA")
-    if not kappa > 1.0:  # NaN too
-        raise ValueError("kappa must exceed 1")
-    res = tune_constrained(algo, make_spectrum([1.0, kappa]), cap_constant)
-    return {"min_ratio": res.j / kappa ** 1.5, **res.to_dict()}

@@ -11,15 +11,15 @@ import numpy as np
 import pytest
 
 from noiseamp import (Algo, AlgoConfig, PseudoHuber, Quadratic, Regime,
-                      SigmaMode, acceleration_floor, assemble_lmi,
+                      SigmaMode, Unstable, assemble_lmi, check_stable,
                       conventional_params, ensemble_variance,
-                      gd_certificate, hb_gd_ratio, hb_tradeoff_margin,
-                      make_spectrum, modal_spectral_radius, modal_system,
-                      na_certificate, nesterov_stable,
+                      gd_certificate, hb_gd_ratio, make_spectrum,
+                      modal_spectral_radius, na_certificate,
                       optimal_quadratic_params, propagate_covariance,
                       q_bounds, scaling_sweep, simulate, tune_constrained,
                       variance_amplification, variance_bounds,
                       variance_via_eigenvalues, variance_via_lyapunov)
+from noiseamp.dynamics import companion_coefficients
 
 
 def _report(num: int, desc: str, ok: bool):
@@ -125,18 +125,28 @@ def test_criterion_05_nesterov_stability():
         L = m * float(rng.uniform(1.0, 100.0))
         beta = float(rng.uniform(0.0, 0.9999))
         alpha = float(rng.uniform(1e-4, 3.0 / L))
+        cfg = AlgoConfig(algo=Algo.NA, alpha=alpha, beta=beta)
         rho = 0.0
         for lam in (m, L):
-            a_hat = modal_system(AlgoConfig(algo=Algo.NA, alpha=alpha,
-                                            beta=beta), lam).a_hat
+            a, b = companion_coefficients(cfg, lam)
+            a_hat = np.array([[0.0, 1.0], [a, b]])
             rho = max(rho, float(np.max(np.abs(np.linalg.eigvals(a_hat)))))
         if abs(rho - 1.0) < 1e-10:
             continue  # boundary band excluded
         checked += 1
-        if nesterov_stable(alpha, beta, m, L) != (rho < 1.0):
+        # The paper's threshold m < (2 beta + 2) / (alpha kappa (2 beta + 1)).
+        threshold = m < (2.0 * beta + 2.0) / (alpha * (L / m)
+                                              * (2.0 * beta + 1.0))
+        try:
+            check_stable(cfg, make_spectrum([m, L]))
+            stable = True
+        except Unstable:
+            stable = False
+        if not threshold == stable == (rho < 1.0):
             disagreements += 1
-    _report(5, "stability threshold matches numerical spectral radius on "
-               "10000 configs (boundary band excluded)", disagreements == 0)
+    _report(5, "stability threshold and check_stable match numerical "
+               "spectral radius on 10000 configs (boundary band excluded)",
+            disagreements == 0)
 
 
 def test_criterion_06_hb_tradeoff():
@@ -156,8 +166,12 @@ def test_criterion_06_hb_tradeoff():
                         cfg, s.values))) >= 1.0 - 1e-9:
                     continue
                 count += 1
-                margin = hb_tradeoff_margin(cfg, s)
-                ok &= margin["product"] >= margin["floor"] * (1 - 1e-12)
+                rep = variance_amplification(cfg, s)
+                if mode == SigmaMode.EQUALS_ALPHA:
+                    floor = (kappa / (8.0 * s.L)) ** 2
+                else:
+                    floor = (cfg.sigma * (kappa + 1.0) / 8.0) ** 2
+                ok &= rep.j / (1.0 - rep.rho) >= floor * (1 - 1e-12)
     _report(6, "J/(1-rho) >= variance floor for 1000 stable HB tunings at "
                "each kappa, both noise modes", ok)
 
@@ -214,8 +228,8 @@ def test_criterion_09_acceleration_floor_and_gd_half_factor():
     ok = True
     ratios = []
     for kappa in (1e2, 1e3, 1e4):
-        out = acceleration_floor(Algo.HB, kappa)
-        ratios.append(out["min_ratio"])
+        res = tune_constrained(Algo.HB, make_spectrum([1.0, kappa]))
+        ratios.append(res.j / kappa ** 1.5)
     for a, b in zip(ratios, ratios[1:]):
         ok &= (max(a, b) / min(a, b)) <= 10.0
     rng = np.random.default_rng(109)

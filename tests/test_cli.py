@@ -218,14 +218,25 @@ def test_unstable_below_one_names_the_threshold(capsys):
      "sigma must be finite and non-negative, got inf"),
     (("sweep", "--algo", "gd", "--d", "2", "--n0", "8,9,10,11",
       "--sigma", "nan"), "a sweep needs a finite sigma > 0, got nan"),
+    # A problem source that does not parse, or half of --kappa with --n.
+    (("analyze", "--algo", "gd", "--torus", "2,x"),
+     "could not parse torus '2,x'"),
+    (("analyze", "--algo", "gd", "--spectrum", "1,abc"),
+     "could not parse spectrum '1,abc'"),
+    (("analyze", "--algo", "gd", "--kappa", "10"),
+     "--kappa and --n must be given together"),
+    (("tune", "--algo", "hb", "--n", "3"),
+     "--kappa and --n must be given together"),
 ])
 def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
                                                        message):
     # NaN fails every comparison, so each check is written to pass only
-    # for a valid value, and a NaN flag fails where it is checked.
+    # for a valid value, and a NaN flag fails where it is checked.  Each
+    # error is one line on stderr.
     code, out, err = _run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and message in err
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_bounds_na_in_one_dimension_is_a_domain_error(capsys):

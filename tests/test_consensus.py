@@ -14,7 +14,7 @@ from noiseamp import (Algo, AlgoConfig, Quadratic, Regime, SizeOverflow,
                       scaling_sweep, torus_eigenvalues, torus_spectrum,
                       variance_amplification)
 from noiseamp import spectrum
-from noiseamp.consensus import _axis, torus_extremes, torus_modes
+from noiseamp.consensus import _axis, torus_modes
 from noiseamp.spectrum import MODES_PER_CHUNK, Spectrum
 from noiseamp.variance import _modal_variance_raw
 
@@ -215,7 +215,7 @@ def test_block_enumeration_matches_the_mask_bit_for_bit(t):
 @example(TorusSpec(d=5, n0=25))
 def test_extremes_are_the_spectrum_extremes_bit_for_bit(t):
     s = torus_spectrum(t)
-    assert torus_extremes(t) == (s.m, s.L)
+    assert (t.m, t.L) == (s.m, s.L)
 
 
 _EXPLICIT = {Algo.GD: (0.05, 0.0), Algo.HB: (0.05, 0.3), Algo.NA: (0.05, 0.3)}
@@ -233,7 +233,7 @@ def test_streamed_jbar_is_the_spectrum_sum_bit_for_bit(algo, explicit, t):
         alpha, beta = _EXPLICIT[algo]
         cfg = AlgoConfig(algo=algo, alpha=alpha, beta=beta)
     else:
-        p = optimal_quadratic_params(algo, *torus_extremes(t))
+        p = optimal_quadratic_params(algo, t.m, t.L)
         cfg = AlgoConfig(algo=algo, alpha=p.alpha, beta=p.beta)
     with _chunks_of(10 ** 9):
         j = variance_amplification(cfg, torus_spectrum(t)).j

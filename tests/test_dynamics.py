@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from noiseamp import (Algo, AlgoConfig, SigmaMode, Unstable, check_stable,
-                      make_spectrum, modal_spectral_radius, modal_system,
-                      nesterov_stable, propagate_covariance,
+                      make_spectrum, modal_spectral_radius,
+                      propagate_covariance, variance_amplification,
                       variance_via_lyapunov)
 from noiseamp.dynamics import _modal_lyapunov, companion_coefficients
 
@@ -23,21 +23,47 @@ def test_config_validation():
     assert cfg.effective_sigma == 0.25
 
 
+def _companion_matrix(cfg, lam):
+    """The modal iteration matrix [[0, 1], [a, b]] on (x^k, x^{k+1});
+    GD's is its 1x1 corner [b], the scalar recursion x+ = b x."""
+    a, b = companion_coefficients(cfg, lam)
+    k = 2 - cfg.order
+    return np.array([[0.0, 1.0], [a, b]])[k:, k:]
+
+
+def _steady_output_variance(a_hat, b_hat, c_hat, sigma):
+    """C P C^T for P = A P A^T + sigma^2 B B^T, by vectorization."""
+    order = a_hat.shape[0]
+    vec_p = np.linalg.solve(np.eye(order * order) - np.kron(a_hat, a_hat),
+                            sigma ** 2 * (b_hat @ b_hat.T).ravel())
+    return float((c_hat @ vec_p.reshape(order, order) @ c_hat.T)[0, 0])
+
+
 def test_modal_system_matrices():
     cfg = AlgoConfig(algo=Algo.HB, alpha=0.1, beta=0.5)
-    ms = modal_system(cfg, 2.0)
-    np.testing.assert_allclose(ms.a_hat, [[0.0, 1.0], [-0.5, 1.3]])
-    np.testing.assert_allclose(ms.b_hat, [[0.0], [1.0]])
-    np.testing.assert_allclose(ms.c_hat, [[1.0, 0.0]])
+    np.testing.assert_allclose(_companion_matrix(cfg, 2.0),
+                               [[0.0, 1.0], [-0.5, 1.3]])
 
     cfg = AlgoConfig(algo=Algo.NA, alpha=0.1, beta=0.5)
-    ms = modal_system(cfg, 2.0)
-    np.testing.assert_allclose(ms.a_hat, [[0.0, 1.0], [-0.4, 1.2]])
+    np.testing.assert_allclose(_companion_matrix(cfg, 2.0),
+                               [[0.0, 1.0], [-0.4, 1.2]])
 
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.1)
-    ms = modal_system(cfg, 2.0)
-    np.testing.assert_allclose(ms.a_hat, [[0.8]])
-    assert ms.order == 1
+    np.testing.assert_allclose(_companion_matrix(cfg, 2.0), [[0.8]])
+    assert cfg.order == 1
+
+    # Noise enters the last state (B = [0; 1]) and the output reads the
+    # current iterate (C = [1, 0]); GD's 1x1 system has B = C = [1].  With
+    # them the modal steady state is the per-mode variance J reports.
+    systems = {2: (np.array([[0.0], [1.0]]), np.array([[1.0, 0.0]])),
+               1: (np.array([[1.0]]), np.array([[1.0]]))}
+    for cfg in (AlgoConfig(algo=Algo.HB, alpha=0.1, beta=0.5, sigma=0.7),
+                AlgoConfig(algo=Algo.NA, alpha=0.1, beta=0.5, sigma=0.7),
+                AlgoConfig(algo=Algo.GD, alpha=0.1, sigma=0.7)):
+        j = _steady_output_variance(_companion_matrix(cfg, 2.0),
+                                    *systems[cfg.order], cfg.sigma)
+        assert j == pytest.approx(
+            variance_amplification(cfg, make_spectrum([2.0])).j, rel=1e-12)
 
 
 def test_zero_momentum_reduces_to_gradient_descent():
@@ -56,8 +82,8 @@ def test_spectral_radius_matches_eigenvalues():
         cfg = AlgoConfig(algo=algo, alpha=float(rng.uniform(0.01, 3.0)),
                          beta=beta)
         lam = float(rng.uniform(0.01, 5.0))
-        ms = modal_system(cfg, lam)
-        expected = float(np.max(np.abs(np.linalg.eigvals(ms.a_hat))))
+        expected = float(np.max(np.abs(np.linalg.eigvals(
+            _companion_matrix(cfg, lam)))))
         assert modal_spectral_radius(cfg, lam) == pytest.approx(
             expected, rel=1e-11, abs=1e-11)
 
@@ -97,6 +123,9 @@ def test_convergence_rate_is_worst_mode():
 
 
 def test_nesterov_stability_boundary():
+    # check_stable agrees with the paper's threshold m < (2 beta + 2) /
+    # (alpha kappa (2 beta + 1)) and with the eigenvalues of the companion
+    # matrices at m and L.
     rng = np.random.default_rng(11)
     for _ in range(2000):
         m = float(rng.uniform(0.01, 2.0))
@@ -104,10 +133,18 @@ def test_nesterov_stability_boundary():
         beta = float(rng.uniform(0.0, 0.999))
         alpha = float(rng.uniform(1e-4, 3.0 / L))
         cfg = AlgoConfig(algo=Algo.NA, alpha=alpha, beta=beta)
-        rho = float(np.max(modal_spectral_radius(cfg, np.array([m, L]))))
+        rho = max(float(np.max(np.abs(np.linalg.eigvals(
+            _companion_matrix(cfg, lam))))) for lam in (m, L))
         if abs(rho - 1.0) < 1e-10:
             continue
-        assert nesterov_stable(alpha, beta, m, L) == (rho < 1.0)
+        threshold = m < (2.0 * beta + 2.0) / (alpha * (L / m)
+                                              * (2.0 * beta + 1.0))
+        try:
+            check_stable(cfg, make_spectrum([m, L]))
+            stable = True
+        except Unstable:
+            stable = False
+        assert threshold == stable == (rho < 1.0)
 
 
 def test_lyapunov_solution_satisfies_equation():

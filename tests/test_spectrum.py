@@ -126,3 +126,14 @@ def test_huge_counts_over_many_chunks_sum_exactly():
     sums = Spectrum(values=np.ones(size), counts=counts).sum(terms)
     for row, total in zip(terms, sums.tolist()):
         assert total == _exact_weighted_sum(row, counts)
+
+
+@pytest.mark.parametrize("counts", [[2 ** 62, 2 ** 62], [2 ** 63 - 1] * 3,
+                                    [2 ** 62 - 1, 1], [3, 2 ** 63 - 1]])
+def test_total_multiplicity_is_exact_past_int64(counts):
+    # An int64 sum wraps from 2**63 on: counts [2**62, 2**62] once gave
+    # n = -2**63.  n is the exact total, as the one summed term by term.
+    s = Spectrum(values=np.arange(1.0, len(counts) + 1.0),
+                 counts=np.array(counts))
+    assert type(s.n) is int and s.n == sum(counts)
+    assert s.sum(np.ones(len(counts))) == float(sum(counts))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, InfeasibleCap, KappaTooLarge,
                       NoGuarantee, SigmaMode, TorusSpec, Unstable,
-                      acceleration_floor, check_stable, conventional_params,
-                      hb_tradeoff_margin, make_spectrum, modal_spectral_radius,
-                      optimal_quadratic_params, torus_spectrum,
-                      tune_constrained, variance_amplification)
+                      check_stable, conventional_params, make_spectrum,
+                      modal_spectral_radius, optimal_quadratic_params,
+                      torus_spectrum, tune_constrained,
+                      variance_amplification)
 from noiseamp.dynamics import INSTABILITY_THRESHOLD
 from noiseamp.tuning import (GOLDEN_TOL, _SEARCH, _nesterov_band,
                              _step_interval)
@@ -251,6 +251,10 @@ def test_gd_half_factor_of_optimal_rate_tuning():
 
 
 def test_hb_tradeoff_margin_nonnegative():
+    # J / (1 - rho) of every stable heavy-ball tuning is at least
+    # sigma^2 ((kappa + 1) / 8)^2, or (kappa / (8 L))^2 when the noise
+    # scale is alpha; the report's J and rho are the per-mode sum and the
+    # stability gate's rate.
     rng = np.random.default_rng(10)
     s = make_spectrum([1.0, 40.0])
     for mode in (SigmaMode.FIXED, SigmaMode.EQUALS_ALPHA):
@@ -263,30 +267,34 @@ def test_hb_tradeoff_margin_nonnegative():
             if max(np.atleast_1d(
                     modal_spectral_radius(cfg, s.values))) >= 1 - 1e-9:
                 continue
-            margin = hb_tradeoff_margin(cfg, s)
-            assert margin["product"] >= margin["floor"] - 1e-12
-            assert margin["margin"] == pytest.approx(
-                margin["product"] - margin["floor"])
+            rep = variance_amplification(cfg, s)
+            product = rep.j / (1.0 - rep.rho)
+            if mode == SigmaMode.EQUALS_ALPHA:
+                floor = (s.kappa / (8.0 * s.L)) ** 2
+            else:
+                floor = (cfg.sigma * (s.kappa + 1.0) / 8.0) ** 2
+            assert product >= floor - 1e-12
+            margin = (s.sum(rep.per_mode) / (1.0 - check_stable(cfg, s))
+                      - floor)
+            assert margin == pytest.approx(product - floor)
             count += 1
-    with pytest.raises(ValueError):
-        hb_tradeoff_margin(AlgoConfig(algo=Algo.GD, alpha=0.1), s)
 
 
 def test_acceleration_floor():
-    out = acceleration_floor(Algo.HB, 100.0)
-    assert out["min_ratio"] > 0.0
-    assert 0 < out["feasible_slices"] <= out["slices"] < out["evaluations"]
+    # The least J under the accelerated cap rho <= 1 - c / sqrt(kappa) on
+    # {1, kappa}, as J / kappa^1.5, and the search's effort.
+    res = tune_constrained(Algo.HB, make_spectrum([1.0, 100.0]))
+    assert res.j / 100.0 ** 1.5 > 0.0
+    assert 0 < res.feasible_slices <= res.slices < res.evaluations
     # NA's feasible momenta form a band about 1e-2 wide at kappa = 1e3.
     for kappa in (1e3, 1e4):
-        out = acceleration_floor(Algo.NA, kappa)
         res = tune_constrained(Algo.NA, make_spectrum([1.0, kappa]))
-        assert out["min_ratio"] == res.j / kappa ** 1.5 > 0.0
-        assert out["rate_cap"] == res.rate_cap
-        assert out["feasible_slices"] > 0
+        assert res.j / kappa ** 1.5 > 0.0
+        assert res.rate_cap == 1.0 - 1.0 / math.sqrt(kappa)
+        assert res.feasible_slices > 0
     with pytest.raises(InfeasibleCap):
-        acceleration_floor(Algo.NA, 4.0, cap_constant=10.0)
-    with pytest.raises(ValueError):
-        acceleration_floor(Algo.GD, 100.0)
+        tune_constrained(Algo.NA, make_spectrum([1.0, 4.0]),
+                         cap_constant=10.0)
 
 
 @settings(max_examples=25, deadline=None, derandomize=True)
