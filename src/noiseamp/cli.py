@@ -22,15 +22,11 @@ Domain errors emit a single JSON object {"error": ..., "message": ...} on
 stderr.  Reports are JSON (json.dumps(report, indent=2), byte for byte) or
 CSV: one field,value row per leaf, except sweep's table of rows and an
 ensemble simulate's per-step table.  Tables (per_mode, sweep rows) are
-Records, one array per key.  Every number is computed before the sink is
-opened; the writer streams RECORDS_PER_WRITE records per write and
-decides each column of a chunk once: a numpy column by its dtype (plus
-one isfinite pass for JSON floats), a list by a scan of its values.  On a
-2-CPU x86 VM, analyze --torus 2,324 (13,365 modes) writes in 0.022 s and,
-in a fresh process, --torus 2,3162 (1,252,152 modes) runs in 2.2-2.6 s
-at 70 MB peak RSS; consensus --torus 2,3161, which sums J-bar a chunk of
-modes at a time, runs in 0.15-0.23 s at 32 MB (29 MB of it importing the
-package).
+Records, one column per key.  Every number is computed before the sink is
+opened; the writer streams RECORDS_PER_WRITE records per write.  A chunk
+whose columns are all 1-D integer or float numpy arrays (every float
+finite, for JSON) is written a column at a time; any other chunk, one
+with a list column such as sweep's rows, record by record.
 """
 
 from __future__ import annotations
@@ -137,10 +133,10 @@ def _resolve_config(args, s: Spectrum | TorusSpec) -> AlgoConfig:
 # The report writer: json.dumps(report, indent=2)'s text, or csv.writer's
 # field,value rows of the report's leaves, byte for byte.  Lists, 1-D
 # arrays and Records go to the sink a chunk at a time.  Where the chunk's
-# columns are plain (a numpy column as its dtype says, a list as a scan of
-# its values finds), their texts go out a column at a time, joined once
-# with each record's fixed text (json's pure-Python indent encoder and a
-# csv.writer row per leaf cost far more than the float reprs).
+# columns are plain (see _texts), their texts go out a column at a time,
+# joined once with each record's fixed text (json's pure-Python indent
+# encoder and a csv.writer row per leaf cost far more than the float
+# reprs); any other chunk goes record by record.
 
 RECORDS_PER_WRITE = 4096
 
@@ -174,8 +170,6 @@ def _as_list(obj: Any) -> list:
     return [r for _, keys, cols in _chunks(obj) for r in _elements(keys, cols)]
 
 
-_TEXT = {float: float.__repr__, int: int.__repr__, str: encode_basestring_ascii}
-
 # The Python type a 1-D array lists as, by its dtype's kind: every
 # integer or float dtype of up to 8 bytes (a longdouble lists as numpy
 # scalars).
@@ -184,28 +178,15 @@ _DTYPE_KINDS = {"i": int, "u": int, "f": float}
 
 def _texts(values: list | tuple | np.ndarray,
            fmt: str) -> Iterable[str] | None:
-    """The texts of a column of one plain type, else None: finite floats,
-    ints or strs for JSON; floats or ints for CSV (a str may need quoting).
-
-    A 1-D array of an integer or float dtype is decided by its dtype (and,
-    for JSON floats, one isfinite pass); any other column by a scan of
-    its values."""
-    if isinstance(values, np.ndarray):
-        kind = (_DTYPE_KINDS.get(values.dtype.kind)
-                if values.ndim == 1 and values.itemsize <= 8 else None)
-        if kind is float and fmt == "json" and not np.isfinite(values).all():
-            return None
-        values = values.tolist()
-        if kind is not None:
-            return map(_TEXT[kind], values)
-    kinds = set(map(type, values))
-    kind = kinds.pop() if len(kinds) == 1 else None
-    if kind is float and fmt == "json":
-        total = sum(values)
-        kind = kind if total - total == 0.0 else None  # a non-finite value
-    if kind not in _TEXT or (kind is str and fmt == "csv"):
+    """The texts of a plain column, else None: a 1-D integer or float
+    array, as its dtype says, with every value finite for JSON."""
+    kind = (_DTYPE_KINDS.get(values.dtype.kind)
+            if isinstance(values, np.ndarray) and values.ndim == 1
+            and values.itemsize <= 8 else None)
+    if kind is None or (kind is float and fmt == "json"
+                        and not np.isfinite(values).all()):
         return None
-    return map(_TEXT[kind], values)
+    return map(kind.__repr__, values.tolist())
 
 
 def _interleaved(parts: list) -> str:

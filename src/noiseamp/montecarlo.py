@@ -117,8 +117,13 @@ def _mix_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _stream_key(seed: int, replicate: int) -> int:
-    return _mix(_mix(seed & _MASK) ^ _mix((replicate + 0x1F123BB5) & _MASK))
+def _stream_keys(seed: int, replicates) -> np.ndarray:
+    """The uint64 stream key of (seed, r) per replicate index r, which
+    must lie in the int64 range: mix(mix(seed) ^ mix(r + 0x1F123BB5)),
+    the index's two's complement plus the constant wrapping mod 2**64."""
+    z = np.array(replicates, np.int64, ndmin=1).view(np.uint64)
+    z += np.uint64(0x1F123BB5)
+    return _mix_array(_mix_array(z) ^ np.uint64(_mix(seed)))
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
@@ -218,17 +223,16 @@ def standard_normals(seed: int, replicate, count: int,
     (seed, replicate).
 
     ``replicate`` is one index, giving ``count`` draws, or a sequence of
-    indices, giving one row of ``count`` draws per index.  Draw c is a
-    256-layer ziggurat draw from splitmix64 output c of the stream: bits
-    0-7 pick the layer and bits 12-63 give the signed uniform.  The few
-    draws that miss the fast test continue on sub-streams keyed by
-    (stream, c, attempt), so a draw depends only on its index and
-    ``standard_normals(s, r, c, start)`` equals
-    ``standard_normals(s, r, start + c)[start:]`` bit for bit.  Draws are
-    generated ``NOISE_BLOCK`` at a time.
+    indices, giving one row of ``count`` draws per index; an index outside
+    the int64 range raises OverflowError.  Draw c is a 256-layer ziggurat
+    draw from splitmix64 output c of the stream: bits 0-7 pick the layer
+    and bits 12-63 give the signed uniform.  The few draws that miss the
+    fast test continue on sub-streams keyed by (stream, c, attempt), so a
+    draw depends only on its index and ``standard_normals(s, r, c, start)``
+    equals ``standard_normals(s, r, start + c)[start:]`` bit for bit.
+    Draws are generated ``NOISE_BLOCK`` at a time.
     """
-    reps = np.atleast_1d(replicate)
-    keys = np.array([_stream_key(seed, int(r)) for r in reps], np.uint64)
+    keys = _stream_keys(seed, replicate)
     rows, count = keys.size, max(count, 0)
     out = np.empty((rows, count))
     bits = out.view(np.uint64)

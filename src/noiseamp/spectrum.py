@@ -28,24 +28,27 @@ class Spectrum:
     """Multiset of positive Hessian eigenvalues.
 
     ``counts`` holds the multiplicity of each entry of ``values`` (None:
-    each is listed once).  ``m`` and ``L`` are read at construction.
+    each is listed once).  ``m``, ``L`` and ``n``, the total multiplicity
+    exactly (the problem dimension), are read at construction.
     """
 
     values: np.ndarray
     counts: np.ndarray | None = None
     m: float = field(init=False)
     L: float = field(init=False)
+    n: int = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "m", float(self.values.min()))
         object.__setattr__(self, "L", float(self.values.max()))
-
-    @property
-    def n(self) -> int:
-        """Total multiplicity, exactly: the problem dimension."""
         counts = self.counts
-        # In Python ints: an int64 sum wraps from 2**63 on.
-        return self.values.size if counts is None else sum(counts.tolist())
+        if counts is None:
+            n = self.values.size
+        elif counts.size * int(counts.max()) < 2 ** 63:
+            n = int(counts.sum())
+        else:  # an int64 sum would wrap: add Python ints
+            n = sum(counts.tolist())
+        object.__setattr__(self, "n", n)
 
     @property
     def kappa(self) -> float:

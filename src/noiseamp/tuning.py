@@ -300,8 +300,8 @@ def tune_constrained(algo: Algo, s: Spectrum, cap_constant: float = 1.0,
         raise infeasible
     betas, gammas, lo, hi = np.array(slices).T.copy()
     if not hi.max() < 2.0 ** 1023:  # brackets add a + b
-        raise ValueError(f"step sizes up to {hi.max()!r} on L={s.L!r} leave "
-                         f"double precision")
+        raise ValueError(f"step sizes up to {float(hi.max())!r} on "
+                         f"L={s.L!r} leave double precision")
     # Every step of the search lies in (0, 2**1023), so of the checks an
     # AlgoConfig makes only sigma's can fail: make them once.
     AlgoConfig(algo=algo, alpha=float(hi[0]), beta=float(betas[0]),

@@ -239,6 +239,16 @@ def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_tune_steps_past_double_range_name_a_python_float(capsys):
+    # A spectrum of subnormals gives step sizes beyond double range; the
+    # message formats the largest as a float, not as a numpy scalar.
+    code, out, err = _run(capsys, "tune", "--algo", "gd", "--spectrum",
+                          "1e-309,2e-309")
+    assert (code, out) == (2, "")
+    assert err == ("error: step sizes up to inf on L=2e-309 leave double "
+                   "precision\n")
+
+
 def test_bounds_na_in_one_dimension_is_a_domain_error(capsys):
     # A valid --n that NA's bounds cannot use is not a usage error.
     code, out, err = _run(capsys, "bounds", "--algo", "na", "--kappa", "4",
@@ -1269,8 +1279,9 @@ def _leaves_only_json_writes(obj, leaves):
 ])
 def test_real_reports_stay_on_the_column_path(capsys, monkeypatch, argv):
     # The writer hands json.dumps the leaves that it alone writes and no
-    # list: per-mode tables, sweep rows (with their str columns) and
-    # per-step traces are written a column at a time.
+    # list: per-mode tables and per-step traces are written a column at a
+    # time, and sweep rows (list columns, str ones among them) record by
+    # record through the scalar writes.
     passed = []
     dumps = json.dumps
 

@@ -202,6 +202,8 @@ def test_propagate_covariance_start():
     # After one step every mode holds sigma^2.
     cfg = AlgoConfig(algo=Algo.GD, alpha=0.1)
     assert propagate_covariance(cfg, make_spectrum([1.0, 4.0]), 50)[1] == 2.0
+    with pytest.raises(ValueError):
+        propagate_covariance(cfg, make_spectrum([1.0]), 0)
 
 
 def test_propagate_covariance_converges_to_steady_state():

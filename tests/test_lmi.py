@@ -259,3 +259,12 @@ def test_lmi_problem_validation():
     for alpha in (math.nan, math.inf):
         with pytest.raises(ValueError):
             LmiProblem(algo=Algo.NA, m=1.0, L=2.0, alpha=alpha)
+    # n < 1, and the inputs the closed forms and reference bounds check.
+    for call, args in ((LmiProblem, (Algo.GD, 1.0, 2.0, 0.5, 0.0, 0)),
+                       (gd_certificate, (3.0, 2.0)),
+                       (na_certificate, (0.5, 1.0)),
+                       (na_certificate, (4.0, 0.0)),
+                       (q_bounds, (Algo.NA, 0.5, 1)),
+                       (q_bounds, (Algo.HB, 4.0, 1))):
+        with pytest.raises(ValueError):
+            call(*args)

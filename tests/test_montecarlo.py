@@ -52,6 +52,25 @@ _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def _scalar_key(seed, replicate):
+    """The stream key of (seed, replicate) on Python ints."""
+    mix = montecarlo._mix
+    return mix(mix(seed & _MASK) ^ mix((replicate + 0x1F123BB5) & _MASK))
+
+
+@pytest.mark.parametrize("seed", [-1, 0, 7, 2 ** 70])
+def test_stream_keys_match_the_scalar_mix(seed):
+    # One uint64 pass over the indices wraps mod 2**64 where the Python
+    # ints are masked, for every index in the int64 range.
+    reps = [*range(50), 2 ** 40, -1, -2 ** 63, 2 ** 63 - 1]
+    keys = montecarlo._stream_keys(seed, np.array(reps))
+    assert keys.dtype == np.uint64
+    assert keys.tolist() == [_scalar_key(seed, r) for r in reps]
+    assert montecarlo._stream_keys(seed, 5).tolist() == [_scalar_key(seed, 5)]
+    with pytest.raises(OverflowError):
+        montecarlo._stream_keys(seed, [2 ** 63])
+
+
 def _scalar_exp(v):
     return float(montecarlo._exp(np.array([v]))[0])
 
@@ -116,10 +135,10 @@ def test_normals_match_the_scalar_reference():
     # the draws cover wedge rejections, the tail and tail retries.
     z = standard_normals(7, [0, 3], 1 << 20)
     for row, rep in zip(z, (0, 3)):
-        key = montecarlo._stream_key(7, rep)
+        key = _scalar_key(7, rep)
         for c in range(2000):
             assert _reference_draw(key, c)[0] == row[c]
-    key = montecarlo._stream_key(7, 0)
+    key = _scalar_key(7, 0)
     slow = {c: _reference_draw(key, c) for c in _slow_draws(7, 0, 1 << 20)}
     assert 0.010 < len(slow) / (1 << 20) < 0.020
     for c, (value, _, _) in slow.items():
@@ -133,7 +152,7 @@ def test_normals_at_an_offset_across_rejections(monkeypatch):
     # Slow draws (accepted at the first, second or a later attempt, in a
     # wedge, in the tail or after a rejected tail test) generated alone,
     # first or last in a short call and in blocks of 3 equal the long draw.
-    key = montecarlo._stream_key(9, 2)
+    key = _scalar_key(9, 2)
     long = standard_normals(9, 2, 1 << 20)
     picks = {}
     for c in (c for c in _slow_draws(9, 2, 1 << 20) if c >= 4):

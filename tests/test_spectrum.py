@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 from noiseamp import (Algo, AlgoConfig, EmptySpectrum, NonPositiveEigenvalue,
-                      Spectrum, make_spectrum, variance_amplification)
+                      Spectrum, TorusSpec, make_spectrum, torus_spectrum,
+                      variance_amplification)
 from noiseamp.spectrum import MODES_PER_CHUNK
 
 
@@ -137,3 +139,17 @@ def test_total_multiplicity_is_exact_past_int64(counts):
                  counts=np.array(counts))
     assert type(s.n) is int and s.n == sum(counts)
     assert s.sum(np.ones(len(counts))) == float(sum(counts))
+
+
+def test_reading_n_on_a_torus_allocates_no_list_of_its_counts():
+    # n is summed once, at construction: a read of it on the 125,750
+    # modes of this torus allocates nothing as large as their counts.
+    s = torus_spectrum(TorusSpec(2, 1000))
+    tracemalloc.start()
+    try:
+        n = s.n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert n == 1000 ** 2 - 1 and type(n) is int
+    assert peak < 64 * 1024, peak

@@ -27,6 +27,8 @@ def test_conventional_params_values():
     assert p.rho == pytest.approx(math.sqrt(1.0 - 1.0 / 3.0))
     with pytest.raises(NoGuarantee):
         conventional_params(Algo.HB, 1.0, 9.0)
+    with pytest.raises(ValueError):
+        conventional_params(Algo.GD, 3.0, 2.0)
 
 
 def test_optimal_quadratic_params_values():
@@ -42,6 +44,8 @@ def test_optimal_quadratic_params_values():
     assert p.alpha == pytest.approx(1.0 / 7.0)
     assert p.beta == pytest.approx((rb - 2.0) / (rb + 2.0))
     assert p.rho == pytest.approx((rb - 2.0) / rb)
+    with pytest.raises(ValueError):
+        optimal_quadratic_params("adam", 1.0, 9.0)
 
 
 def test_stated_rates_are_achieved_on_extremes():
@@ -70,6 +74,12 @@ def test_tune_constrained_gd_infeasible():
     s = make_spectrum([1.0, 10.0])
     with pytest.raises(InfeasibleCap):
         tune_constrained(Algo.GD, s, cap_constant=10.0)
+    # At c = 1.6 on {1, 4} the step interval [(1 - r) / m, (1 + r) / L]
+    # rounds to the one step 0.4, whose computed rate |1 - 1.6| exceeds
+    # r = 0.6 by an ulp: the search itself finds no step that meets the cap.
+    with pytest.raises(InfeasibleCap):
+        tune_constrained(Algo.GD, make_spectrum([1.0, 4.0]),
+                         cap_constant=1.6)
 
 
 def test_tune_constrained_hb():

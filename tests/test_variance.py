@@ -140,6 +140,8 @@ def test_extreme_modal_values_na():
     assert _j_hat(cfg, 1.0 / cfg.alpha) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError):
         extreme_modal_values(Algo.HB, 9.0)
+    with pytest.raises(ValueError):
+        extreme_modal_values(Algo.NA, 0.5)
 
 
 def test_extreme_values_growth_envelopes():
@@ -182,8 +184,12 @@ def test_variance_bounds_sandwich():
                     s = make_spectrum(np.concatenate([[1.0, kappa], inner]))
                     j = variance_amplification(cfg, s).j
                     assert lower - 1e-9 * upper <= j <= upper * (1 + 1e-12)
-    with pytest.raises(DimensionTooSmall):
-        variance_bounds(Algo.NA, 10.0, 1)
+    for algo, kappa, n, error in ((Algo.NA, 10.0, 1, DimensionTooSmall),
+                                  (Algo.GD, 10.0, 0, DimensionTooSmall),
+                                  (Algo.GD, 0.5, 3, ValueError),
+                                  ("adam", 10.0, 3, ValueError)):
+        with pytest.raises(error):
+            variance_bounds(algo, kappa, n)
 
 
 @st.composite
