@@ -402,6 +402,8 @@ def _cmd_simulate(args):
         obj = PseudoHuber(s.m, s.L, s.n, delta=args.delta)
         echo = _config_echo(args, cfg, delta=args.delta)
     else:
+        # Stability and J first: an unstable run draws no noise.
+        j_exact = variance_amplification(cfg, s).j
         obj = Quadratic(s)
         echo = _config_echo(args, cfg)
     if args.replicates > 1:
@@ -411,7 +413,6 @@ def _cmd_simulate(args):
         res = simulate(cfg, obj, args.steps, args.seed)
     report = {"config": echo, **res.to_dict()}
     if args.objective == "quadratic":
-        j_exact = variance_amplification(cfg, s).j
         report["j_exact"] = j_exact
         # j_hat's distance from j_exact in standard errors, if it has one.
         report["j_hat_z"] = (None if not res.j_hat_stderr else

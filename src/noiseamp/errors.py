@@ -53,13 +53,19 @@ class KappaTooLarge(NoiseAmpError):
 
 
 def kappa_closed_form(fn):
-    """Raise :class:`KappaTooLarge` where the closed form ``fn`` overflows.
+    """Refuse a ``kappa`` below 1 or NaN (by position or by keyword) with a
+    ValueError, and raise :class:`KappaTooLarge` where ``fn`` overflows.
 
     Overflow shows as an OverflowError (from ``**`` on floats) or as an
     infinite or NaN value in the result: a float, or a tuple or dict of them.
     """
+    at = fn.__code__.co_varnames.index("kappa")
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
+        kappa = args[at] if len(args) > at else kwargs.get("kappa", 1.0)
+        if not kappa >= 1.0:  # NaN too; a missing kappa is fn's TypeError
+            raise ValueError("kappa must be >= 1")
         try:
             out = fn(*args, **kwargs)
         except OverflowError:

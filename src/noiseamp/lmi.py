@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from .dynamics import Algo
+from .dynamics import Algo, AlgoConfig
 from .errors import CertificateOverflow, KappaTooLarge, kappa_closed_form
 
 PSD_TOL_SCALE = 1e-8
@@ -64,7 +64,9 @@ def _sym_eigenvalues(upper: tuple[float, ...]) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class LmiProblem:
-    """Problem data for a variance-certificate LMI."""
+    """Problem data for a variance-certificate LMI: GD or NA, alpha and
+    beta by :class:`AlgoConfig`'s rules (GD takes beta = 0), 0 < m <= L
+    and n >= 1."""
 
     algo: Algo
     m: float
@@ -78,8 +80,7 @@ class LmiProblem:
             raise ValueError("LMI certificates cover GD and NA")
         if not (0.0 < self.m <= self.L):
             raise ValueError("need 0 < m <= L")
-        if not (0.0 < self.alpha < math.inf and 0.0 <= self.beta < 1.0):
-            raise ValueError("need finite alpha > 0 and beta in [0, 1)")
+        AlgoConfig(self.algo, self.alpha, self.beta)
         if self.n < 1:
             raise ValueError("need n >= 1")
 
@@ -300,8 +301,6 @@ def q_bounds(algo: Algo, kappa: float, n: int) -> float:
     GD: n kappa^2 / (2 kappa - 1); NA: n kappa^2 (2 kappa - 2 sqrt(kappa)
     + 1) / (2 sqrt(kappa) - 1)^3.
     """
-    if not kappa >= 1.0:  # NaN too
-        raise ValueError("kappa must be >= 1")
     if algo == Algo.GD:
         return n * kappa * kappa / (2.0 * kappa - 1.0)
     if algo == Algo.NA:

@@ -528,7 +528,7 @@ def ensemble_variance(cfg: AlgoConfig, obj, steps: int, replicates: int,
     if replicates < 2:
         raise ValueError("replicates must be >= 2; one replicate is simulate")
     sq = _squared_norms(cfg, obj, steps, seed, range(replicates))
-    j_hats = [float(np.mean(row[cfg.order:])) for row in sq]
+    j_hats = sq[:, cfg.order:].mean(axis=1).tolist()
     tracks = sq[:, :steps + 1]
     root = math.sqrt(replicates)
     return SimResult(j_hat=float(np.mean(j_hats)), steps=steps,

@@ -41,34 +41,29 @@ def _modal_variance_raw(cfg: AlgoConfig | ConfigRows,
     A :class:`ConfigRows` gives rows x eigenvalues.  A variance that leaves
     double range comes out as inf, without a warning (see :func:`_finite`).
 
-    At the scalar gamma = 0.0 (GD and HB) it evaluates
-
-        sigma^2 (1 + beta) / (mu (1 - beta) (2 (1 + beta) - mu))
-
-    in the same operand order, with half the array passes.  The floats are
-    the general form's: for the finite mu >= 0 that stability lets through,
-    gamma mu is exactly +0, and x - 0, x + 0 and 1.0 * mu are exact.
+    At the scalar gamma = 0.0 (GD and HB) the look-ahead steps are skipped
+    and mu (1 - beta) is formed directly.  The floats are the general form's:
+    for the finite mu >= 0 that stability lets through, gamma mu is exactly
+    +0, and x - 0, x + 0 and 1.0 * mu are exact.
     """
     sig2 = cfg.noise_power
     beta, gamma = cfg.beta, cfg.gamma
+    onep = 1.0 + beta
     mu = cfg.alpha * lams
     # Each step works in place (a + b and a * b round as b + a and b * a):
     # a chunk's fresh temporaries cost page faults.
     with np.errstate(over="ignore"):
         if isinstance(gamma, float) and gamma == 0.0:
-            onep = 1.0 + beta
-            den = mu * (1.0 - beta)
-            den *= np.subtract(2.0 * onep, mu, out=mu)
-            return np.divide(sig2 * onep, den, out=den)
-        gmu = gamma * mu
-        num = (1.0 + beta) - gmu
-        num *= sig2
-        gmu += 1.0 - beta
-        gmu *= mu
-        mu *= 1.0 + 2.0 * gamma
-        gmu *= np.subtract(2.0 * (1.0 + beta), mu, out=mu)
-        num /= gmu
-        return num
+            num, den = sig2 * onep, mu * (1.0 - beta)
+        else:
+            gmu = gamma * mu
+            num = onep - gmu
+            num *= sig2
+            gmu += 1.0 - beta
+            den = np.multiply(gmu, mu, out=gmu)
+            mu *= 1.0 + 2.0 * gamma
+        den *= np.subtract(2.0 * onep, mu, out=mu)
+        return np.divide(num, den, out=den)
 
 
 def _finite(total: float | np.ndarray, what: str = "J") -> float | np.ndarray:
@@ -169,8 +164,6 @@ def hb_gd_ratio(kappa: float) -> float:
     Equals (sqrt(kappa)+1)^4 / (8 sqrt(kappa) (kappa+1)) = 1/(1 - beta^2)
     for the optimal heavy-ball momentum; it is independent of the spectrum.
     """
-    if not kappa >= 1.0:  # NaN too
-        raise ValueError("kappa must be >= 1")
     rk = math.sqrt(kappa)
     return (rk + 1.0) ** 4 / (8.0 * rk * (kappa + 1.0))
 
@@ -183,8 +176,6 @@ def extreme_modal_values(algo: Algo, kappa: float) -> dict[str, float]:
     beta = (sqrt(3k+1)-2)/(sqrt(3k+1)+2).  Both attain their extremes over
     [m, L] at the endpoints.
     """
-    if not kappa >= 1.0:  # NaN too
-        raise ValueError("kappa must be >= 1")
     if algo == Algo.GD:
         edge = (kappa + 1.0) ** 2 / (4.0 * kappa)
         return {"j_at_m": edge, "j_at_L": edge}
@@ -225,8 +216,6 @@ def variance_bounds(algo: Algo, kappa: float, n: int) -> tuple[float, float]:
     A single eigenvalue has kappa = 1; n = 1 with kappa != 1 is a
     ValueError.
     """
-    if not kappa >= 1.0:  # NaN too
-        raise ValueError("kappa must be >= 1")
     if n < 1:
         raise DimensionTooSmall("need n >= 1")
     if algo == Algo.NA and n < 2:

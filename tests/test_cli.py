@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from noiseamp import (Algo, AlgoConfig, Records, make_spectrum,
                       variance_amplification)
-from noiseamp import cli
+from noiseamp import cli, montecarlo
 from noiseamp.cli import (RECORDS_PER_WRITE, _config_echo, _emit,
                           _resolve_config, _resolve_spectrum, build_parser,
                           run)
@@ -813,6 +813,22 @@ def test_huge_step_is_unstable_without_overflow(capsys, argv):
     payload = json.loads(err)
     assert payload["error"] == "Unstable"
     assert "nan" not in payload["message"]
+
+
+def test_unstable_simulate_draws_no_noise(capsys, monkeypatch):
+    # rho = 1 passes the step-size gate (alpha L = 2 < 4) and would not
+    # diverge: the stability check must come before the 3e7-step run.
+    def refused(*args, **kwargs):
+        raise AssertionError("noise drawn for an unstable run")
+
+    monkeypatch.setattr(montecarlo, "standard_normals", refused)
+    code, out, err = _run(capsys, "simulate", "--algo", "gd", "--spectrum",
+                          "1", "--params", "explicit", "--alpha", "2",
+                          "--steps", "30000000")
+    assert (code, out) == (3, "")
+    assert json.loads(err) == {
+        "error": "Unstable", "message": "iteration is unstable: eigenvalue "
+        "1.0 gives spectral radius 1.0 >= 1"}
 
 
 @pytest.mark.parametrize("argv", [

@@ -259,8 +259,10 @@ def test_lmi_problem_validation():
     for alpha in (math.nan, math.inf):
         with pytest.raises(ValueError):
             LmiProblem(algo=Algo.NA, m=1.0, L=2.0, alpha=alpha)
-    # n < 1, and the inputs the closed forms and reference bounds check.
+    # n < 1, GD with a momentum, and the inputs the closed forms and
+    # reference bounds check.
     for call, args in ((LmiProblem, (Algo.GD, 1.0, 2.0, 0.5, 0.0, 0)),
+                       (LmiProblem, (Algo.GD, 1.0, 2.0, 0.5, 0.5)),
                        (gd_certificate, (3.0, 2.0)),
                        (na_certificate, (0.5, 1.0)),
                        (na_certificate, (4.0, 0.0)),

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
 import math
+import re
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -14,7 +16,7 @@ from noiseamp import (Algo, AlgoConfig, NonFinite, PseudoHuber, Quadratic,
                       optimal_quadratic_params, propagate_covariance,
                       simulate, standard_normals, torus_spectrum,
                       variance_amplification)
-from noiseamp import montecarlo
+from noiseamp import _ziggurat_tables, montecarlo
 from noiseamp.dynamics import companion_coefficients
 
 # sha256 of standard_normals(7, 0, 2**20) as little-endian float64 bytes.
@@ -230,6 +232,28 @@ def test_ziggurat_layers_have_equal_areas():
     assert xs[0] * fs[1] == pytest.approx(area, rel=1e-14)
     for i in range(1, 256):
         assert xs[i] * (fs[i + 1] - fs[i]) == pytest.approx(area, rel=1e-12)
+
+
+def test_ziggurat_tables_rederive_from_their_docstring():
+    # The docstring's R and V at 50 digits: x_0 = V / f(R), x_1 = R,
+    # x_{i+1} = f^{-1}(V / x_i + f(x_i)) up to x_255, x_256 = 0 and
+    # F = f(x).  Each committed literal is the float nearest its value.
+    doc = _ziggurat_tables.__doc__
+    r, v = (Decimal(re.search(rf"\b{name} = (\d+\.\d+)", doc).group(1))
+            for name in ("R", "V"))
+    with localcontext() as ctx:
+        ctx.prec = 50
+
+        def f(x):
+            return (-x * x / 2).exp()
+
+        xs = [v / f(r), r]
+        for i in range(1, 255):
+            xs.append((-2 * (v / xs[i] + f(xs[i])).ln()).sqrt())
+        xs.append(Decimal(0))
+        fs = [f(x) for x in xs]
+    assert [float(x) for x in xs] == montecarlo._X.tolist()
+    assert [float(x) for x in fs] == montecarlo._F.tolist()
 
 
 def test_normals_moments():

@@ -190,6 +190,8 @@ def test_variance_bounds_sandwich():
                                   ("adam", 10.0, 3, ValueError)):
         with pytest.raises(error):
             variance_bounds(algo, kappa, n)
+    with pytest.raises(ValueError, match="kappa must be >= 1"):
+        variance_bounds(Algo.GD, kappa=0.5, n=3)
 
 
 @st.composite
