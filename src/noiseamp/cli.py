@@ -19,7 +19,8 @@ Exit codes: 0 on success, 2 on usage errors (including an --out that
 cannot be written), 3 on domain errors (unstable iteration, infeasible
 cap, oversized lattice, diverged trajectory, a float overflow, ...).
 Domain errors emit a single JSON object {"error": ..., "message": ...} on
-stderr.  Reports are JSON (json.dumps(report, indent=2), byte for byte) or
+stderr.  The console script exits 141 on a stdout closed by its reader.
+Reports are JSON (json.dumps(report, indent=2), byte for byte) or
 CSV: one field,value row per leaf, except sweep's table of rows and an
 ensemble simulate's per-step table.  Tables (per_mode, sweep rows) are
 Records, one column per key.  Every number is computed before the sink is
@@ -37,6 +38,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
@@ -567,8 +569,19 @@ def run(argv: list[str] | None = None) -> int:
         return 3
 
 
-def main():  # pragma: no cover - thin wrapper
-    sys.exit(run())
+def main():
+    """The console script: run(), and on a stdout that the reader closed
+    (``noiseamp ... | head``) exit 141, as a shell reports a writer
+    killed by SIGPIPE, with no traceback."""
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; point it at devnull
+        # so that flush finds no closed pipe either.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":  # pragma: no cover

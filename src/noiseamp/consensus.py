@@ -338,6 +338,10 @@ def scaling_sweep(algo: Algo, d: int, n0_values: Sequence[int],
     if not (sigma > 0.0 and math.isfinite(sigma)):
         raise ValueError(f"a sweep needs a finite sigma > 0, got {sigma!r}: "
                          "J-bar has no log-log fit at zero or infinity")
+    if sigma * sigma < np.finfo(float).tiny:  # J-bar underflows with it
+        raise ValueError(f"a sweep needs a sigma whose square is a normal "
+                         f"float, got {sigma!r} (slope and regime do not "
+                         f"depend on sigma)")
     rows = [consensus_variance(algo, TorusSpec(d=d, n0=int(n0)), sigma=sigma)
             for n0 in sizes]
     slope, regime = _classify(rows)

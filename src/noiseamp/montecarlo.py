@@ -232,7 +232,13 @@ def standard_normals(seed: int, replicate, count: int,
     equals ``standard_normals(s, r, start + c)[start:]`` bit for bit.
     Draws are generated ``NOISE_BLOCK`` at a time.
     """
-    keys = _stream_keys(seed, replicate)
+    out = _normals(_stream_keys(seed, replicate), count, start)
+    return out if np.ndim(replicate) else out[0]
+
+
+def _normals(keys: np.ndarray, count: int, start: int) -> np.ndarray:
+    """Draws ``start`` .. ``start + count - 1`` of the stream of each key,
+    one row per key: :func:`standard_normals` on keys derived once."""
     rows, count = keys.size, max(count, 0)
     out = np.empty((rows, count))
     bits = out.view(np.uint64)
@@ -257,7 +263,7 @@ def standard_normals(seed: int, replicate, count: int,
         r, c, layer, x = (np.concatenate(a) for a in zip(*missed))
         draws = (c + start).astype(np.uint64)
         out[r, c] = _finish(keys[r], draws, layer, x)
-    return out if np.ndim(replicate) else out[0]
+    return out
 
 
 class Quadratic:
@@ -477,10 +483,11 @@ def _squared_norms(cfg: AlgoConfig, obj, steps: int, seed: int,
     # x^0 (and x^1 for two-step methods) start at 0; the last `steps`
     # entries of a row are the noise-driven iterates.
     sq = np.zeros((count, steps + order))
+    keys = _stream_keys(seed, replicates)
     t0 = 0
     while t0 < steps:
         t1 = min(t0 + size, steps)
-        w = standard_normals(seed, replicates, (t1 - t0) * n, t0 * n)
+        w = _normals(keys, (t1 - t0) * n, t0 * n)
         x = advance(w.reshape(count, t1 - t0, n)).reshape(-1, n)
         block = sq[:, order + t0:order + t1]
         block[:] = np.einsum("ij,ij->i", x, x).reshape(count, t1 - t0)

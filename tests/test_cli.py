@@ -100,21 +100,35 @@ def test_analyze_csv_carries_the_json_numbers(algo, source):
             assert float(text) == value, key
 
 
-@pytest.mark.parametrize("algo, torus", [("gd", "1,9"), ("hb", "2,16"),
-                                         ("na", "3,8")])
+# Modes per torus: one per multiset of the floor(n0 / 2) + 1 distinct axis
+# values (mirror frequencies share a float), the zero mode left out.
+_TORUS_MODES = {"1,9": 4, "2,16": 44, "3,8": 34, "2,24": 90, "2,211": 5670,
+                "2,324": 13365, "3,25": 454, "5,7": 55}
+
+
+@pytest.mark.parametrize("algo, torus", [
+    ("gd", "1,9"), ("hb", "2,16"), ("na", "3,8"),
+    ("gd", "2,324"),  # the largest report of this module
+    # An odd-n0 3-d torus and a 5-d torus repeat axis values within a mode,
+    # so their counts go through the block-start division.
+    ("gd", "3,25"), ("na", "5,7")])
 def test_analyze_torus_lists_modes_with_counts(capsys, algo, torus):
     # One entry per multiset of axis values, weighted by its lattice points.
     code, out, _ = _run(capsys, "analyze", "--algo", algo, "--torus", torus)
     assert code == 0
-    report = json.loads(out)
+    report = json.loads(out, parse_constant=_reject_constant)
     d, n0 = (int(v) for v in torus.split(","))
     modes = report["per_mode"]
     assert sum(m["count"] for m in modes) == n0 ** d - 1
-    assert len(modes) < n0 ** d - 1
+    assert len(modes) == _TORUS_MODES[torus]
     assert report["J"] == math.fsum(m["j_hat"] for m in modes
                                     for _ in range(m["count"]))
     code, out, _ = _run(capsys, "consensus", "--algo", algo, "--torus", torus)
     assert json.loads(out)["jbar"] == report["J"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite {name} in report")
 
 
 def test_analyze_kappa_n_source(capsys):
@@ -227,6 +241,9 @@ def test_unstable_below_one_names_the_threshold(capsys):
      "--kappa and --n must be given together"),
     (("tune", "--algo", "hb", "--n", "3"),
      "--kappa and --n must be given together"),
+    (("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "100",
+      "--objective", "pseudo-huber", "--delta", "inf"),
+     "--delta must be finite"),
 ])
 def test_nan_flags_are_usage_errors_that_name_the_flag(capsys, argv,
                                                        message):
@@ -300,6 +317,29 @@ def test_certify_command(capsys):
                         "--refine", "100")
     assert code == 0
     assert json.loads(out)["valid"] is True
+
+
+def test_refining_keeps_the_readme_certificate_valid_and_no_higher(capsys):
+    argv = ("certify", "--algo", "na", "--kappa", "1000", "--n", "2")
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    plain = json.loads(out)
+    code, out, _ = _run(capsys, *argv, "--refine", "500")
+    assert code == 0
+    refined = json.loads(out)
+    assert refined["valid"] is True
+    assert refined["bound"] <= plain["bound"], refined
+
+
+@pytest.mark.parametrize("argv", [
+    ("certify", "--algo", "gd", "--kappa", "4", "--L", "1e-310"),
+    ("certify", "--algo", "na", "--kappa", "1e10", "--L", "1e-300"),
+])
+def test_certificate_at_a_tiny_L_is_a_domain_error(capsys, argv):
+    # The certificate leaves double range: one JSON error, no report.
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "CertificateOverflow"
 
 
 def test_refining_an_invalid_closed_form_is_a_domain_error(capsys):
@@ -509,9 +549,10 @@ def test_consensus_parameter_flags_behave_like_analyze(capsys, argv,
 def test_consensus_echoes_the_config_analyze_resolves(capsys):
     # Both commands resolve --algo, --params and the noise flags on the
     # same torus spectrum, and consensus's J-bar is analyze's J.
-    for params in ((), ("--params", "explicit", "--alpha", "0.2",
-                        "--beta", "0.3")):
-        argv = ("--algo", "hb", "--torus", "2,8", "--sigma", "2", *params)
+    for argv in (("--algo", "hb", "--torus", "2,8", "--sigma", "2"),
+                 ("--algo", "hb", "--torus", "2,8", "--sigma", "2",
+                  "--params", "explicit", "--alpha", "0.2", "--beta", "0.3"),
+                 ("--algo", "gd", "--torus", "2,32", "--sigma", "2")):
         code, out, _ = _run(capsys, "consensus", *argv)
         assert code == 0
         consensus = json.loads(out)
@@ -679,6 +720,23 @@ def test_sweep_repeated_sizes_are_a_usage_error(capsys, n0):
     assert "repeated lattice sizes" in err
 
 
+@pytest.mark.parametrize("sigma", ["1e-200", "1e-320", "5e-324", "1e-160"])
+def test_sweep_sigma_whose_square_is_not_normal_is_a_usage_error(capsys,
+                                                                  sigma):
+    # sigma^2 rounds to 0 or to a subnormal, so J-bar / n underflows (to 0,
+    # whose log has no fit, or to a few digits); a sigma whose square
+    # overflows stays a domain error.
+    argv = ("sweep", "--algo", "hb", "--d", "2", "--n0", "4,5,6,7")
+    code, out, err = _run(capsys, *argv, "--sigma", sigma)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: a sweep needs a sigma whose square is a "
+                          "normal float")
+    assert err.count("\n") == 1
+    code, out, err = _run(capsys, *argv, "--sigma", "1e160")
+    assert (code, out) == (3, "")
+    assert json.loads(err)["error"] == "OverflowError"
+
+
 def test_sweep_command(capsys):
     code, out, _ = _run(capsys, "sweep", "--algo", "gd", "--d", "1",
                         "--n0", "8,16,32,64", "--format", "csv")
@@ -759,10 +817,6 @@ def test_huge_kappa_is_a_domain_error(capsys, argv):
     assert json.loads(err)["error"] == "KappaTooLarge"
 
 
-def _reject_constant(name):
-    raise ValueError(f"non-finite {name} in report")
-
-
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(st.sampled_from(["gd", "na"]),
        st.floats(0.0, 15.0).map(lambda e: 10.0 ** e),
@@ -817,18 +871,20 @@ def test_huge_step_is_unstable_without_overflow(capsys, argv):
 
 def test_unstable_simulate_draws_no_noise(capsys, monkeypatch):
     # rho = 1 passes the step-size gate (alpha L = 2 < 4) and would not
-    # diverge: the stability check must come before the 3e7-step run.
+    # diverge: the stability check must come before the 3e7- or 1e8-step
+    # run.
     def refused(*args, **kwargs):
         raise AssertionError("noise drawn for an unstable run")
 
-    monkeypatch.setattr(montecarlo, "standard_normals", refused)
-    code, out, err = _run(capsys, "simulate", "--algo", "gd", "--spectrum",
-                          "1", "--params", "explicit", "--alpha", "2",
-                          "--steps", "30000000")
-    assert (code, out) == (3, "")
-    assert json.loads(err) == {
-        "error": "Unstable", "message": "iteration is unstable: eigenvalue "
-        "1.0 gives spectral radius 1.0 >= 1"}
+    monkeypatch.setattr(montecarlo, "_normals", refused)
+    for steps in ("30000000", "100000000"):
+        code, out, err = _run(capsys, "simulate", "--algo", "gd",
+                              "--spectrum", "1", "--params", "explicit",
+                              "--alpha", "2", "--steps", steps)
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "error": "Unstable", "message": "iteration is unstable: "
+            "eigenvalue 1.0 gives spectral radius 1.0 >= 1"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -892,7 +948,7 @@ _VALUES = {
     "--params": ["table1", "table2", "explicit"],
     "--alpha": ["0.1", "0.5", "1e-9", "3", "1e300"],
     "--beta": ["0.3", "0.99", "1", "-0.1"],
-    "--sigma": ["1", "0.5", "0", "1e200"],
+    "--sigma": ["1", "0.5", "0", "1e200", "1e-200"],
     "--sigma-mode": ["fixed", "equals-alpha"],
     "--format": ["json", "csv"],
     "--steps": ["1", "10", "1000", "0", "-5"],
@@ -1069,6 +1125,13 @@ def _reference_text(report, fmt):
     return buf.getvalue()
 
 
+def _lines(text):
+    """``text`` as a list of its lines, ends kept: a failing comparison of
+    two long reports names the first differing line at once (pytest's
+    diff of two long strings takes minutes)."""
+    return text.splitlines(keepends=True)
+
+
 def _emitted_text(report, fmt):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -1221,14 +1284,18 @@ def _analyze_report(argv):
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_torus_report_matches_the_reference_writer(fmt):
-    argv = ["analyze", "--algo", "hb", "--torus", "2,24", "--format", fmt]
-    _, report = _analyze_report(argv)
-    modes = report["per_mode"]
-    assert list(modes.columns) == ["lambda", "j_hat", "count"]
-    code, out = _run_stdout(argv)
-    assert code == 0
-    assert out == _reference_text(report, fmt)
+def test_torus_report_matches_the_reference_writer(fmt, tmp_path):
+    # 2,211's 5,670 modes take two writes.
+    for torus in ("2,24", "2,211"):
+        argv = ["analyze", "--algo", "hb", "--torus", torus, "--format", fmt]
+        _, report = _analyze_report(argv)
+        modes = report["per_mode"]
+        assert list(modes.columns) == ["lambda", "j_hat", "count"]
+        assert len(modes) == _TORUS_MODES[torus]
+        path = tmp_path / f"report.{fmt}"
+        assert run(argv + ["--out", str(path)]) == 0
+        with open(path, newline="") as f:
+            assert _lines(f.read()) == _lines(_reference_text(report, fmt))
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -1268,6 +1335,49 @@ def test_ensemble_traces_are_written_a_chunk_at_a_time(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak < trace.nbytes / 4, (fmt, peak)
+
+
+@pytest.mark.parametrize("argv", [
+    ("tune", "--algo", "hb", "--torus", "2,32"),
+    ("tune", "--algo", "hb", "--spectrum", "3,4"),
+    ("analyze", "--algo", "gd", "--torus", "2,32"),
+    ("analyze", "--algo", "na", "--torus", "3,24", "--format", "csv"),
+    # A quadratic simulate imports lfilter on its first filter.
+    ("simulate", "--algo", "hb", "--spectrum", "1,10", "--steps", "20000",
+     "--seed", "3"),
+    # A torus simulate filters each distinct eigenvalue in one call.  Its
+    # j_hat_z is about -13.8 on a correct run: only the exit is checked.
+    ("simulate", "--algo", "gd", "--torus", "2,64", "--steps", "200",
+     "--seed", "1"),
+])
+def test_command_exits_0_with_a_report(capsys, argv):
+    code, out, err = _run(capsys, *argv)
+    assert code == 0 and out and err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--algo", "gd", "--torus", "2,324"),
+    ("sweep", "--algo", "na", "--d", "3", "--n0", "16,24,32,48,64,96"),
+    ("simulate", "--algo", "hb", "--spectrum", "1,10", "--steps", "2000",
+     "--replicates", "3"),  # per-step arrays
+    ("analyze", "--algo", "hb", "--spectrum", "1,4,9"),
+    ("bounds", "--algo", "na", "--kappa", "100", "--n", "4"),
+    ("certify", "--algo", "na", "--kappa", "1000", "--n", "2"),
+    ("tune", "--algo", "hb", "--spectrum", "1,5,25"),
+    ("consensus", "--algo", "gd", "--torus", "2,32"),
+    ("simulate", "--algo", "gd", "--spectrum", "1,4", "--steps", "50",
+     "--sigma", "0"),  # j_hat_z is null
+])
+def test_out_file_is_json_dumps_text(tmp_path, argv):
+    # One report of each command, written to --out: strict JSON (no NaN or
+    # Infinity) in json.dumps(indent=2)'s bytes.
+    path = tmp_path / "report.json"
+    assert run([*argv, "--out", str(path)]) == 0
+    text = path.read_text()
+    report = json.loads(text, parse_constant=_reject_constant)
+    assert _lines(text) == _lines(json.dumps(report, indent=2) + "\n")
+    if "--sigma" in argv:
+        assert report["j_hat_z"] is None
 
 
 def _leaves_only_json_writes(obj, leaves):

@@ -628,6 +628,24 @@ def test_lockstep_ensemble_equals_serial_replicates(monkeypatch, replicates,
         assert ens.per_step_stderr.tobytes() == stderr.tobytes()
 
 
+def test_ensemble_derives_its_stream_keys_once(monkeypatch):
+    # Every block draws at new offsets of the same R streams: their keys
+    # are derived once per run, not once per block.
+    monkeypatch.setattr(montecarlo, "BLOCK_STEPS", 64)
+    calls = []
+    original = montecarlo._stream_keys
+
+    def counted(seed, replicates):
+        calls.append(replicates)
+        return original(seed, replicates)
+
+    monkeypatch.setattr(montecarlo, "_stream_keys", counted)
+    cfg = AlgoConfig(algo=Algo.HB, alpha=0.2, beta=0.3)
+    ensemble_variance(cfg, Quadratic(make_spectrum([1.0, 4.0])), 100, 8,
+                      seed=5)  # 8 steps a block: 13 blocks
+    assert calls == [range(8)]
+
+
 def test_lockstep_lane_choice_counts_replicates():
     # SCALAR_MAX_DIM bounds replicates x coordinates, not coordinates.
     used = set()

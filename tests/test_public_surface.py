@@ -18,6 +18,8 @@ SRC = Path(noiseamp.__file__).resolve().parent
 UNUSED_BUT_KEPT = {
     "assemble_lmi": "certificate tests check it; left to a rewrite of lmi",
     "propagate_covariance": "the recursion ensembles are checked against",
+    "standard_normals": "the noise stream of one (seed, replicate) that "
+                        "tests pin; a run draws from keys derived once",
     "torus_eigenvalues": "the full-lattice reference of the torus modes",
     "variance_via_eigenvalues": "tests and bench/checks.py compare J to it",
     "variance_via_lyapunov": "tests and bench/checks.py compare J to it",
